@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,15 +58,23 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Preset:
+    """A named scenario at its default size, with run defaults."""
+
     summary: str
-    default_n: int
-    build: Callable[[int], ScenarioSpec]
+    spec: ScenarioSpec
     threshold_param: str
     threshold_bracket: tuple
     region_x: Optional[str] = None
     region_x_range: Optional[tuple] = None
     region_y: Optional[str] = None
     region_y_bracket: Optional[tuple] = None
+
+    @property
+    def default_n(self) -> int:
+        return self.spec.n_parties
+
+    def build(self, n: int) -> ScenarioSpec:
+        return replace(self.spec, n_parties=n)
 
 
 def _photonic_zx(name: str, n: int, criterion: str) -> ScenarioSpec:
@@ -75,55 +83,6 @@ def _photonic_zx(name: str, n: int, criterion: str) -> ScenarioSpec:
         MeasSpec("spd", "eta_z"), MeasSpec("sym", "eta_x"),
         params={"eta_z": ParamSpec.free(0.0, 1.0),
                 "eta_x": ParamSpec.free(0.5, 1.0)})
-
-
-def _fig1(n: int) -> ScenarioSpec:
-    return _photonic_zx("fig1", n, "cabello")
-
-
-def _fig2(n: int) -> ScenarioSpec:
-    return _photonic_zx("fig2", n, "wwwzb")
-
-
-def _fig5(n: int) -> ScenarioSpec:
-    return _photonic_zx("fig5", n, "lp2")
-
-
-def _garbarino3(n: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        "garbarino3", n, "lp3",
-        MeasSpec("lossy3_z", "eta_z"), MeasSpec("lossy3_x", "eta_x", 0.0),
-        params={"eta_z": ParamSpec.free(0.0, 1.0),
-                "eta_x": ParamSpec.free(0.0, 1.0)})
-
-
-def _cabello_homodyne(n: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        "cabello-homodyne", n, "cabello",
-        MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
-        params={"eta_spd": ParamSpec.free(0.0, 1.0)})
-
-
-def _cabello_displacement(n: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        "cabello-displacement", n, "cabello",
-        MeasSpec("spd", "eta_spd"), MeasSpec("displaced_response", "eta_spd", "alpha"),
-        params={"eta_spd": ParamSpec.free(0.0, 1.0),
-                "alpha": ParamSpec.free(0.01, 2.0)})
-
-
-def _cabello_ad(n: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        "cabello-ad", n, "cabello",
-        MeasSpec("spd", "eta"), MeasSpec("ad_x", "eta", 0.0),
-        params={"eta": ParamSpec.free(0.0, 1.0)})
-
-
-def _wwwzb_homodyne(n: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        "wwwzb-homodyne", n, "wwwzb",
-        MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
-        params={"eta_spd": ParamSpec.free(0.0, 1.0)})
 
 
 def _atom_params(eta_atom: float, eta_c: float) -> dict:
@@ -158,28 +117,6 @@ def _atom_displacement(name: str, n: int, criterion: str,
         atom=True, params=params)
 
 
-def _fig3(n: int) -> ScenarioSpec:
-    return _atom_homodyne("fig3", n, "wwwzb", eta_atom=1.0, eta_hom=1.0)
-
-
-def _fig4_homodyne(n: int) -> ScenarioSpec:
-    return _atom_homodyne("fig4-homodyne", n, "chsh", eta_atom=0.95, eta_hom=0.98)
-
-
-def _fig4_displacement(n: int) -> ScenarioSpec:
-    return _atom_displacement("fig4-displacement", n, "chsh", eta_atom=0.95)
-
-
-def _chsh_homodyne(n: int) -> ScenarioSpec:
-    spec = _atom_homodyne("chsh-homodyne", n, "chsh", eta_atom=1.0, eta_hom=1.0)
-    return fix_parameter(spec, "eta_spd", 1.0)
-
-
-def _chsh_displacement(n: int) -> ScenarioSpec:
-    spec = _atom_displacement("chsh-displacement", n, "chsh", eta_atom=1.0)
-    return fix_parameter(spec, "eta_spd", 1.0)
-
-
 # Threshold brackets for the full-correlator and CHSH presets start strictly
 # above zero: at eta = 0 the counter never clicks, the outcomes are
 # deterministic, and those criteria sit exactly on their classical bound,
@@ -187,58 +124,84 @@ def _chsh_displacement(n: int) -> ScenarioSpec:
 PRESETS = {
     "fig1": Preset(
         "single-excitation inequality region over z/x detector quality",
-        3, _fig1, "eta_z", (0.0, 1.0),
+        _photonic_zx("fig1", 3, "cabello"), "eta_z", (0.0, 1.0),
         "eta_z", (0.5, 1.0), "eta_x", (0.5, 1.0)),
     "fig2": Preset(
         "full-correlator inequality region over z/x detector quality",
-        3, _fig2, "eta_z", (0.1, 1.0),
+        _photonic_zx("fig2", 3, "wwwzb"), "eta_z", (0.1, 1.0),
         "eta_z", (0.5, 1.0), "eta_x", (0.5, 1.0)),
     "fig3": Preset(
         "atom-photon full-correlator thresholds, photon-counting + homodyne",
-        2, _fig3, "eta_spd", (0.05, 1.0),
-        "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        _atom_homodyne("fig3", 2, "wwwzb", eta_atom=1.0, eta_hom=1.0),
+        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
     "fig4-homodyne": Preset(
         "two-party CHSH with homodyne x-readout, lossy atom and coupling",
-        2, _fig4_homodyne, "eta_spd", (0.05, 1.0),
-        "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        _atom_homodyne("fig4-homodyne", 2, "chsh", eta_atom=0.95, eta_hom=0.98),
+        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
     "fig4-displacement": Preset(
         "two-party CHSH with displaced-counter x-readout, lossy atom",
-        2, _fig4_displacement, "eta_spd", (0.05, 1.0),
-        "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        _atom_displacement("fig4-displacement", 2, "chsh", eta_atom=0.95),
+        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
     "fig5": Preset(
         "exact locality region from the EPR2 linear program",
-        3, _fig5, "eta_z", (0.0, 1.0),
+        _photonic_zx("fig5", 3, "lp2"), "eta_z", (0.0, 1.0),
         "eta_x", (0.5, 1.0), "eta_z", (0.0, 1.0)),
     "garbarino3": Preset(
         "locality region for loss-flagging three-outcome detectors",
-        3, _garbarino3, "eta_x", (0.0, 1.0),
-        "eta_z", (0.5, 1.0), "eta_x", (0.0, 1.0)),
+        ScenarioSpec(
+            "garbarino3", 3, "lp3",
+            MeasSpec("lossy3_z", "eta_z"), MeasSpec("lossy3_x", "eta_x", 0.0),
+            params={"eta_z": ParamSpec.free(0.0, 1.0),
+                    "eta_x": ParamSpec.free(0.0, 1.0)}),
+        "eta_x", (0.0, 1.0), "eta_z", (0.5, 1.0), "eta_x", (0.0, 1.0)),
     "cabello-homodyne": Preset(
         "critical counter efficiency, x basis via ideal homodyne",
-        3, _cabello_homodyne, "eta_spd", (0.0, 1.0)),
+        ScenarioSpec(
+            "cabello-homodyne", 3, "cabello",
+            MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
+            params={"eta_spd": ParamSpec.free(0.0, 1.0)}),
+        "eta_spd", (0.0, 1.0)),
     "cabello-displacement": Preset(
         "critical counter efficiency, x basis via displaced counting",
-        3, _cabello_displacement, "eta_spd", (0.0, 1.0)),
+        ScenarioSpec(
+            "cabello-displacement", 3, "cabello",
+            MeasSpec("spd", "eta_spd"),
+            MeasSpec("displaced_response", "eta_spd", "alpha"),
+            params={"eta_spd": ParamSpec.free(0.0, 1.0),
+                    "alpha": ParamSpec.free(0.01, 2.0)}),
+        "eta_spd", (0.0, 1.0)),
     "cabello-ad": Preset(
         "critical shared efficiency for the amplitude-damping error model",
-        3, _cabello_ad, "eta", (0.0, 1.0)),
+        ScenarioSpec(
+            "cabello-ad", 3, "cabello",
+            MeasSpec("spd", "eta"), MeasSpec("ad_x", "eta", 0.0),
+            params={"eta": ParamSpec.free(0.0, 1.0)}),
+        "eta", (0.0, 1.0)),
     "wwwzb-homodyne": Preset(
         "critical counter efficiency for full-correlator inequalities",
-        4, _wwwzb_homodyne, "eta_spd", (0.1, 1.0)),
+        ScenarioSpec(
+            "wwwzb-homodyne", 4, "wwwzb",
+            MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
+            params={"eta_spd": ParamSpec.free(0.0, 1.0)}),
+        "eta_spd", (0.1, 1.0)),
     "chsh-homodyne": Preset(
         "ideal-device CHSH value for the homodyne scheme",
-        2, _chsh_homodyne, "eta_spd", (0.05, 1.0),
-        "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        fix_parameter(_atom_homodyne("chsh-homodyne", 2, "chsh",
+                                     eta_atom=1.0, eta_hom=1.0), "eta_spd", 1.0),
+        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
     "chsh-displacement": Preset(
         "ideal-device CHSH value for the displacement scheme",
-        2, _chsh_displacement, "eta_spd", (0.05, 1.0),
-        "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        fix_parameter(_atom_displacement("chsh-displacement", 2, "chsh",
+                                         eta_atom=1.0), "eta_spd", 1.0),
+        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
 }
 
 
 # ---------------------------------------------------------------------------
 # Config files: flat "key = value" lines, '#' comments, unknown keys rejected.
 
+# Every run key but ``command`` is a default for the flag of the same name;
+# bracket_lo and bracket_hi together stand for --bracket.
 _RUN_KEYS = {
     "command": str,
     "preset": str,
@@ -443,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bell = sub.add_parser("bell", help="evaluate one Bell criterion")
+    p_bell.set_defaults(run=_cmd_bell)
     _add_scenario_flags(p_bell)
     p_bell.add_argument("--inequality",
                         choices=["cabello", "wwwzb", "mermin3", "chsh"],
@@ -457,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="x-detector efficiency for --inequality scenarios")
 
     p_thr = sub.add_parser("threshold", help="bisect a critical efficiency")
+    p_thr.set_defaults(run=_cmd_threshold)
     _add_scenario_flags(p_thr)
     p_thr.add_argument("--param", default=None,
                        help="parameter to bisect (preset default otherwise)")
@@ -466,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bisection width tolerance")
 
     p_reg = sub.add_parser("region", help="threshold curve over a grid (CSV)")
+    p_reg.set_defaults(run=_cmd_region)
     _add_scenario_flags(p_reg)
     p_reg.add_argument("--x", dest="x_name", default=None,
                        help="grid parameter (preset default otherwise)")
@@ -482,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (or WBELL_JOBS)")
 
     p_con = sub.add_parser("content", help="EPR2 nonlocal content")
+    p_con.set_defaults(run=_cmd_content)
     _add_scenario_flags(p_con)
     p_con.add_argument("--dist-file", default=None, metavar="FILE",
                        help="read a serialized distribution instead")
@@ -490,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_neg = sub.add_parser("negativity",
                            help="entanglement across the atom/photons cut")
+    p_neg.set_defaults(run=_cmd_negativity)
     p_neg.add_argument("--theta", type=float, required=True,
                        help="superposition angle of the source state")
     p_neg.add_argument("--eta-c", type=float, default=1.0,
@@ -508,35 +476,67 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    """Read --config, and fill every flag not given from its run keys."""
     path = getattr(args, "config", None)
     if path is None:
-        return RunConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise UsageError(f"cannot read config file: {err}") from None
-    cfg = parse_config(text)
-    declared = cfg.options.get("command")
+        cfg = RunConfig()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as err:
+            raise UsageError(f"cannot read config file: {err}") from None
+        cfg = parse_config(text)
+    options = dict(cfg.options)
+    declared = options.pop("command", None)
     if declared is not None and declared != args.command:
         raise UsageError(
             f"config is for command {declared!r}, invoked as {args.command!r}")
+    if "bracket_lo" in options or "bracket_hi" in options:
+        try:
+            options["bracket"] = [options.pop("bracket_lo"), options.pop("bracket_hi")]
+        except KeyError:
+            raise UsageError("config needs both bracket_lo and bracket_hi") from None
+    options.setdefault("starts", DEFAULT_STARTS)
+    options.setdefault("grid", DEFAULT_GRID)
+    options.setdefault("atol", DEFAULT_ATOL)
+    for key, value in options.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
+    _check_run_options(args)
     return cfg
 
 
-def _pick(flag_value, cfg: RunConfig, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.options.get(key, default)
+def _check_run_options(args) -> None:
+    """Reject run options out of range, whether given by flag or config."""
+    if hasattr(args, "starts") and args.starts < 1:
+        raise UsageError("--starts must be at least 1")
+    if hasattr(args, "grid") and args.grid < 2:
+        raise UsageError("--grid must be at least 2")
+    if hasattr(args, "atol") and not (math.isfinite(args.atol) and args.atol > 0.0):
+        raise UsageError(f"--atol must be finite and greater than 0, got {args.atol!r}")
+    if hasattr(args, "jobs"):
+        if args.jobs is None:
+            raw = os.environ.get("WBELL_JOBS", "1")
+            try:
+                args.jobs = int(raw)
+            except ValueError:
+                raise UsageError(f"WBELL_JOBS must be an integer, got {raw!r}") from None
+        if args.jobs < 1:
+            raise UsageError("worker count must be at least 1")
 
 
 def _apply_sets(spec: ScenarioSpec, sets: dict) -> ScenarioSpec:
+    """Pin parameters; a free one only within its declared range."""
     for name, value in sets.items():
-        if name not in spec.params:
+        declared = spec.params.get(name)
+        if declared is None:
             raise UsageError(f"scenario has no parameter {name!r}")
-        pinned = ParamSpec.fixed(float(value))
-        _check_efficiency_bounds(name, pinned)
-        spec = fix_parameter(spec, name, float(value))
+        if declared.is_free and not declared.lo <= value <= declared.hi:
+            raise UsageError(f"{name} = {value:g} lies outside its declared range "
+                             f"[{declared.lo:g}, {declared.hi:g}]")
+        _check_efficiency_bounds(name, ParamSpec.fixed(value))
+        spec = fix_parameter(spec, name, value)
     return spec
 
 
@@ -565,59 +565,34 @@ def _explicit_bell_scenario(args) -> ScenarioSpec:
         raise UsageError(str(err)) from None
 
 
-def _resolve_scenario(args, cfg: RunConfig) -> ScenarioSpec:
-    preset_name = args.preset or cfg.options.get("preset")
+def _resolve_scenario(args, cfg: RunConfig) -> tuple:
+    """The scenario to run, and the preset it came from (or None)."""
+    preset = None
     config_spec = cfg.scenario()
-    if preset_name is not None and config_spec is not None:
+    if args.preset is not None and config_spec is not None:
         raise UsageError("give either a preset or explicit scenario keys")
-    if preset_name is not None:
-        preset = PRESETS.get(preset_name)
+    if args.preset is not None:
+        preset = PRESETS.get(args.preset)
         if preset is None:
-            raise UsageError(f"unknown preset {preset_name!r}")
-        n = _pick(args.n, cfg, "n", preset.default_n)
-        try:
-            spec = preset.build(n)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+            raise UsageError(f"unknown preset {args.preset!r}")
+        spec = preset.spec
     elif config_spec is not None:
         spec = config_spec
-        n = _pick(args.n, cfg, "n", None)
-        if n is not None and n != spec.n_parties:
-            try:
-                spec = replace(spec, n_parties=n)
-            except ValueError as err:
-                raise UsageError(str(err)) from None
     elif getattr(args, "inequality", None) is not None:
         spec = _explicit_bell_scenario(args)
     else:
         raise UsageError("no scenario given: pass --preset, --config, or "
                          "(for bell) --inequality")
-    lp_tol = getattr(args, "lp_tol", None)
-    if lp_tol is not None:
-        spec = replace(spec, lp_tol=float(lp_tol))
-    sets = dict(cfg.sets)
-    sets.update(_parse_set_flags(getattr(args, "set", [])))
-    return _apply_sets(spec, sets)
-
-
-def _starts(args, cfg: RunConfig) -> int:
-    value = _pick(getattr(args, "starts", None), cfg, "starts", DEFAULT_STARTS)
-    if value < 1:
-        raise UsageError("--starts must be at least 1")
-    return value
-
-
-def _jobs(args, cfg: RunConfig) -> int:
-    value = _pick(getattr(args, "jobs", None), cfg, "jobs", None)
-    if value is None:
-        raw = os.environ.get("WBELL_JOBS", "1")
+    if args.n is not None:
         try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"WBELL_JOBS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError("worker count must be at least 1")
-    return value
+            spec = replace(spec, n_parties=args.n)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
+    if args.lp_tol is not None:
+        spec = replace(spec, lp_tol=float(args.lp_tol))
+    sets = dict(cfg.sets)
+    sets.update(_parse_set_flags(args.set))
+    return _apply_sets(spec, sets), preset
 
 
 def _json_text(payload: dict) -> str:
@@ -631,7 +606,7 @@ def _json_text(payload: dict) -> str:
 def _cmd_bell(args, cfg: RunConfig) -> str:
     if args.state == "vacuum" and args.inequality is None:
         raise UsageError("--state vacuum needs an explicit --inequality scenario")
-    spec = _resolve_scenario(args, cfg)
+    spec, _ = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
     if spec.criterion in ("lp2", "lp3"):
@@ -646,7 +621,7 @@ def _cmd_bell(args, cfg: RunConfig) -> str:
         params = values
         state_kind = args.state
     else:
-        search = optimize_free_parameters(spec, n_starts=_starts(args, cfg))
+        search = optimize_free_parameters(spec, n_starts=args.starts)
         result = scenario_result(spec, search.params)
         margin = search.margin
         params = search.params
@@ -667,29 +642,22 @@ def _cmd_bell(args, cfg: RunConfig) -> str:
 
 
 def _cmd_threshold(args, cfg: RunConfig) -> str:
-    spec = _resolve_scenario(args, cfg)
+    spec, preset = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
-    preset = PRESETS.get(args.preset or cfg.options.get("preset") or "")
-    param = _pick(args.param, cfg, "param",
-                  preset.threshold_param if preset else None)
+    param = args.param
+    if param is None and preset is not None:
+        param = preset.threshold_param
     if param is None:
         raise UsageError("no parameter to bisect: pass --param")
     if args.bracket is not None:
         bracket = tuple(args.bracket)
-    elif "bracket_lo" in cfg.options or "bracket_hi" in cfg.options:
-        try:
-            bracket = (cfg.options["bracket_lo"], cfg.options["bracket_hi"])
-        except KeyError:
-            raise UsageError("config needs both bracket_lo and bracket_hi") from None
     else:
         bracket = preset.threshold_bracket if preset else (0.0, 1.0)
-    atol = _pick(args.atol, cfg, "atol", DEFAULT_ATOL)
-    n_starts = _starts(args, cfg)
-    threshold = critical_efficiency(spec, param, bracket, atol=atol,
-                                    n_starts=n_starts)
+    threshold = critical_efficiency(spec, param, bracket, atol=args.atol,
+                                    n_starts=args.starts)
     at_threshold = optimize_free_parameters(fix_parameter(spec, param, threshold),
-                                            n_starts=n_starts)
+                                            n_starts=args.starts)
     return _json_text({
         "command": "threshold",
         "scenario": spec.name,
@@ -697,7 +665,7 @@ def _cmd_threshold(args, cfg: RunConfig) -> str:
         "n_parties": spec.n_parties,
         "param": param,
         "bracket": [bracket[0], bracket[1]],
-        "atol": atol,
+        "atol": args.atol,
         "threshold": threshold,
         "margin_at_threshold": at_threshold.margin,
         "params_at_threshold": at_threshold.params,
@@ -705,10 +673,9 @@ def _cmd_threshold(args, cfg: RunConfig) -> str:
 
 
 def _cmd_region(args, cfg: RunConfig) -> str:
-    spec = _resolve_scenario(args, cfg)
+    spec, preset = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
-    preset = PRESETS.get(args.preset or cfg.options.get("preset") or "")
     x_name = args.x_name or (preset.region_x if preset else None)
     y_name = args.y_name or (preset.region_y if preset else None)
     if x_name is None or y_name is None:
@@ -725,14 +692,10 @@ def _cmd_region(args, cfg: RunConfig) -> str:
     else:
         bracket = preset.region_y_bracket if preset and preset.region_y == y_name \
             else (0.0, 1.0)
-    grid = _pick(args.grid, cfg, "grid", DEFAULT_GRID)
-    if grid < 2:
-        raise UsageError("--grid must be at least 2")
-    atol = _pick(args.atol, cfg, "atol", DEFAULT_ATOL)
     curve = region_boundary(
         spec, x_name, y_name,
-        np.linspace(x_range[0], x_range[1], grid), bracket,
-        atol=atol, n_starts=_starts(args, cfg), jobs=_jobs(args, cfg))
+        np.linspace(x_range[0], x_range[1], args.grid), bracket,
+        atol=args.atol, n_starts=args.starts, jobs=args.jobs)
     return curve.to_csv()
 
 
@@ -756,12 +719,12 @@ def _cmd_content(args, cfg: RunConfig) -> str:
             "local_weight": r.local_weight,
             "nonlocal_content": r.nonlocal_content,
         })
-    spec = _resolve_scenario(args, cfg)
+    spec, _ = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
     if spec.criterion not in ("lp2", "lp3"):
         raise UsageError("content needs an lp2 or lp3 scenario")
-    search = optimize_free_parameters(spec, n_starts=_starts(args, cfg))
+    search = optimize_free_parameters(spec, n_starts=args.starts)
     if args.dump_dist:
         return scenario_distribution(spec, search.params).to_text()
     r = scenario_result(spec, search.params)
@@ -777,7 +740,7 @@ def _cmd_content(args, cfg: RunConfig) -> str:
     })
 
 
-def _cmd_negativity(args) -> str:
+def _cmd_negativity(args, cfg: RunConfig) -> str:
     if args.n < 2:
         raise UsageError("negativity needs at least two parties")
     if not 0.0 <= args.eta_c <= 1.0:
@@ -812,17 +775,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "bell":
-            text = _cmd_bell(args, _load_config(args))
-        elif args.command == "threshold":
-            text = _cmd_threshold(args, _load_config(args))
-        elif args.command == "region":
-            text = _cmd_region(args, _load_config(args))
-        elif args.command == "content":
-            text = _cmd_content(args, _load_config(args))
-        else:
-            text = _cmd_negativity(args)
-        _emit(text, getattr(args, "out", None))
+        _emit(args.run(args, _load_config(args)), args.out)
     except UsageError as err:
         print(f"wbell: error: {err}", file=sys.stderr)
         return 1

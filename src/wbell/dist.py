@@ -83,7 +83,8 @@ class JointDistribution:
         n, k = self.n_parties, self.n_outcomes
         if self.table.shape != (2,) * n + (k,) * n:
             raise ValueError("table shape does not match scenario")
-        if self.table.min() < -ENTRY_TOL or self.table.max() > 1.0 + ENTRY_TOL:
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        if not (self.table.min() >= -ENTRY_TOL and self.table.max() <= 1.0 + ENTRY_TOL):
             raise ValueError("probabilities outside [0, 1]")
         sums = self.table.reshape((2,) * n + (k ** n,)).sum(axis=-1)
         if np.abs(sums - 1.0).max() > NORMALIZATION_TOL:
@@ -115,6 +116,8 @@ class JointDistribution:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"malformed distribution line: {raw!r}")
+            if set(parts[0]) - {"0", "1"}:
+                raise ValueError(f"settings digits must be 0 or 1: {raw!r}")
             entries[(parts[0], parts[1])] = float(parts[2])
         if not entries:
             raise ValueError("empty distribution text")

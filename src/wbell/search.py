@@ -43,17 +43,6 @@ BISECTION_ATOL = 1e-4
 
 CRITERIA = ("cabello", "wwwzb", "mermin3", "chsh", "lp2", "lp3")
 
-_FAMILY_OUTCOMES = {
-    "spd": 2,
-    "sym": 2,
-    "homodyne": 2,
-    "displaced": 2,
-    "displaced_response": 2,
-    "ad_x": 2,
-    "lossy3_z": 3,
-    "lossy3_x": 3,
-}
-
 _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
 
 
@@ -118,14 +107,14 @@ class MeasSpec:
     flip: bool = False
 
     def __post_init__(self):
-        if self.family not in _FAMILY_OUTCOMES:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown measurement family {self.family!r}")
-        if self.flip and _FAMILY_OUTCOMES[self.family] != 2:
+        if self.flip and self.n_outcomes != 2:
             raise ValueError("flip applies to two-outcome devices only")
 
     @property
     def n_outcomes(self) -> int:
-        return _FAMILY_OUTCOMES[self.family]
+        return _FAMILIES[self.family][0]
 
     def references(self) -> set:
         return {r for r in (self.eff, self.aux) if isinstance(r, str)}
@@ -268,28 +257,30 @@ def _displaced_response_povm(alpha: float, eta_spd: float) -> TwoOutcomePOVM:
     return efficiency_povm(X_AXIS, up, down, label="displaced-response")
 
 
+def _ad_x_povm(eff: float, aux: float) -> TwoOutcomePOVM:
+    sym_eff = 0.5 * (1.0 + math.sqrt(eff))
+    return efficiency_povm(equatorial_axis(aux), sym_eff, sym_eff, label="ad-x")
+
+
+# Measurement family -> (outcome count, builder from efficiency and aux).
+# The builders call the POVM constructors through this module's globals when
+# called, so that wrapping a constructor here wraps every device built.
+_FAMILIES = {
+    "spd": (2, lambda eff, aux: efficiency_povm(Z_AXIS, eff, 1.0, label="spd")),
+    "sym": (2, lambda eff, aux: efficiency_povm(equatorial_axis(aux), eff, eff,
+                                                label="sym")),
+    "homodyne": (2, lambda eff, aux: homodyne_povm(aux, eff)),
+    "displaced": (2, lambda eff, aux: displaced_spd_povm(aux, eff)),
+    "displaced_response": (2, lambda eff, aux: _displaced_response_povm(aux, eff)),
+    "ad_x": (2, _ad_x_povm),
+    "lossy3_z": (3, lambda eff, aux: lossy_threeoutcome_povm(Z_AXIS, eff)),
+    "lossy3_x": (3, lambda eff, aux: lossy_threeoutcome_povm(equatorial_axis(aux), eff)),
+}
+
+
 def build_photon_povm(ms: MeasSpec, values: dict):
-    eff = _lookup(ms.eff, values)
-    aux = _lookup(ms.aux, values)
-    if ms.family == "spd":
-        povm = efficiency_povm(Z_AXIS, eff, 1.0, label="spd")
-    elif ms.family == "sym":
-        povm = efficiency_povm(equatorial_axis(aux), eff, eff, label="sym")
-    elif ms.family == "homodyne":
-        povm = homodyne_povm(aux, eff)
-    elif ms.family == "displaced":
-        povm = displaced_spd_povm(aux, eff)
-    elif ms.family == "displaced_response":
-        povm = _displaced_response_povm(aux, eff)
-    elif ms.family == "ad_x":
-        sym_eff = 0.5 * (1.0 + math.sqrt(eff))
-        povm = efficiency_povm(equatorial_axis(aux), sym_eff, sym_eff, label="ad-x")
-    elif ms.family == "lossy3_z":
-        return lossy_threeoutcome_povm(Z_AXIS, eff)
-    elif ms.family == "lossy3_x":
-        return lossy_threeoutcome_povm(equatorial_axis(aux), eff)
-    else:  # pragma: no cover - rejected in MeasSpec already
-        raise ValueError(f"unknown measurement family {ms.family!r}")
+    _, build = _FAMILIES[ms.family]
+    povm = build(_lookup(ms.eff, values), _lookup(ms.aux, values))
     return povm.flipped() if ms.flip else povm
 
 
@@ -434,6 +425,8 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    if not (math.isfinite(atol) and atol > 0.0):
+        raise ValueError("atol must be finite and positive")
     lo_viol = has_violation(fix_parameter(spec, param, lo), n_starts)
     hi_viol = has_violation(fix_parameter(spec, param, hi), n_starts)
     if lo_viol == hi_viol:

@@ -20,6 +20,7 @@ from wbell.search import scenario_distribution
 
 VALUE_ATOL = 1e-9
 THRESHOLD_ATOL = 5e-4
+GOLDEN_SPECS = Path(__file__).with_name("preset_specs.txt")
 
 
 def run(argv):
@@ -28,6 +29,21 @@ def run(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = dispatch(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def golden_preset_specs():
+    """{(preset, n): expected --dump-spec text}, read from GOLDEN_SPECS."""
+    specs, key = {}, None
+    for line in GOLDEN_SPECS.read_text().splitlines(keepends=True):
+        if line.startswith("#"):
+            continue
+        if line.startswith("== "):
+            name, n = line[3:].split()
+            key = (name, int(n))
+            specs[key] = ""
+        else:
+            specs[key] += line
+    return specs
 
 
 def run_json(argv):
@@ -215,6 +231,21 @@ class TestConfigFiles:
         code, _, err = run(["threshold", "--config", "/nonexistent.cfg"])
         assert code == 1 and "cannot read" in err
 
+    def test_run_keys_are_flag_defaults(self, tmp_path):
+        expected = run(["bell", "--preset", "fig1", "--dump-spec"])[1]
+        target, other = tmp_path / "spec.cfg", tmp_path / "other.cfg"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"preset = fig1\nout = {target}\n")
+        code, out, _ = run(["bell", "--config", str(path), "--dump-spec"])
+        assert code == 0 and out == ""
+        assert target.read_text() == expected
+        code, _, _ = run(["bell", "--config", str(path), "--dump-spec",
+                          "--out", str(other)])
+        assert code == 0 and other.read_text() == expected
+        path.write_text("preset = cabello-ad\nbracket_lo = 0.5\n")
+        code, _, err = run(["threshold", "--config", str(path)])
+        assert code == 1 and "bracket_hi" in err
+
 
 class TestFlagValidation:
     def test_set_needs_name_value(self):
@@ -223,20 +254,56 @@ class TestFlagValidation:
     def test_set_unknown_parameter(self):
         assert run(["bell", "--preset", "fig1", "--set", "bogus=1"])[0] == 1
 
-    def test_set_efficiency_out_of_range(self):
+    def test_set_efficiency_out_of_range(self, tmp_path):
         assert run(["bell", "--preset", "fig1", "--set", "eta_z=1.4"])[0] == 1
+        # A pin on a free parameter must lie within its declared range.
+        for pin in ("theta=1.3", "a_polar_0=99", "phi_x=-0.1"):
+            code, _, err = run(["bell", "--preset", "fig4-homodyne", "--set", pin,
+                                "--dump-spec"])
+            assert code == 1 and "declared range" in err, pin
+        assert run(["bell", "--preset", "fig1", "--set", "eta_x=0.4",
+                    "--dump-spec"])[0] == 1
+        path = tmp_path / "pins.cfg"
+        path.write_text("preset = fig4-homodyne\nset.theta = 1.3\n")
+        assert run(["bell", "--config", str(path), "--dump-spec"])[0] == 1
+        # A pin on a fixed parameter is checked as an efficiency only.
+        assert run(["bell", "--preset", "fig4-homodyne", "--set", "eta_c=0.65",
+                    "--dump-spec"])[0] == 0
+        assert run(["bell", "--preset", "fig4-homodyne", "--set", "eta_c=1.2",
+                    "--dump-spec"])[0] == 1
 
     def test_starts_must_be_positive(self):
         assert run(["threshold", "--preset", "cabello-homodyne",
                     "--starts", "0"])[0] == 1
 
+    def test_atol_must_be_finite_and_positive(self, tmp_path):
+        # Once the bracket ends are adjacent floats, atol <= 0 never stops
+        # the bisection; a NaN atol stops it at once at the midpoint.
+        path = tmp_path / "atol.cfg"
+        for atol in ("0", "-1", "nan", "inf"):
+            for argv in (["threshold", "--preset", "cabello-ad", "--n", "3"],
+                         ["region", "--preset", "fig1", "--grid", "2"]):
+                code, out, err = run(argv + ["--atol", atol])
+                assert code == 1 and out == "" and "--atol" in err, (argv, atol)
+                assert len(err.splitlines()) == 1
+            path.write_text(f"preset = cabello-ad\natol = {atol}\n")
+            code, _, err = run(["threshold", "--config", str(path)])
+            assert code == 1 and "--atol" in err, atol
+
     def test_bad_argparse_choice(self):
         assert run(["bell", "--inequality", "nope"])[0] == 1
 
     def test_every_preset_builds_at_its_default_size(self):
+        golden = golden_preset_specs()
         for name, preset in PRESETS.items():
             spec = preset.build(preset.default_n)
             assert spec.name == name
+            assert (name, preset.default_n) in golden
+        for (name, n), text in golden.items():
+            code, out, err = run(["threshold", "--preset", name, "--n", str(n),
+                                  "--dump-spec"])
+            assert code == 0, err
+            assert out == text, (name, n)
 
 
 def console_script_target(name):

@@ -111,6 +111,16 @@ def test_validate_rejects_signalling_table():
         JointDistribution(2, 2, table).validate()
 
 
+def test_validate_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        table = np.full((2, 2), 0.5)
+        table[1, 0] = bad
+        with pytest.raises(ValueError):
+            JointDistribution(1, 2, table).validate()
+    with pytest.raises(ValueError):
+        JointDistribution.from_text("0 0 0.5\n0 1 0.5\n1 0 nan\n1 1 0.5\n")
+
+
 def test_full_correlators_against_observable_trace():
     n = 3
     st = damped_w_state(n, 0.85)
@@ -157,6 +167,8 @@ def test_from_text_rejects_malformed_input():
         JointDistribution.from_text(text + "0.5\n")
     with pytest.raises(ValueError):
         JointDistribution.from_text("")
+    with pytest.raises(ValueError):
+        JointDistribution.from_text("0 0 0.5\n0 1 0.5\n2 0 0.5\n2 1 0.5\n")
 
 
 def test_povm_error_model_equals_channel_on_state():

@@ -368,6 +368,9 @@ def test_bisection_bracket_errors():
     assert err.value.kind == "never"
     with pytest.raises(ValueError):
         critical_efficiency(spec, "eta", (0.9, 0.9))
+    for atol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            critical_efficiency(spec, "eta", (0.5, 0.99), atol=atol)
 
 
 def two_efficiency_spec():
