@@ -4,13 +4,27 @@ The nonlocal content of a distribution P is 1 minus the largest weight w such
 that P - w P_L is a valid (sub-normalized, non-signalling) remainder for some
 local distribution P_L. Maximizing sum(q) subject to sum_l q_l D_l(o|s) <=
 P(o|s), q >= 0 over the deterministic vertices D_l solves it exactly.
+
+The LP is solved over party-permutation orbits (Bancal, Gisin and Pironio,
+J. Phys. A 43, 385303 (2010)). Parties form a class when swapping any two of
+them moves no table entry by more than SYMMETRY_TOL: one class for the
+photonic presets, {0} and {1..N-1} with an atom, singletons for a table with
+no symmetry. Averaging an optimal mixture over the permutations within each
+class keeps it optimal, so the LP needs one variable per vertex orbit and one
+row per row orbit. Its matrix is the Kronecker product of one orbit block per
+class. A row's bound is the smallest table entry in its row orbit, so
+spreading each orbit's weight evenly over its vertices is a local
+decomposition of the table as given, however slightly asymmetric it is; the
+optimum moves from the full LP's only by that asymmetry. With singleton
+classes the LP is the full one, its rows reordered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +36,7 @@ VERTEX_CAP = 10 ** 6
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
 LOCAL_WEIGHT_TOL = 1e-8
+SYMMETRY_TOL = 1e-12
 
 
 class LPError(RuntimeError):
@@ -81,30 +96,69 @@ def enumerate_vertices(n_parties: int, n_outcomes: int) -> list:
     return [LocalVertex(choice) for choice in product(per_party, repeat=n_parties)]
 
 
-@lru_cache(maxsize=8)
-def _vertex_assignments(n_parties: int, n_outcomes: int) -> np.ndarray:
-    verts = enumerate_vertices(n_parties, n_outcomes)
-    return np.array([v.outcomes for v in verts], dtype=np.int64)
+def _party_classes(table: np.ndarray, n_parties: int) -> tuple:
+    """Parties grouped so that swapping two of one class moves no entry by
+    more than SYMMETRY_TOL; classes in order of their first party.
+
+    Each class member is tested against the class's first party: those
+    transpositions generate every permutation of the class.
+    """
+    n = n_parties
+    classes, placed = [], set()
+    for first in range(n):
+        if first in placed:
+            continue
+        members = [first]
+        for other in range(first + 1, n):
+            if other in placed:
+                continue
+            axes = list(range(2 * n))
+            axes[first], axes[other] = other, first
+            axes[n + first], axes[n + other] = n + other, n + first
+            if np.abs(table - table.transpose(axes)).max() <= SYMMETRY_TOL:
+                members.append(other)
+        placed.update(members)
+        classes.append(tuple(members))
+    return tuple(classes)
 
 
-@lru_cache(maxsize=8)
-def _constraint_matrix(n_parties: int, n_outcomes: int) -> sp.csc_matrix:
-    """Sparse A with A[(s,o), l] = D_l(o|s); rows settings-major like flat()."""
-    assign = _vertex_assignments(n_parties, n_outcomes)
-    n_vertices = assign.shape[0]
-    n, k = n_parties, n_outcomes
-    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows, cols = [], []
-    for s_flat, s in enumerate(product(range(2), repeat=n)):
-        o_per_party = assign[np.arange(n_vertices)[:, None], np.arange(n), list(s)]
-        o_flat = o_per_party @ weights
-        rows.append(s_flat * k ** n + o_flat)
-        cols.append(np.arange(n_vertices))
-    data = np.ones(2 ** n * n_vertices)
-    return sp.csc_matrix(
-        (data, (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 ** n * k ** n, n_vertices),
-    )
+@lru_cache(maxsize=16)
+def _orbit_matrix(n_parties: int, n_outcomes: int) -> tuple:
+    """Orbit LP block of one class of c = ``n_parties`` interchangeable
+    parties with k = ``n_outcomes`` outcomes.
+
+    Returns ``(m, row_of)``. Local events are e = s*k + o and per-party
+    strategies t = a0*k + a1 (the outcome for setting 0, then setting 1).
+    Row orbits are the multisets of c events and vertex orbits the multisets
+    of c strategies, each in ``combinations_with_replacement`` order.
+    ``m[R, O]`` is the share of the c! orderings under which the strategies
+    of O produce the events of R, which is D(r) averaged over the vertices
+    of O for any ordered r in R. ``row_of``, shape (2k,)*c, maps every
+    ordered event tuple to its row orbit. ``m`` is sparse (CSC); the arrays
+    of both are read-only, as every caller shares them.
+    """
+    c, k = n_parties, n_outcomes
+    events = np.array(list(combinations_with_replacement(range(2 * k), c)))
+    strategies = np.array(list(combinations_with_replacement(range(k * k), c)))
+    setting, outcome = np.divmod(np.arange(2 * k), k)
+    outcomes_of = np.array(list(product(range(k), repeat=2)))
+    produces = outcomes_of[:, setting].T == outcome[:, None]    # [event, strategy]
+    m = np.zeros((len(events), len(strategies)))
+    for order in permutations(range(c)):
+        hit = np.ones(m.shape, dtype=bool)
+        for slot, source in enumerate(order):
+            hit &= produces[events[:, slot, None], strategies[:, source]]
+        m += hit
+    m /= factorial(c)
+    # Nondecreasing tuples in lexicographic order have increasing radix codes.
+    radix = (2 * k) ** np.arange(c - 1, -1, -1)
+    ordered = np.array(list(product(range(2 * k), repeat=c)))
+    row_of = np.searchsorted(events @ radix, np.sort(ordered, axis=1) @ radix)
+    row_of = row_of.reshape((2 * k,) * c)
+    m = sp.csc_matrix(m)
+    for cached in (m.data, m.indices, m.indptr, row_of):
+        cached.flags.writeable = False
+    return m, row_of
 
 
 def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray,
@@ -150,6 +204,14 @@ def nonlocal_content(p: JointDistribution,
                      optimality_tol: float = OPTIMALITY_TOL) -> ContentResult:
     """Exact EPR2 nonlocal content of a two-setting distribution.
 
+    ``certificate`` holds the optimal weight of each vertex orbit; the
+    weights sum to ``local_weight``. Its index runs over the party classes
+    (in order of their first party) as a Kronecker product, and within a
+    class of c parties over the multisets of c per-party strategies
+    (a0, a1), in ``combinations_with_replacement`` order of a0*k + a1. An
+    orbit's weight belongs in equal parts to each of its vertices; with
+    singleton classes the index is that of ``enumerate_vertices``.
+
     Scope caps (LP size): N <= 5 for two outcomes, N <= 4 for three.
     """
     p.validate()
@@ -160,8 +222,16 @@ def nonlocal_content(p: JointDistribution,
         raise ValueError("three-outcome content capped at 4 parties")
     if k > 3:
         raise ValueError("content is implemented for 2 or 3 outcomes")
-    a = _constraint_matrix(n, k)
-    b = np.clip(p.flat(), 0.0, None)
+    classes = _party_classes(p.table, n)
+    a, row_of = None, np.zeros((), dtype=np.int64)
+    for members in classes:
+        m, class_row_of = _orbit_matrix(len(members), k)
+        a = m if a is None else sp.kron(a, m, format="csc")
+        row_of = np.add.outer(row_of * m.shape[0], class_row_of)
+    order = [party for members in classes for party in members]
+    entries = p.table.transpose([axis for i in order for axis in (i, n + i)])
+    b = np.full(a.shape[0], np.inf)
+    np.minimum.at(b, row_of.reshape(-1), np.clip(entries.reshape(-1), 0.0, None))
     value, q = solve_lp(np.ones(a.shape[1]), a, b,
                         feasibility_tol=feasibility_tol, optimality_tol=optimality_tol)
     local_weight = float(min(1.0, max(0.0, value)))

@@ -138,6 +138,10 @@ class ScenarioSpec:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.n_parties < 1:
             raise ValueError("need at least one party")
+        # A NaN lp_tol makes every margin NaN, which never beats -inf in the
+        # optimizer; a negative one calls every local point violated.
+        if not (math.isfinite(self.lp_tol) and self.lp_tol >= 0.0):
+            raise ValueError(f"lp_tol must be finite and non-negative, got {self.lp_tol!r}")
         k = self.photon_z.n_outcomes
         if self.photon_x.n_outcomes != k:
             raise ValueError("both settings must share one outcome count")

@@ -7,6 +7,9 @@ these and the fast package routines is what the oracle tests assert.
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import linprog
+
+from wbell.polytope import enumerate_vertices
 
 FOCK_CUTOFF = 40
 
@@ -87,3 +90,20 @@ def damping_threshold(n: int) -> float:
     """Closed-form critical efficiency of the symmetric damping scheme."""
     return (8.0 - 2.0 ** (n + 2) + 2.0 ** n * n * (n - 1)) / (
         (n - 1) * (2.0 ** n * n - 8.0))
+
+
+def enumerated_local_weight(table: np.ndarray, n: int, k: int):
+    """EPR2 local weight over all (k^2)^n deterministic strategies.
+
+    One dense column per vertex, ``enumerate_vertices(n, k)[i].table(k)``
+    flattened, and plain ``linprog`` with tightened tolerances. Returns the
+    weight and the dense matrix, rows in the order of ``table.reshape(-1)``.
+    """
+    a = np.stack([v.table(k).reshape(-1) for v in enumerate_vertices(n, k)], axis=1)
+    res = linprog(-np.ones(a.shape[1]), A_ub=a, b_ub=table.reshape(-1),
+                  bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise RuntimeError(res.message)
+    return -res.fun, a

@@ -246,6 +246,20 @@ class TestConfigFiles:
         code, _, err = run(["threshold", "--config", str(path)])
         assert code == 1 and "bracket_hi" in err
 
+    def test_lp_tol_must_be_finite_and_non_negative(self, tmp_path):
+        text = run(["content", "--preset", "fig5", "--n", "3", "--dump-spec"])[1]
+        assert "scenario.lp_tol = 1e-08\n" in text
+        path = tmp_path / "lp_tol.cfg"
+        for lp_tol in ("nan", "-1", "inf", "-1e-300"):
+            path.write_text(text.replace("scenario.lp_tol = 1e-08",
+                                         f"scenario.lp_tol = {lp_tol}"))
+            for command in ("content", "threshold"):
+                code, out, err = run([command, "--config", str(path)])
+                assert code == 1 and out == "" and "lp_tol" in err, (command, lp_tol)
+                assert len(err.splitlines()) == 1
+        path.write_text(text.replace("scenario.lp_tol = 1e-08", "scenario.lp_tol = 0"))
+        assert run(["content", "--config", str(path), "--dump-spec"])[0] == 0
+
 
 class TestFlagValidation:
     def test_set_needs_name_value(self):
@@ -289,6 +303,19 @@ class TestFlagValidation:
             path.write_text(f"preset = cabello-ad\natol = {atol}\n")
             code, _, err = run(["threshold", "--config", str(path)])
             assert code == 1 and "--atol" in err, atol
+
+    def test_lp_tol_must_be_finite_and_non_negative(self):
+        # A NaN lp_tol made every margin NaN, so the optimizer returned its
+        # first start unpolished; a negative one called every point violated.
+        for lp_tol in ("nan", "-1", "inf", "-inf"):
+            for argv in (["content", "--preset", "fig5", "--n", "3", "--starts", "2"],
+                         ["threshold", "--preset", "fig5", "--n", "3", "--starts", "1"],
+                         ["bell", "--preset", "fig1", "--dump-spec"]):
+                code, out, err = run(argv + [f"--lp-tol={lp_tol}"])
+                assert code == 1 and out == "" and "lp_tol" in err, (argv, lp_tol)
+                assert err.startswith("wbell: error:") and len(err.splitlines()) == 1
+        assert run(["content", "--preset", "fig5", "--n", "3", "--lp-tol", "0",
+                    "--dump-spec"])[0] == 0
 
     def test_bad_argparse_choice(self):
         assert run(["bell", "--inequality", "nope"])[0] == 1

@@ -5,17 +5,23 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import enumerated_local_weight
 from wbell.bell import cabello_value, nonlocal_content_lower_bound
+from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
-from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm
+from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, lossy_threeoutcome_povm
 from wbell.polytope import (
+    FEASIBILITY_TOL,
     LPInfeasibleError,
     LPUnboundedError,
+    _orbit_matrix,
+    _party_classes,
     enumerate_vertices,
     is_local,
     nonlocal_content,
     solve_lp,
 )
+from wbell.search import scenario_distribution
 from wbell.states import damped_w_state, w_state
 
 LP_ATOL = 1e-8
@@ -121,3 +127,141 @@ def test_solve_lp_infeasible():
 def test_solve_lp_unbounded():
     with pytest.raises(LPUnboundedError):
         solve_lp(np.array([1.0]), np.zeros((1, 1)), np.array([1.0]))
+
+
+def preset_table(preset, n, eta_z, eta_x):
+    spec = PRESETS[preset].build(n)
+    return scenario_distribution(spec, {"eta_z": eta_z, "eta_x": eta_x})
+
+
+def w_with_devices(etas, n_outcomes=2):
+    """W state, party i measuring with efficiency etas[i] on both settings."""
+    if n_outcomes == 2:
+        pairs = tuple((efficiency_povm(Z_AXIS, e, 1.0), efficiency_povm(X_AXIS, e, e))
+                      for e in etas)
+    else:
+        pairs = tuple((lossy_threeoutcome_povm(Z_AXIS, e), lossy_threeoutcome_povm(X_AXIS, e))
+                      for e in etas)
+    return joint_distribution(w_state(len(etas)), MeasurementAssignment(pairs))
+
+
+def vertex_mixture(n, k, seed, with_w=0.0):
+    """A seeded convex mixture of five vertices, optionally with the ideal W table."""
+    rng = np.random.default_rng(seed)
+    vertices = enumerate_vertices(n, k)
+    picks = rng.choice(len(vertices), size=5, replace=False)
+    weights = rng.dirichlet(np.ones(5))
+    table = sum(w * vertices[i].table(k) for w, i in zip(weights, picks))
+    if with_w:
+        table = with_w * ideal_distribution(n).table + (1.0 - with_w) * table
+    return JointDistribution(n, k, table)
+
+
+def spread_certificate(certificate, classes, k):
+    """Orbit weights spread evenly over each orbit's vertices, indexed like
+    ``enumerate_vertices``."""
+    n = sum(len(members) for members in classes)
+    orbit_index = [{o: i for i, o in enumerate(
+        itertools.combinations_with_replacement(range(k * k), len(members)))}
+        for members in classes]
+    q = np.zeros((k * k) ** n)
+    for v, strategies in enumerate(itertools.product(range(k * k), repeat=n)):
+        col, share = 0, 1.0
+        for members, index in zip(classes, orbit_index):
+            chosen = tuple(strategies[i] for i in members)
+            col = col * len(index) + index[tuple(sorted(chosen))]
+            share /= len(set(itertools.permutations(chosen)))
+        q[v] = certificate[col] * share
+    return q
+
+
+SYMMETRIC = ((0, 1, 2),)
+ATOM_LIKE_3, ATOM_LIKE_4 = ((0,), (1, 2)), ((0,), (1, 2, 3))
+SINGLETONS_3 = ((0,), (1,), (2,))
+
+# (id, table builder, expected party classes, expected side of the boundary)
+ORACLE_CASES = [
+    ("fig5-n3-nonlocal", lambda: preset_table("fig5", 3, 0.9, 0.9), SYMMETRIC, True),
+    ("fig5-n3-local", lambda: preset_table("fig5", 3, 0.5, 1.0), SYMMETRIC, False),
+    ("fig5-n4-nonlocal", lambda: preset_table("fig5", 4, 0.9, 0.9), ((0, 1, 2, 3),), True),
+    ("fig5-n4-local", lambda: preset_table("fig5", 4, 0.3, 1.0), ((0, 1, 2, 3),), False),
+    ("fig5-n5-nonlocal", lambda: preset_table("fig5", 5, 0.9, 0.9), ((0, 1, 2, 3, 4),), True),
+    ("fig5-n5-local", lambda: preset_table("fig5", 5, 0.3, 1.0), ((0, 1, 2, 3, 4),), False),
+    ("garbarino3-n3-nonlocal", lambda: preset_table("garbarino3", 3, 0.9, 0.5),
+     SYMMETRIC, True),
+    ("garbarino3-n3-local", lambda: preset_table("garbarino3", 3, 0.75, 0.2),
+     SYMMETRIC, False),
+    ("garbarino3-n4-nonlocal", lambda: preset_table("garbarino3", 4, 0.9, 0.5),
+     ((0, 1, 2, 3),), True),
+    ("garbarino3-n4-local", lambda: preset_table("garbarino3", 4, 0.8, 0.3),
+     ((0, 1, 2, 3),), False),
+    ("party0-differs-n3", lambda: w_with_devices((0.8, 0.95, 0.95)), ATOM_LIKE_3, None),
+    ("party0-differs-n4", lambda: w_with_devices((0.85, 0.95, 0.95, 0.95)), ATOM_LIKE_4, None),
+    ("party1-differs-n3", lambda: w_with_devices((0.95, 0.8, 0.95)), ((0, 2), (1,)), None),
+    ("party0-differs-n3-k3", lambda: w_with_devices((0.8, 0.95, 0.95), 3), ATOM_LIKE_3, None),
+    ("all-differ-n3", lambda: w_with_devices((0.99, 0.95, 0.9)), SINGLETONS_3, None),
+    ("all-differ-n3-k3", lambda: w_with_devices((0.99, 0.95, 0.9), 3), SINGLETONS_3, None),
+    ("vertex-mixture-n3", lambda: vertex_mixture(3, 2, seed=1), SINGLETONS_3, False),
+    ("vertex-mixture-n2-k3", lambda: vertex_mixture(2, 3, seed=2), ((0,), (1,)), False),
+    ("w-and-vertices-n3", lambda: vertex_mixture(3, 2, seed=3, with_w=0.8), SINGLETONS_3, None),
+]
+
+
+@pytest.mark.parametrize("build, classes, nonlocal_side",
+                         [case[1:] for case in ORACLE_CASES],
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_orbit_lp_matches_enumerated_strategies(build, classes, nonlocal_side):
+    p = build()
+    n, k = p.n_parties, p.n_outcomes
+    assert _party_classes(p.table, n) == classes
+    res = nonlocal_content(p)
+    weight, a = enumerated_local_weight(p.table, n, k)
+    assert res.local_weight == pytest.approx(min(1.0, weight), abs=1e-9)
+    if nonlocal_side is not None:
+        assert (res.nonlocal_content > 1e-3) == nonlocal_side
+    # Spread over the vertices, the orbit weights are a local decomposition
+    # of the table as given, not only of its symmetrized version.
+    q = spread_certificate(res.certificate, classes, k)
+    assert q.min() >= -FEASIBILITY_TOL
+    assert np.max(a @ q - p.table.reshape(-1)) <= FEASIBILITY_TOL
+    assert q.sum() == pytest.approx(res.local_weight, abs=1e-9)
+
+
+@pytest.mark.parametrize("c, k", [(1, 2), (1, 3), (2, 3), (3, 2), (4, 2)])
+def test_orbit_matrix_averages_vertex_tables(c, k):
+    m, row_of = _orbit_matrix(c, k)
+    m = m.toarray()
+    events = list(itertools.combinations_with_replacement(range(2 * k), c))
+    orbits = list(itertools.combinations_with_replacement(range(k * k), c))
+    assert m.shape == (len(events), len(orbits))
+    tables = {v.outcomes: v.table(k) for v in enumerate_vertices(c, k)}
+    strategy = list(itertools.product(range(k), repeat=2))
+    for col, orbit in enumerate(orbits):
+        members = {tuple(strategy[t] for t in perm) for perm in itertools.permutations(orbit)}
+        for row, event in enumerate(events):
+            index = tuple(e // k for e in event) + tuple(e % k for e in event)
+            expected = np.mean([tables[v][index] for v in members])
+            assert m[row, col] == pytest.approx(expected, abs=1e-15)
+    for ordered in itertools.product(range(2 * k), repeat=c):
+        assert events[row_of[ordered]] == tuple(sorted(ordered))
+
+
+def test_orbit_reduction_sizes():
+    # A silent fall back to the full LP would show here as (k^2)^N weights.
+    assert len(nonlocal_content(preset_table("garbarino3", 4, 0.9, 0.5)).certificate) == 495
+    assert len(nonlocal_content(preset_table("fig5", 5, 0.9, 0.9)).certificate) == 56
+    assert len(nonlocal_content(w_with_devices((0.99, 0.95, 0.9))).certificate) == 4 ** 3
+    assert len(nonlocal_content(w_with_devices((0.99, 0.95, 0.9), 3)).certificate) == 9 ** 3
+
+
+def test_orbit_cache_does_not_change_results():
+    p = preset_table("garbarino3", 3, 0.9, 0.5)
+    _orbit_matrix.cache_clear()
+    cold = nonlocal_content(p)
+    warm = nonlocal_content(p)
+    _orbit_matrix.cache_clear()
+    again = nonlocal_content(p)
+    for res in (warm, again):
+        assert res.local_weight == cold.local_weight
+        assert res.nonlocal_content == cold.nonlocal_content
+        assert res.certificate.tobytes() == cold.certificate.tobytes()
