@@ -38,11 +38,9 @@ from .measure import (
 )
 from .polytope import (
     ContentResult,
-    LocalVertex,
     LPError,
     LPInfeasibleError,
     LPUnboundedError,
-    enumerate_vertices,
     is_local,
     nonlocal_content,
     solve_lp,
@@ -77,7 +75,6 @@ __all__ = [
     "LPError",
     "LPInfeasibleError",
     "LPUnboundedError",
-    "LocalVertex",
     "MeasSpec",
     "MeasurementAssignment",
     "ParamSpec",
@@ -96,7 +93,6 @@ __all__ = [
     "damped_w_state",
     "displaced_spd_povm",
     "efficiency_povm",
-    "enumerate_vertices",
     "equatorial_axis",
     "full_correlators",
     "homodyne_povm",

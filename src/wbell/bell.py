@@ -15,6 +15,12 @@ from .dist import CorrelatorTable, JointDistribution
 VIOLATION_GUARD = 1e-9
 
 
+def is_violation(margin: float) -> bool:
+    """The one verdict rule: a margin certifies nonlocality only above
+    VIOLATION_GUARD, so rounding noise on a flat boundary never does."""
+    return bool(margin > VIOLATION_GUARD)
+
+
 @dataclass(frozen=True)
 class BellResult:
     """Value of a Bell functional with its local and algebraic ceilings."""
@@ -27,7 +33,7 @@ class BellResult:
     @classmethod
     def make(cls, value: float, local_bound: float, algebraic_max: float) -> "BellResult":
         return cls(float(value), float(local_bound), float(algebraic_max),
-                   bool(value > local_bound + VIOLATION_GUARD))
+                   is_violation(value - local_bound))
 
 
 def cabello_value(p: JointDistribution) -> BellResult:

@@ -8,13 +8,11 @@ as a dense array indexed by the settings bits then the outcome digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .measure import ThreeOutcomePOVM, TwoOutcomePOVM
 from .states import StateDensity
 
 ENTRY_TOL = 1e-12
@@ -74,10 +72,6 @@ class JointDistribution:
     def settings_block(self, settings) -> np.ndarray:
         """The outcome table for one settings string."""
         return self.table[_digits(settings, self.n_parties)]
-
-    def flat(self) -> np.ndarray:
-        """Entries flattened with settings index major, outcome index minor."""
-        return self.table.reshape(2 ** self.n_parties, self.n_outcomes ** self.n_parties).reshape(-1)
 
     def validate(self) -> None:
         n, k = self.n_parties, self.n_outcomes

@@ -1,4 +1,4 @@
-"""Local deterministic strategies and the EPR2 decomposition LP.
+"""The EPR2 decomposition LP over local deterministic strategies.
 
 The nonlocal content of a distribution P is 1 minus the largest weight w such
 that P - w P_L is a valid (sub-normalized, non-signalling) remainder for some
@@ -32,11 +32,13 @@ from scipy.optimize import linprog
 
 from .dist import JointDistribution
 
-VERTEX_CAP = 10 ** 6
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
 LOCAL_WEIGHT_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
+
+# Most parties the LP takes, by outcome count: its size grows as (k^2)^N.
+LP_MAX_PARTIES = {2: 5, 3: 4}
 
 
 class LPError(RuntimeError):
@@ -52,48 +54,12 @@ class LPUnboundedError(LPError):
 
 
 @dataclass(frozen=True)
-class LocalVertex:
-    """Deterministic local strategy: one outcome per (party, setting)."""
-
-    outcomes: tuple
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.outcomes)
-
-    def table(self, n_outcomes: int) -> np.ndarray:
-        """Dense deterministic distribution, shape (2,)*N + (n_outcomes,)*N."""
-        n = self.n_parties
-        t = np.zeros((2,) * n + (n_outcomes,) * n)
-        for s in product(range(2), repeat=n):
-            o = tuple(self.outcomes[k][s[k]] for k in range(n))
-            t[s + o] = 1.0
-        return t
-
-    def distribution(self, n_outcomes: int) -> JointDistribution:
-        return JointDistribution(self.n_parties, n_outcomes, self.table(n_outcomes))
-
-
-@dataclass(frozen=True)
 class ContentResult:
     """EPR2 split of a distribution into local weight and nonlocal content."""
 
     local_weight: float
     nonlocal_content: float
     certificate: np.ndarray
-
-
-def enumerate_vertices(n_parties: int, n_outcomes: int) -> list:
-    """All (n_outcomes^2)^N deterministic strategies, lexicographic order."""
-    if n_parties < 1:
-        raise ValueError("need at least one party")
-    if n_outcomes < 2:
-        raise ValueError("need at least two outcomes")
-    count = (n_outcomes ** 2) ** n_parties
-    if count > VERTEX_CAP:
-        raise ValueError(f"vertex count {count} exceeds the cap {VERTEX_CAP}")
-    per_party = list(product(range(n_outcomes), repeat=2))
-    return [LocalVertex(choice) for choice in product(per_party, repeat=n_parties)]
 
 
 def _party_classes(table: np.ndarray, n_parties: int) -> tuple:
@@ -210,18 +176,17 @@ def nonlocal_content(p: JointDistribution,
     class of c parties over the multisets of c per-party strategies
     (a0, a1), in ``combinations_with_replacement`` order of a0*k + a1. An
     orbit's weight belongs in equal parts to each of its vertices; with
-    singleton classes the index is that of ``enumerate_vertices``.
+    singleton classes the index runs over all (k^2)^N deterministic
+    strategies, lexicographic in the per-party pairs (a0, a1).
 
-    Scope caps (LP size): N <= 5 for two outcomes, N <= 4 for three.
+    Scope caps (LP size): N <= LP_MAX_PARTIES[k].
     """
     p.validate()
     n, k = p.n_parties, p.n_outcomes
-    if k == 2 and n > 5:
-        raise ValueError("two-outcome content capped at 5 parties")
-    if k == 3 and n > 4:
-        raise ValueError("three-outcome content capped at 4 parties")
     if k > 3:
         raise ValueError("content is implemented for 2 or 3 outcomes")
+    if n > LP_MAX_PARTIES.get(k, n):
+        raise ValueError(f"{k}-outcome content is capped at {LP_MAX_PARTIES[k]} parties")
     classes = _party_classes(p.table, n)
     a, row_of = None, np.zeros((), dtype=np.int64)
     for members in classes:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 from scipy.stats import qmc
 
-from .bell import BellResult, cabello_value, chsh_value, mermin3_value, wwwzb_value
+from .bell import cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
 from .dist import JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
 from .measure import (
     BlochAxis,
@@ -33,7 +33,7 @@ from .measure import (
     homodyne_povm,
     lossy_threeoutcome_povm,
 )
-from .polytope import ContentResult, nonlocal_content
+from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from .states import StateDensity, atom_photon_state, w_state
 
 DEFAULT_STARTS = 32
@@ -41,9 +41,32 @@ SIMPLEX_XATOL = 1e-6
 SIMPLEX_FATOL = 1e-10
 BISECTION_ATOL = 1e-4
 
-CRITERIA = ("cabello", "wwwzb", "mermin3", "chsh", "lp2", "lp3")
-
 _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
+
+
+class Criterion(NamedTuple):
+    """A criterion's outcome count and party range (``max_parties`` None: no
+    cap), and ``evaluate``, which maps a JointDistribution to a BellResult,
+    or to a ContentResult when ``lp`` is set."""
+
+    n_outcomes: int
+    min_parties: int
+    max_parties: Optional[int]
+    evaluate: Callable
+    lp: bool = False
+
+
+# Every rule about a criterion lives in this table. Its evaluators look up
+# full_correlators and nonlocal_content in this module's globals when
+# called, so that wrapping either here wraps every evaluation.
+CRITERIA = {
+    "cabello": Criterion(2, 3, None, cabello_value),
+    "wwwzb": Criterion(2, 1, None, lambda p: wwwzb_value(full_correlators(p))),
+    "mermin3": Criterion(2, 3, 3, lambda p: mermin3_value(full_correlators(p))),
+    "chsh": Criterion(2, 2, 2, lambda p: chsh_value(full_correlators(p))),
+    "lp2": Criterion(2, 1, LP_MAX_PARTIES[2], lambda p: nonlocal_content(p), lp=True),
+    "lp3": Criterion(3, 1, LP_MAX_PARTIES[3], lambda p: nonlocal_content(p), lp=True),
+}
 
 
 class BracketError(RuntimeError):
@@ -134,10 +157,14 @@ class ScenarioSpec:
     lp_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
+        rule = CRITERIA.get(self.criterion)
+        if rule is None:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.n_parties < 1:
-            raise ValueError("need at least one party")
+        n, fewest, most = self.n_parties, rule.min_parties, rule.max_parties
+        if n < fewest or (most is not None and n > most):
+            allowed = (f"{fewest} or more" if most is None else
+                       f"{fewest}" if fewest == most else f"{fewest} to {most}")
+            raise ValueError(f"{self.criterion} takes {allowed} parties, got {n}")
         # A NaN lp_tol makes every margin NaN, which never beats -inf in the
         # optimizer; a negative one calls every local point violated.
         if not (math.isfinite(self.lp_tol) and self.lp_tol >= 0.0):
@@ -145,23 +172,9 @@ class ScenarioSpec:
         k = self.photon_z.n_outcomes
         if self.photon_x.n_outcomes != k:
             raise ValueError("both settings must share one outcome count")
-        if self.criterion == "lp3":
-            if k != 3:
-                raise ValueError("lp3 needs three-outcome measurement families")
-            if self.n_parties > 4:
-                raise ValueError("three-outcome content is capped at 4 parties")
-        else:
-            if k != 2:
-                raise ValueError(f"{self.criterion} needs two-outcome families")
-        if self.criterion == "lp2" and self.n_parties > 5:
-            raise ValueError("two-outcome content is capped at 5 parties")
-        if self.criterion == "cabello" and self.n_parties < 3:
-            raise ValueError("cabello needs at least three parties")
-        if self.criterion == "mermin3" and self.n_parties != 3:
-            raise ValueError("mermin3 is a three-party criterion")
-        if self.criterion == "chsh" and self.n_parties != 2:
-            raise ValueError("chsh is a two-party criterion")
-        if self.atom and self.n_parties < 2:
+        if k != rule.n_outcomes:
+            raise ValueError(f"{self.criterion} needs {rule.n_outcomes}-outcome families")
+        if self.atom and n < 2:
             raise ValueError("an atom scenario needs at least one photon party")
         if self.atom and k != 2:
             raise ValueError("atom scenarios use two-outcome photon devices")
@@ -177,6 +190,16 @@ class ScenarioSpec:
         for pname, pspec in self.params.items():
             if not isinstance(pspec, ParamSpec):
                 raise TypeError(f"parameter {pname!r} is not a ParamSpec")
+        # Whatever a device reads as an efficiency, literal or parameter
+        # range, must lie in [0, 1]; pins arrive here through fix_parameter.
+        efficiencies = [("photon_z", self.photon_z.eff), ("photon_x", self.photon_x.eff)]
+        if self.atom:
+            efficiencies += [("coupling", "eta_c"), ("atom", "eta_atom")]
+        for role, ref in efficiencies:
+            lo, hi = ((self.params[ref].lo, self.params[ref].hi) if isinstance(ref, str)
+                      else (ref, ref))
+            if not (0.0 <= lo and hi <= 1.0):
+                raise ValueError(f"efficiency {ref!r} ({role}) must stay within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -318,17 +341,10 @@ def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution
 
 def criterion_result(criterion: str, p: JointDistribution):
     """Apply one named criterion to a distribution."""
-    if criterion == "cabello":
-        return cabello_value(p)
-    if criterion == "wwwzb":
-        return wwwzb_value(full_correlators(p))
-    if criterion == "mermin3":
-        return mermin3_value(full_correlators(p))
-    if criterion == "chsh":
-        return chsh_value(full_correlators(p))
-    if criterion in ("lp2", "lp3"):
-        return nonlocal_content(p)
-    raise ValueError(f"unknown criterion {criterion!r}")
+    rule = CRITERIA.get(criterion)
+    if rule is None:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    return rule.evaluate(p)
 
 
 def scenario_result(spec: ScenarioSpec, values: dict):
@@ -399,21 +415,21 @@ def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS,
     Raw margins at the start points are scanned before any simplex runs, and
     the polished runs begin from the most promising starts, so the common
     deep-violation case returns quickly. The verdict matches
-    ``optimize_free_parameters(...).margin > 0``.
+    ``is_violation(optimize_free_parameters(...).margin)``.
     """
     names, starts = _start_points(spec, n_starts)
     if not names:
-        return violation_margin(spec, resolve_values(spec)) > 0.0
+        return is_violation(violation_margin(spec, resolve_values(spec)))
     raw = []
     for x0 in starts:
         m = violation_margin(spec, resolve_values(spec, dict(zip(names, x0))))
-        if m > 0.0:
+        if is_violation(m):
             return True
         raw.append(m)
     order = np.argsort(np.array(raw), kind="stable")[::-1]
     for idx in order:
         margin, _ = _minimize_from(spec, names, starts[idx], xatol)
-        if margin > 0.0:
+        if is_violation(margin):
             return True
     return False
 

@@ -5,13 +5,48 @@ loops, scipy matrix exponentials, explicit Kraus sums. Agreement between
 these and the fast package routines is what the oracle tests assert.
 """
 
+from dataclasses import dataclass
+from itertools import product
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from wbell.polytope import enumerate_vertices
-
 FOCK_CUTOFF = 40
+VERTEX_CAP = 10 ** 6
+
+
+@dataclass(frozen=True)
+class LocalVertex:
+    """Deterministic local strategy: one outcome per (party, setting)."""
+
+    outcomes: tuple
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.outcomes)
+
+    def table(self, n_outcomes: int) -> np.ndarray:
+        """Dense deterministic distribution, shape (2,)*N + (n_outcomes,)*N."""
+        n = self.n_parties
+        t = np.zeros((2,) * n + (n_outcomes,) * n)
+        for s in product(range(2), repeat=n):
+            o = tuple(self.outcomes[k][s[k]] for k in range(n))
+            t[s + o] = 1.0
+        return t
+
+
+def enumerate_vertices(n_parties: int, n_outcomes: int) -> list:
+    """All (n_outcomes^2)^N deterministic strategies, lexicographic order."""
+    if n_parties < 1:
+        raise ValueError("need at least one party")
+    if n_outcomes < 2:
+        raise ValueError("need at least two outcomes")
+    count = (n_outcomes ** 2) ** n_parties
+    if count > VERTEX_CAP:
+        raise ValueError(f"vertex count {count} exceeds the cap {VERTEX_CAP}")
+    per_party = list(product(range(n_outcomes), repeat=2))
+    return [LocalVertex(choice) for choice in product(per_party, repeat=n_parties)]
 
 
 def amplitude_damping_kraus(eta: float):

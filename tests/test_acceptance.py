@@ -23,9 +23,9 @@ import pytest
 
 from wbell.bell import cabello_value, nonlocal_content_lower_bound, wwwzb_value
 from wbell.cli import PRESETS
-from wbell.dist import MeasurementAssignment, full_correlators, joint_distribution
+from wbell.dist import JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, displaced_spd_povm, efficiency_povm
-from wbell.polytope import enumerate_vertices, nonlocal_content
+from wbell.polytope import nonlocal_content
 from wbell.qmat import negativity
 from wbell.search import (
     critical_efficiency,
@@ -36,7 +36,7 @@ from wbell.search import (
 )
 from wbell.states import atom_photon_state, damped_w_state, w_state
 
-from oracles import damping_threshold, fock_noclick_block
+from oracles import damping_threshold, enumerate_vertices, fock_noclick_block
 
 CLOSED_FORM_ATOL = 1e-10
 THRESHOLD_ATOL = 1e-3
@@ -280,7 +280,7 @@ def test_ac7_oracle_and_property_suites():
     det_ok = True
     for n in (3, 4):
         for vertex in enumerate_vertices(n, 2):
-            p = vertex.distribution(2)
+            p = JointDistribution(n, 2, vertex.table(2))
             if cabello_value(p).value > 1e-12:
                 lhv_ok = False
             if wwwzb_value(full_correlators(p)).value != 1.0:

@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 import wbell
-from wbell.cli import PRESETS, dispatch, dump_scenario, parse_config
+from wbell.cli import PRESETS, build_parser, dispatch, dump_scenario, parse_config
 from wbell.polytope import nonlocal_content
-from wbell.search import scenario_distribution
+from wbell.search import CRITERIA, scenario_distribution
 
 VALUE_ATOL = 1e-9
 THRESHOLD_ATOL = 5e-4
 GOLDEN_SPECS = Path(__file__).with_name("preset_specs.txt")
+GOLDEN_OUTPUTS = Path(__file__).with_name("golden_outputs.txt")
 
 
 def run(argv):
@@ -31,18 +32,27 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def golden_preset_specs():
-    """{(preset, n): expected --dump-spec text}, read from GOLDEN_SPECS."""
-    specs, key = {}, None
-    for line in GOLDEN_SPECS.read_text().splitlines(keepends=True):
-        if line.startswith("#"):
+def golden_blocks(path):
+    """{header: text} of a golden file: each block starts with a line
+    `== header`; lines starting with '#' before the first block are comments."""
+    blocks, key = {}, None
+    for line in path.read_text().splitlines(keepends=True):
+        if key is None and line.startswith("#"):
             continue
         if line.startswith("== "):
-            name, n = line[3:].split()
-            key = (name, int(n))
-            specs[key] = ""
+            key = line[3:].rstrip("\n")
+            blocks[key] = ""
         else:
-            specs[key] += line
+            blocks[key] += line
+    return blocks
+
+
+def golden_preset_specs():
+    """{(preset, n): expected --dump-spec text}, read from GOLDEN_SPECS."""
+    specs = {}
+    for header, text in golden_blocks(GOLDEN_SPECS).items():
+        name, n = header.split()
+        specs[name, int(n)] = text
     return specs
 
 
@@ -94,6 +104,15 @@ class TestThreshold:
                                                abs=THRESHOLD_ATOL)
         assert d["param"] == "eta_spd"
         assert abs(d["margin_at_threshold"]) < 0.01
+
+    def test_rounding_noise_at_a_bracket_end_is_no_violation(self):
+        # At eta_z = 0 the counter never clicks and the full-correlator
+        # margin is zero up to rounding (2.2e-16); that end is not violated.
+        d = run_json(["bell", "--preset", "fig2", "--set", "eta_z=0", "--starts", "4"])
+        assert abs(d["margin"]) < 1e-9 and d["violated"] is False
+        d = run_json(["threshold", "--preset", "fig2", "--bracket", "0", "1",
+                      "--starts", "4", "--atol", "0.01"])
+        assert 0.0 < d["threshold"] < 1.0
 
     def test_bracket_failure_exits_two(self):
         code, _, err = run(["threshold", "--preset", "cabello-ad",
@@ -187,6 +206,11 @@ class TestNegativity:
         assert run(["negativity", "--theta", "-0.5", "--eta-c", "1.5"])[0] == 1
         assert run(["negativity", "--theta", "-0.5", "--n", "3",
                     "--cut", "5"])[0] == 1
+        # atom_photon_state is the one check of the coupling and the size.
+        for argv in (["--eta-c", "nan"], ["--eta-c", "-0.1"], ["--n", "1"], ["--n", "0"]):
+            code, out, err = run(["negativity", "--theta", "-0.5", *argv])
+            assert code == 1 and out == "", argv
+            assert err.startswith("wbell: error:") and len(err.splitlines()) == 1
 
 
 class TestConfigFiles:
@@ -317,6 +341,31 @@ class TestFlagValidation:
         assert run(["content", "--preset", "fig5", "--n", "3", "--lp-tol", "0",
                     "--dump-spec"])[0] == 0
 
+    def test_efficiency_ranges_by_device_role(self, tmp_path):
+        for flag in ("--eta-z", "--eta-x"):
+            for value in ("1.5", "-0.1", "nan"):
+                code, out, err = run(["bell", "--inequality", "cabello", flag, value])
+                assert code == 1 and out == "" and "efficiency" in err, (flag, value)
+                assert err.startswith("wbell: error:") and len(err.splitlines()) == 1
+        # A parameter read as an efficiency is rejected at load, whatever its
+        # name; an eta-named one that no device reads so is not range-checked.
+        code, text, _ = run(["bell", "--preset", "cabello-homodyne", "--dump-spec"])
+        path = tmp_path / "gain.cfg"
+        path.write_text(text.replace("eta_spd", "gain").replace(
+            "param.gain = 0.0 1.0 free", "param.gain = 0.0 2.0 free"))
+        code, out, err = run(["threshold", "--config", str(path), "--dump-spec"])
+        assert code == 1 and "efficiency 'gain'" in err
+        assert len(err.splitlines()) == 1
+        path.write_text(text.replace("photon_x.aux = 0.0", "photon_x.aux = @eta_phase")
+                        + "param.eta_phase = 0.0 6.0 free\n")
+        assert run(["threshold", "--config", str(path), "--dump-spec"])[0] == 0
+
+    def test_inequality_choices_are_the_table_rows_without_lp(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        action = next(a for a in sub.choices["bell"]._actions if a.dest == "inequality")
+        expected = [name for name, rule in CRITERIA.items() if not rule.lp]
+        assert list(action.choices) == expected == ["cabello", "wwwzb", "mermin3", "chsh"]
+
     def test_bad_argparse_choice(self):
         assert run(["bell", "--inequality", "nope"])[0] == 1
 
@@ -331,6 +380,17 @@ class TestFlagValidation:
                                   "--dump-spec"])
             assert code == 0, err
             assert out == text, (name, n)
+
+
+def test_golden_outputs_are_byte_identical():
+    """Fast invocations of every command print exactly the stdout recorded
+    in GOLDEN_OUTPUTS, so a refactor that moves a byte shows here."""
+    blocks = golden_blocks(GOLDEN_OUTPUTS)
+    assert len(blocks) >= 15
+    for argv, expected in blocks.items():
+        code, out, err = run(argv.split())
+        assert code == 0, (argv, err)
+        assert out == expected, argv
 
 
 def console_script_target(name):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import enumerated_local_weight
+from oracles import enumerate_vertices, enumerated_local_weight
 from wbell.bell import cabello_value, nonlocal_content_lower_bound
 from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
@@ -16,7 +16,6 @@ from wbell.polytope import (
     LPUnboundedError,
     _orbit_matrix,
     _party_classes,
-    enumerate_vertices,
     is_local,
     nonlocal_content,
     solve_lp,
@@ -50,16 +49,17 @@ def test_vertex_counts():
 
 def test_vertex_distribution_is_deterministic_and_valid():
     for vertex in enumerate_vertices(2, 2):
-        dist = vertex.distribution(2)
+        dist = JointDistribution(2, 2, vertex.table(2))
         dist.validate()
         assert set(np.unique(dist.table)) <= {0.0, 1.0}
 
 
 def test_vertices_have_zero_content():
     for vertex in enumerate_vertices(2, 2):
-        res = nonlocal_content(vertex.distribution(2))
+        dist = JointDistribution(2, 2, vertex.table(2))
+        res = nonlocal_content(dist)
         assert res.nonlocal_content == pytest.approx(0.0, abs=LP_ATOL)
-        assert is_local(vertex.distribution(2))
+        assert is_local(dist)
 
 
 def test_pr_box_content_is_one():
@@ -93,7 +93,7 @@ def test_content_dominates_linear_lower_bound():
 
 def test_content_is_convex_in_the_distribution():
     p = ideal_distribution(3)
-    vertex = enumerate_vertices(3, 2)[17].distribution(2)
+    vertex = JointDistribution(3, 2, enumerate_vertices(3, 2)[17].table(2))
     nc_p = nonlocal_content(p).nonlocal_content
     for lam in (0.25, 0.5, 0.75):
         mixed = JointDistribution(3, 2, lam * p.table + (1.0 - lam) * vertex.table)

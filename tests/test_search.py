@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from wbell.bell import BellResult
-from wbell.dist import MeasurementAssignment, joint_distribution
+import wbell.search as search
+from wbell.bell import VIOLATION_GUARD, BellResult
+from wbell.cli import PRESETS
+from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, BlochAxis, displaced_spd_povm, efficiency_povm, equatorial_axis
-from wbell.polytope import ContentResult
+from wbell.polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from wbell.search import (
     BISECTION_ATOL,
+    CRITERIA,
     BracketError,
     MeasSpec,
     ParamSpec,
@@ -45,6 +48,13 @@ def cabello_spd_spec(n=3, eta_z="eta_z", eta_x=1.0):
         photon_x=MeasSpec("sym", eta_x, 0.0),
         params=params,
     )
+
+
+def table_spec(criterion, n, k):
+    """A criterion on n parties with k-outcome devices and literal efficiencies."""
+    z, x = ("spd", "sym") if k == 2 else ("lossy3_z", "lossy3_x")
+    return ScenarioSpec(name="t", n_parties=n, criterion=criterion,
+                        photon_z=MeasSpec(z, 1.0), photon_x=MeasSpec(x, 1.0, 0.0))
 
 
 def damping_spec(n=3):
@@ -104,6 +114,12 @@ class TestScenarioSpec:
             ScenarioSpec(name="t", n_parties=3, criterion="cabello",
                          photon_z=MeasSpec("lossy3_z", 1.0),
                          photon_x=MeasSpec("sym", 1.0, 0.0))
+        # Every row of the table: its outcome count is accepted, the other
+        # one rejected.
+        for criterion, rule in CRITERIA.items():
+            table_spec(criterion, rule.min_parties, rule.n_outcomes)
+            with pytest.raises(ValueError, match="outcome"):
+                table_spec(criterion, rule.min_parties, 5 - rule.n_outcomes)
 
     def test_party_count_rules(self):
         with pytest.raises(ValueError):
@@ -124,6 +140,54 @@ class TestScenarioSpec:
             ScenarioSpec(name="t", n_parties=5, criterion="lp3",
                          photon_z=MeasSpec("lossy3_z", 1.0),
                          photon_x=MeasSpec("lossy3_x", 1.0, 0.0))
+        # Every row of the table: both edges of its party range accepted,
+        # one beyond each edge rejected.
+        for criterion, rule in CRITERIA.items():
+            k = rule.n_outcomes
+            table_spec(criterion, rule.min_parties, k)
+            with pytest.raises(ValueError, match="parties"):
+                table_spec(criterion, rule.min_parties - 1, k)
+            if rule.max_parties is None:
+                table_spec(criterion, rule.min_parties + 6, k)
+            else:
+                table_spec(criterion, rule.max_parties, k)
+                with pytest.raises(ValueError, match="parties"):
+                    table_spec(criterion, rule.max_parties + 1, k)
+
+    @pytest.mark.parametrize("k", sorted(LP_MAX_PARTIES))
+    def test_lp_rows_cap_where_the_lp_does(self, k):
+        rows = [rule for rule in CRITERIA.values() if rule.lp and rule.n_outcomes == k]
+        assert [rule.max_parties for rule in rows] == [LP_MAX_PARTIES[k]]
+        for n, accepted in ((LP_MAX_PARTIES[k], True), (LP_MAX_PARTIES[k] + 1, False)):
+            noise = JointDistribution(n, k, np.full((2,) * n + (k,) * n, float(k) ** -n))
+            if accepted:
+                assert nonlocal_content(noise).local_weight == pytest.approx(1.0)
+            else:
+                with pytest.raises(ValueError, match="capped"):
+                    nonlocal_content(noise)
+
+    def test_efficiencies_are_checked_by_device_role(self):
+        def spec(z_eff, params, x_aux=0.0):
+            return ScenarioSpec(name="t", n_parties=3, criterion="cabello",
+                                photon_z=MeasSpec("spd", z_eff),
+                                photon_x=MeasSpec("homodyne", 1.0, x_aux), params=params)
+
+        # A parameter read as an efficiency is range-checked whatever its name.
+        with pytest.raises(ValueError, match="efficiency 'gain'"):
+            spec("gain", {"gain": ParamSpec.free(0.0, 2.0)})
+        with pytest.raises(ValueError, match="efficiency"):
+            fix_parameter(spec("gain", {"gain": ParamSpec(0.0, 2.0, 0.5)}), "gain", 1.5)
+        for literal in (-0.1, 1.2, math.nan):
+            with pytest.raises(ValueError, match="efficiency"):
+                spec(literal, {})
+        # An eta-named parameter that no device reads as an efficiency is not.
+        spec(1.0, {"eta_phase": ParamSpec.free(0.0, 2.0 * math.pi)}, x_aux="eta_phase")
+        # With an atom, eta_c and eta_atom are efficiencies too.
+        atom = PRESETS["fig4-homodyne"].spec
+        for name in ("eta_c", "eta_atom"):
+            with pytest.raises(ValueError, match=f"efficiency '{name}'"):
+                fix_parameter(atom, name, 1.2)
+            fix_parameter(atom, name, 0.5)
 
     def test_parameter_bookkeeping(self):
         with pytest.raises(ValueError, match="without a spec"):
@@ -346,6 +410,27 @@ def test_optimizer_is_bitwise_deterministic():
 def test_has_violation_matches_margin_sign():
     assert has_violation(fix_parameter(damping_spec(), "eta", 0.8))
     assert not has_violation(fix_parameter(damping_spec(), "eta", 0.7))
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_has_violation_needs_margin_above_guard(monkeypatch, free):
+    """One verdict rule: has_violation, at the start points and after the
+    simplex, calls a margin a violation only where BellResult does."""
+    spec = damping_spec() if free else fix_parameter(damping_spec(), "eta", 0.9)
+    for margin, verdict in ((0.5 * VIOLATION_GUARD, False), (2.0 * VIOLATION_GUARD, True)):
+        monkeypatch.setattr(search, "violation_margin", lambda spec, values: margin)
+        assert has_violation(spec, n_starts=2) is verdict
+        assert BellResult.make(1.0 + margin, 1.0, 2.0).violated is verdict
+
+
+def test_rounding_noise_does_not_decide_the_bisection():
+    # The shared-loss threshold at N=3 is exactly 3/4, where the margin is
+    # zero up to rounding; that point must count as not violated.
+    spec = damping_spec(3)
+    at_root = fix_parameter(spec, "eta", 0.75)
+    assert abs(violation_margin(at_root, {"eta": 0.75})) < VIOLATION_GUARD
+    assert not has_violation(at_root)
+    assert critical_efficiency(spec, "eta", (0.5, 1.0), atol=0.01) > 0.75
 
 
 def test_bisection_finds_damping_threshold():
