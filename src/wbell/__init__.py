@@ -13,7 +13,6 @@ from .bell import (
     cabello_value,
     chsh_value,
     mermin3_value,
-    nonlocal_content_lower_bound,
     wwwzb_value,
 )
 from .dist import (
@@ -41,11 +40,10 @@ from .polytope import (
     LPError,
     LPInfeasibleError,
     LPUnboundedError,
-    is_local,
     nonlocal_content,
     solve_lp,
 )
-from .qmat import negativity, partial_transpose, tensor_product
+from .qmat import negativity, partial_transpose
 from .search import (
     BracketError,
     MeasSpec,
@@ -96,20 +94,17 @@ __all__ = [
     "equatorial_axis",
     "full_correlators",
     "homodyne_povm",
-    "is_local",
     "joint_distribution",
     "lossy_threeoutcome_povm",
     "mermin3_value",
     "negativity",
     "nonlocal_content",
-    "nonlocal_content_lower_bound",
     "optimize_free_parameters",
     "partial_transpose",
     "region_boundary",
     "scenario_distribution",
     "scenario_result",
     "solve_lp",
-    "tensor_product",
     "violation_margin",
     "w_state",
     "w_vector",

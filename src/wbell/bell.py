@@ -120,15 +120,3 @@ def chsh_value(c: CorrelatorTable) -> BellResult:
     value = float(max(abs(total - 2.0 * xi[k]) for k in range(4)))
     return BellResult.make(value, 2.0, 4.0)
 
-
-def nonlocal_content_lower_bound(r: BellResult) -> float:
-    """EPR2 lower bound (value - local) / (algebraic - local), clipped to [0, 1].
-
-    Only meaningful when ``algebraic_max`` bounds the functional over all
-    non-signalling distributions (true for the linear functionals here:
-    cabello, mermin3, chsh).
-    """
-    span = r.algebraic_max - r.local_bound
-    if span <= 1e-12:
-        raise ValueError("degenerate functional: algebraic max equals the local bound")
-    return float(min(1.0, max(0.0, (r.value - r.local_bound) / span)))

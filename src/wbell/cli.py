@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import JointDistribution, joint_distribution
+from .dist import JointDistribution
 from .polytope import ContentResult, LPError, nonlocal_content
 from .qmat import negativity
 from .search import (
@@ -29,13 +29,11 @@ from .search import (
     MeasSpec,
     ParamSpec,
     ScenarioSpec,
-    criterion_result,
     critical_efficiency,
     fix_parameter,
     optimize_free_parameters,
     region_boundary,
     resolve_values,
-    scenario_assignment,
     scenario_distribution,
     scenario_result,
 )
@@ -597,20 +595,15 @@ def _cmd_bell(args, cfg: RunConfig) -> str:
     if CRITERIA[spec.criterion].lp:
         raise UsageError("LP criteria are served by the content command")
     if args.inequality is not None:
-        values = resolve_values(spec)
+        params = resolve_values(spec)
         state = (damped_w_state(spec.n_parties, 0.0) if args.state == "vacuum"
                  else w_state(spec.n_parties))
-        p = joint_distribution(state, scenario_assignment(spec, values))
-        result = criterion_result(spec.criterion, p)
-        margin = result.value - result.local_bound
-        params = values
         state_kind = args.state
     else:
-        search = optimize_free_parameters(spec, n_starts=args.starts)
-        result = scenario_result(spec, search.params)
-        margin = search.margin
-        params = search.params
-        state_kind = "atom-photon" if spec.atom else "w"
+        params = optimize_free_parameters(spec, n_starts=args.starts).params
+        state, state_kind = None, "atom-photon" if spec.atom else "w"
+    # The optimizer's margin is this same evaluation at its best parameters.
+    result = scenario_result(spec, params, state)
     return _json_text({
         "command": "bell",
         "scenario": spec.name,
@@ -621,7 +614,7 @@ def _cmd_bell(args, cfg: RunConfig) -> str:
         "local_bound": result.local_bound,
         "algebraic_max": result.algebraic_max,
         "violated": result.violated,
-        "margin": margin,
+        "margin": result.value - result.local_bound,
         "params": params,
     })
 
@@ -759,7 +752,7 @@ def dispatch(argv) -> int:
     except (BracketError, LPError) as err:
         print(f"wbell: numerical failure: {err}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, TypeError, OSError) as err:
+    except (KeyError, ValueError, TypeError, OSError, MemoryError) as err:
         print(f"wbell: error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -50,11 +50,6 @@ class MeasurementAssignment:
         """Every party measures the same two devices."""
         return cls(tuple((setting0, setting1) for _ in range(n_parties)))
 
-    @classmethod
-    def with_atom(cls, atom_pair, setting0, setting1, n_parties: int) -> "MeasurementAssignment":
-        """Party 0 uses ``atom_pair``; all remaining parties share a device pair."""
-        return cls((tuple(atom_pair),) + tuple((setting0, setting1) for _ in range(n_parties - 1)))
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -63,15 +58,6 @@ class JointDistribution:
     n_parties: int
     n_outcomes: int
     table: np.ndarray
-
-    def prob(self, settings, outcomes) -> float:
-        s = _digits(settings, self.n_parties)
-        o = _digits(outcomes, self.n_parties)
-        return float(self.table[s + o])
-
-    def settings_block(self, settings) -> np.ndarray:
-        """The outcome table for one settings string."""
-        return self.table[_digits(settings, self.n_parties)]
 
     def validate(self) -> None:
         n, k = self.n_parties, self.n_outcomes
@@ -125,7 +111,7 @@ class JointDistribution:
         for (ss, oo), p in entries.items():
             if len(ss) != n or len(oo) != n:
                 raise ValueError("inconsistent string lengths in distribution text")
-            table[_digits(ss, n) + _digits(oo, n)] = p
+            table[tuple(int(c) for c in ss + oo)] = p
         dist = cls(n, k, table)
         dist.validate()
         return dist
@@ -144,16 +130,6 @@ class CorrelatorTable:
         if np.abs(self.xi).max() > 1.0 + 1e-10:
             raise ValueError("correlator magnitude exceeds 1")
 
-    def xi_of(self, settings) -> float:
-        return float(self.xi[_digits(settings, self.n_parties)])
-
-
-def _digits(spec, n: int) -> tuple:
-    t = tuple(int(c) for c in spec)
-    if len(t) != n:
-        raise ValueError(f"expected {n} digits, got {spec!r}")
-    return t
-
 
 def _site_tensor(rho: np.ndarray, n: int) -> np.ndarray:
     """Reshape rho[i_vec, j_vec] into a (4,)*n tensor with axis order (i_k, j_k)."""
@@ -162,22 +138,28 @@ def _site_tensor(rho: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(order).reshape((4,) * n)
 
 
+def _contract(state: StateDensity, parties) -> JointDistribution:
+    """The table of ``joint_distribution``, unchecked. ``parties[k][s]`` holds
+    party k's POVM elements for setting s, in outcome order."""
+    n = state.n_parties
+    k = len(parties[0][0])
+    t = _site_tensor(state.rho, n)
+    for pair in parties:
+        g = np.empty((2, k, 4), dtype=complex)
+        for s in (0, 1):
+            for o, el in enumerate(pair[s]):
+                g[s, o] = el.T.reshape(4)
+        t = np.tensordot(t, g, axes=([0], [2]))
+    order = [2 * k_ for k_ in range(n)] + [2 * k_ + 1 for k_ in range(n)]
+    return JointDistribution(n, k, np.ascontiguousarray(t.transpose(order).real))
+
+
 def joint_distribution(state: StateDensity, assignment: MeasurementAssignment) -> JointDistribution:
     """Full table of outcome probabilities for every settings string."""
     n = state.n_parties
     if assignment.n_parties != n:
         raise ValueError(f"assignment has {assignment.n_parties} parties, state has {n}")
-    k = assignment.n_outcomes
-    t = _site_tensor(state.rho, n)
-    for party in range(n):
-        g = np.empty((2, k, 4), dtype=complex)
-        for s in (0, 1):
-            for o, el in enumerate(assignment.parties[party][s].elements()):
-                g[s, o] = el.T.reshape(4)
-        t = np.tensordot(t, g, axes=([0], [2]))
-    order = [2 * k_ for k_ in range(n)] + [2 * k_ + 1 for k_ in range(n)]
-    table = np.ascontiguousarray(t.transpose(order).real)
-    dist = JointDistribution(n, k, table)
+    dist = _contract(state, [[povm.elements() for povm in pair] for pair in assignment.parties])
     dist.validate()
     return dist
 

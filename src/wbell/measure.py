@@ -6,6 +6,10 @@ axis; outcome 1 carries value -1. A ``TwoOutcomePOVM`` therefore exposes its
 elements in outcome order ``(m_down, m_up)``: the "up" element weights the -1
 eigenstate, which for the z axis is the excited / one-photon state |1> (the
 state a photon counter fires on).
+
+Each ``*_povm`` builder checks the elements that its ``_*_elements`` function
+returns in outcome order; the scenario path in ``wbell.search``, whose inputs
+are already checked, calls the latter directly.
 """
 
 from __future__ import annotations
@@ -59,13 +63,13 @@ def equatorial_axis(phi: float) -> BlochAxis:
     return BlochAxis(math.pi / 2.0, phi)
 
 
-def _check_two_elements(a: np.ndarray, b: np.ndarray, label: str) -> None:
-    for m in (a, b):
+def _check_elements(label: str, *elements: np.ndarray) -> None:
+    for m in elements:
         if m.shape != (2, 2) or not is_hermitian(m, POVM_TOL):
             raise ValueError(f"{label}: POVM elements must be 2x2 Hermitian")
         if hermitian_eigenvalues(m)[0] < -POVM_TOL:
             raise ValueError(f"{label}: POVM element has a negative eigenvalue")
-    if np.abs(a + b - np.eye(2)).max() > POVM_TOL:
+    if np.abs(sum(elements) - np.eye(2)).max() > POVM_TOL:
         raise ValueError(f"{label}: POVM elements do not sum to the identity")
 
 
@@ -82,7 +86,7 @@ class TwoOutcomePOVM:
     label: str = ""
 
     def __post_init__(self):
-        _check_two_elements(self.m_up, self.m_down, self.label or "TwoOutcomePOVM")
+        _check_elements(self.label or "TwoOutcomePOVM", self.m_up, self.m_down)
 
     @property
     def n_outcomes(self) -> int:
@@ -114,14 +118,7 @@ class ThreeOutcomePOVM:
     label: str = ""
 
     def __post_init__(self):
-        name = self.label or "ThreeOutcomePOVM"
-        for m in (self.m_plus, self.m_minus, self.m_noclick):
-            if m.shape != (2, 2) or not is_hermitian(m, POVM_TOL):
-                raise ValueError(f"{name}: POVM elements must be 2x2 Hermitian")
-            if hermitian_eigenvalues(m)[0] < -POVM_TOL:
-                raise ValueError(f"{name}: POVM element has a negative eigenvalue")
-        if np.abs(self.m_plus + self.m_minus + self.m_noclick - np.eye(2)).max() > POVM_TOL:
-            raise ValueError(f"{name}: POVM elements do not sum to the identity")
+        _check_elements(self.label or "ThreeOutcomePOVM", *self.elements())
 
     @property
     def n_outcomes(self) -> int:
@@ -129,6 +126,15 @@ class ThreeOutcomePOVM:
 
     def elements(self) -> tuple[np.ndarray, ...]:
         return (self.m_plus, self.m_minus, self.m_noclick)
+
+
+def _efficiency_elements(axis: BlochAxis, eta_up: float, eta_down: float) -> tuple:
+    for name, eta in (("eta_up", eta_up), ("eta_down", eta_down)):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"{name}={eta} outside [0, 1]")
+    p_down, p_up = axis.projectors()
+    return (eta_down * p_down + (1.0 - eta_up) * p_up,
+            eta_up * p_up + (1.0 - eta_down) * p_down)
 
 
 def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str = "") -> TwoOutcomePOVM:
@@ -140,13 +146,15 @@ def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str 
     eigenstate produces the up (down) outcome. With eta_down = 1 on the z axis
     this is a photon counter of efficiency eta_up: vacuum never clicks.
     """
-    for name, eta in (("eta_up", eta_up), ("eta_down", eta_down)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name}={eta} outside [0, 1]")
-    p_down, p_up = axis.projectors()
-    m_up = eta_up * p_up + (1.0 - eta_down) * p_down
-    m_down = eta_down * p_down + (1.0 - eta_up) * p_up
+    m_down, m_up = _efficiency_elements(axis, eta_up, eta_down)
     return TwoOutcomePOVM(m_up, m_down, label or "efficiency")
+
+
+def _homodyne_elements(phi: float, eta_hom: float) -> tuple:
+    if not 0.0 <= eta_hom <= 1.0:
+        raise ValueError(f"eta_hom={eta_hom} outside [0, 1]")
+    e = 0.5 * (1.0 + math.sqrt(2.0 * eta_hom / math.pi))
+    return _efficiency_elements(equatorial_axis(phi), e, e)
 
 
 def homodyne_povm(phi: float, eta_hom: float, label: str = "homodyne") -> TwoOutcomePOVM:
@@ -156,10 +164,19 @@ def homodyne_povm(phi: float, eta_hom: float, label: str = "homodyne") -> TwoOut
     correctly with probability (1 + sqrt(2 eta_hom / pi)) / 2, symmetric in
     both outcomes; eta_hom is the homodyne detection efficiency.
     """
-    if not 0.0 <= eta_hom <= 1.0:
-        raise ValueError(f"eta_hom={eta_hom} outside [0, 1]")
-    e = 0.5 * (1.0 + math.sqrt(2.0 * eta_hom / math.pi))
-    return efficiency_povm(equatorial_axis(phi), e, e, label)
+    m_down, m_up = _homodyne_elements(phi, eta_hom)
+    return TwoOutcomePOVM(m_up, m_down, label)
+
+
+def _displaced_spd_elements(alpha: float, eta_spd: float) -> tuple:
+    if not 0.0 <= eta_spd <= 1.0:
+        raise ValueError(f"eta_spd={eta_spd} outside [0, 1]")
+    a, eta = float(alpha), float(eta_spd)
+    pref = math.exp(-eta * a * a)
+    e0 = pref * np.array(
+        [[1.0, eta * a], [eta * a, eta * eta * a * a + 1.0 - eta]], dtype=complex
+    )
+    return np.eye(2) - e0, e0
 
 
 def displaced_spd_povm(alpha: float, eta_spd: float, label: str = "displaced-spd") -> TwoOutcomePOVM:
@@ -174,19 +191,17 @@ def displaced_spd_povm(alpha: float, eta_spd: float, label: str = "displaced-spd
     1: at alpha = -1 and eta = 1 the +1 eigenstate of sigma_x always clicks,
     while the -1 eigenstate stays silent with probability 2/e.
     """
-    if not 0.0 <= eta_spd <= 1.0:
-        raise ValueError(f"eta_spd={eta_spd} outside [0, 1]")
-    a, eta = float(alpha), float(eta_spd)
-    pref = math.exp(-eta * a * a)
-    e0 = pref * np.array(
-        [[1.0, eta * a], [eta * a, eta * eta * a * a + 1.0 - eta]], dtype=complex
-    )
-    return TwoOutcomePOVM(e0, np.eye(2) - e0, label)
+    click, noclick = _displaced_spd_elements(alpha, eta_spd)
+    return TwoOutcomePOVM(noclick, click, label)
+
+
+def _lossy_threeoutcome_elements(axis: BlochAxis, eta: float) -> tuple:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta={eta} outside [0, 1]")
+    p_down, p_up = axis.projectors()
+    return eta * p_down, eta * p_up, (1.0 - eta) * np.eye(2)
 
 
 def lossy_threeoutcome_povm(axis: BlochAxis, eta: float, label: str = "lossy3") -> ThreeOutcomePOVM:
     """Projective measurement along ``axis`` that fails to fire with prob 1 - eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
-    p_down, p_up = axis.projectors()
-    return ThreeOutcomePOVM(eta * p_down, eta * p_up, (1.0 - eta) * np.eye(2), label)
+    return ThreeOutcomePOVM(*_lossy_threeoutcome_elements(axis, eta), label)

@@ -34,7 +34,6 @@ from .dist import JointDistribution
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
-LOCAL_WEIGHT_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 
 # Most parties the LP takes, by outcome count: its size grows as (k^2)^N.
@@ -201,8 +200,3 @@ def nonlocal_content(p: JointDistribution,
                         feasibility_tol=feasibility_tol, optimality_tol=optimality_tol)
     local_weight = float(min(1.0, max(0.0, value)))
     return ContentResult(local_weight, 1.0 - local_weight, q)
-
-
-def is_local(p: JointDistribution, tol: float = LOCAL_WEIGHT_TOL) -> bool:
-    """True when the local weight reaches 1 - tol."""
-    return nonlocal_content(p).local_weight >= 1.0 - tol

@@ -21,19 +21,6 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def tensor_product(factors) -> np.ndarray:
-    """Kronecker product of square matrices, leftmost factor most significant."""
-    if len(factors) == 0:
-        raise ValueError("tensor_product needs at least one factor")
-    out = None
-    for f in factors:
-        f = np.asarray(f, dtype=complex)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError("tensor_product factors must be square matrices")
-        out = f if out is None else np.kron(out, f)
-    return out
-
-
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

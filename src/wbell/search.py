@@ -18,20 +18,18 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
-from scipy.stats import qmc
 
-from .bell import cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
-from .dist import JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
+from .bell import BellResult, cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
+from .dist import JointDistribution, _contract, full_correlators
 from .measure import (
     BlochAxis,
-    TwoOutcomePOVM,
     X_AXIS,
     Z_AXIS,
-    displaced_spd_povm,
-    efficiency_povm,
+    _displaced_spd_elements,
+    _efficiency_elements,
+    _homodyne_elements,
+    _lossy_threeoutcome_elements,
     equatorial_axis,
-    homodyne_povm,
-    lossy_threeoutcome_povm,
 )
 from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from .states import StateDensity, atom_photon_state, w_state
@@ -200,6 +198,9 @@ class ScenarioSpec:
                       else (ref, ref))
             if not (0.0 <= lo and hi <= 1.0):
                 raise ValueError(f"efficiency {ref!r} ({role}) must stay within [0, 1]")
+        for role, ms in (("photon_z", self.photon_z), ("photon_x", self.photon_x)):
+            if not (ms.aux is None or isinstance(ms.aux, str) or math.isfinite(ms.aux)):
+                raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def _lookup(ref, values: dict) -> float:
     return float(ref)
 
 
-def _displaced_response_povm(alpha: float, eta_spd: float) -> TwoOutcomePOVM:
+def _displaced_response_elements(alpha: float, eta_spd: float) -> tuple:
     """Diagonal response model of displacement followed by on/off detection.
 
     Keeps only the per-eigenstate click statistics of the displaced counter:
@@ -281,42 +282,39 @@ def _displaced_response_povm(alpha: float, eta_spd: float) -> TwoOutcomePOVM:
     down = 1.0 - 0.5 * damp * ((1.0 + eta_spd * alpha) ** 2 + 1.0 - eta_spd)
     up = min(max(up, 0.0), 1.0)
     down = min(max(down, 0.0), 1.0)
-    return efficiency_povm(X_AXIS, up, down, label="displaced-response")
+    return _efficiency_elements(X_AXIS, up, down)
 
 
-def _ad_x_povm(eff: float, aux: float) -> TwoOutcomePOVM:
+def _ad_x_elements(eff: float, aux: float) -> tuple:
     sym_eff = 0.5 * (1.0 + math.sqrt(eff))
-    return efficiency_povm(equatorial_axis(aux), sym_eff, sym_eff, label="ad-x")
+    return _efficiency_elements(equatorial_axis(aux), sym_eff, sym_eff)
 
 
-# Measurement family -> (outcome count, builder from efficiency and aux).
-# The builders call the POVM constructors through this module's globals when
-# called, so that wrapping a constructor here wraps every device built.
+# Measurement family -> (outcome count, its POVM elements in outcome order
+# from efficiency and aux), built unchecked: ScenarioSpec checked the inputs.
 _FAMILIES = {
-    "spd": (2, lambda eff, aux: efficiency_povm(Z_AXIS, eff, 1.0, label="spd")),
-    "sym": (2, lambda eff, aux: efficiency_povm(equatorial_axis(aux), eff, eff,
-                                                label="sym")),
-    "homodyne": (2, lambda eff, aux: homodyne_povm(aux, eff)),
-    "displaced": (2, lambda eff, aux: displaced_spd_povm(aux, eff)),
-    "displaced_response": (2, lambda eff, aux: _displaced_response_povm(aux, eff)),
-    "ad_x": (2, _ad_x_povm),
-    "lossy3_z": (3, lambda eff, aux: lossy_threeoutcome_povm(Z_AXIS, eff)),
-    "lossy3_x": (3, lambda eff, aux: lossy_threeoutcome_povm(equatorial_axis(aux), eff)),
+    "spd": (2, lambda eff, aux: _efficiency_elements(Z_AXIS, eff, 1.0)),
+    "sym": (2, lambda eff, aux: _efficiency_elements(equatorial_axis(aux), eff, eff)),
+    "homodyne": (2, lambda eff, aux: _homodyne_elements(aux, eff)),
+    "displaced": (2, lambda eff, aux: _displaced_spd_elements(aux, eff)),
+    "displaced_response": (2, lambda eff, aux: _displaced_response_elements(aux, eff)),
+    "ad_x": (2, _ad_x_elements),
+    "lossy3_z": (3, lambda eff, aux: _lossy_threeoutcome_elements(Z_AXIS, eff)),
+    "lossy3_x": (3, lambda eff, aux: _lossy_threeoutcome_elements(equatorial_axis(aux), eff)),
 }
 
 
-def build_photon_povm(ms: MeasSpec, values: dict):
+def photon_elements(ms: MeasSpec, values: dict) -> tuple:
+    """The POVM elements of one photonic device, in outcome order."""
     _, build = _FAMILIES[ms.family]
-    povm = build(_lookup(ms.eff, values), _lookup(ms.aux, values))
-    return povm.flipped() if ms.flip else povm
+    elements = build(_lookup(ms.eff, values), _lookup(ms.aux, values))
+    return elements[::-1] if ms.flip else elements
 
 
-def _atom_pair(values: dict) -> tuple:
-    eta = values["eta_atom"]
-    return tuple(
-        efficiency_povm(BlochAxis(values[f"a_polar_{s}"], 0.0), eta, 1.0, label="atom")
-        for s in range(2)
-    )
+def atom_elements(values: dict) -> tuple:
+    """The atom's (setting 0, setting 1) POVM elements, in outcome order."""
+    return tuple(_efficiency_elements(BlochAxis(values[f"a_polar_{s}"], 0.0),
+                                      values["eta_atom"], 1.0) for s in range(2))
 
 
 def scenario_state(spec: ScenarioSpec, values: dict) -> StateDensity:
@@ -325,18 +323,14 @@ def scenario_state(spec: ScenarioSpec, values: dict) -> StateDensity:
     return w_state(spec.n_parties)
 
 
-def scenario_assignment(spec: ScenarioSpec, values: dict) -> MeasurementAssignment:
-    setting0 = build_photon_povm(spec.photon_z, values)
-    setting1 = build_photon_povm(spec.photon_x, values)
+def scenario_distribution(spec: ScenarioSpec, values: dict,
+                          state: Optional[StateDensity] = None) -> JointDistribution:
+    """The scenario's table, unchecked (ScenarioSpec checked its inputs)."""
+    photon = (photon_elements(spec.photon_z, values), photon_elements(spec.photon_x, values))
+    parties = [photon] * spec.n_parties
     if spec.atom:
-        return MeasurementAssignment.with_atom(
-            _atom_pair(values), setting0, setting1, spec.n_parties)
-    return MeasurementAssignment.uniform(setting0, setting1, spec.n_parties)
-
-
-def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
-    return joint_distribution(scenario_state(spec, values),
-                              scenario_assignment(spec, values))
+        parties[0] = atom_elements(values)
+    return _contract(scenario_state(spec, values) if state is None else state, parties)
 
 
 def criterion_result(criterion: str, p: JointDistribution):
@@ -347,9 +341,18 @@ def criterion_result(criterion: str, p: JointDistribution):
     return rule.evaluate(p)
 
 
-def scenario_result(spec: ScenarioSpec, values: dict):
-    """Evaluate the scenario's criterion: a BellResult or a ContentResult."""
-    return criterion_result(spec.criterion, scenario_distribution(spec, values))
+def scenario_result(spec: ScenarioSpec, values: dict,
+                    state: Optional[StateDensity] = None):
+    """Evaluate the scenario's criterion: a BellResult or a ContentResult.
+
+    ``state`` replaces the scenario's source state. A device that overflows
+    gives NaN elements: an LP criterion rejects the table, and the finite
+    check below, the one guard of the unchecked path, rejects a closed form.
+    """
+    r = criterion_result(spec.criterion, scenario_distribution(spec, values, state))
+    if isinstance(r, BellResult) and not math.isfinite(r.value):
+        raise ValueError(f"{spec.name}: {spec.criterion} value {r.value} is not finite at {values}")
+    return r
 
 
 def violation_margin(spec: ScenarioSpec, values: dict) -> float:
@@ -367,6 +370,7 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
         return names, np.zeros((1, 0))
     lo = np.array([spec.params[n].lo for n in names])
     hi = np.array([spec.params[n].hi for n in names])
+    from scipy.stats import qmc  # imported here: it takes 40% of a CLI cold start
     unit = qmc.Sobol(d=len(names), scramble=False).random(n_starts)
     return names, lo + unit * (hi - lo)
 
@@ -447,8 +451,10 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
         raise ValueError("bracket must satisfy lo < hi")
     if not (math.isfinite(atol) and atol > 0.0):
         raise ValueError("atol must be finite and positive")
-    lo_viol = has_violation(fix_parameter(spec, param, lo), n_starts)
-    hi_viol = has_violation(fix_parameter(spec, param, hi), n_starts)
+    # Both ends are pinned, and so checked, before either is evaluated.
+    lo_spec, hi_spec = fix_parameter(spec, param, lo), fix_parameter(spec, param, hi)
+    lo_viol = has_violation(lo_spec, n_starts)
+    hi_viol = has_violation(hi_spec, n_starts)
     if lo_viol == hi_viol:
         kind = "always" if lo_viol else "never"
         raise BracketError(
@@ -464,8 +470,7 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
 
 
 def _boundary_point(task):
-    spec, x_name, x, y_name, bracket, atol, n_starts = task
-    fixed = fix_parameter(spec, x_name, float(x))
+    fixed, x, y_name, bracket, atol, n_starts = task
     try:
         y = critical_efficiency(fixed, y_name, bracket, atol=atol, n_starts=n_starts)
         return float(x), float(y), "ok"
@@ -486,8 +491,9 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
     for name in (x_name, y_name):
         if name not in spec.params:
             raise KeyError(f"scenario has no parameter {name!r}")
-    tasks = [(spec, x_name, float(x), y_name, tuple(y_bracket), atol, n_starts)
-             for x in x_values]
+    # Every grid value is pinned, and so checked, before any row is bisected.
+    tasks = [(fix_parameter(spec, x_name, float(x)), float(x), y_name, tuple(y_bracket),
+              atol, n_starts) for x in x_values]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = tuple(pool.map(_boundary_point, tasks))

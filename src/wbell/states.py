@@ -12,11 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import hermitian_eigenvalues, is_hermitian
-
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class StateDensity:
@@ -29,17 +24,6 @@ class StateDensity:
     n_parties: int
     rho: np.ndarray
     atom_flag: bool = False
-
-    def validate(self, check_psd: bool = True) -> None:
-        d = 2 ** self.n_parties
-        if self.rho.shape != (d, d):
-            raise ValueError(f"rho shape {self.rho.shape} does not match {self.n_parties} parties")
-        if abs(complex(np.trace(self.rho)) - 1.0) > TRACE_TOL:
-            raise ValueError("state trace is not 1")
-        if not is_hermitian(self.rho, 1e-12):
-            raise ValueError("state is not Hermitian")
-        if check_psd and hermitian_eigenvalues(self.rho)[0] < -PSD_TOL:
-            raise ValueError("state has a negative eigenvalue")
 
 
 def w_vector(n_parties: int) -> np.ndarray:

@@ -14,6 +14,59 @@ from scipy.optimize import linprog
 
 FOCK_CUTOFF = 40
 VERTEX_CAP = 10 ** 6
+OPERATOR_ATOL = 1e-12
+TRACE_TOL = 1e-12
+PSD_TOL = 1e-10
+
+
+def tensor_product(factors) -> np.ndarray:
+    """Kronecker product of square matrices, leftmost factor most significant."""
+    if len(factors) == 0:
+        raise ValueError("tensor_product needs at least one factor")
+    out = None
+    for f in factors:
+        f = np.asarray(f, dtype=complex)
+        if f.ndim != 2 or f.shape[0] != f.shape[1]:
+            raise ValueError("tensor_product factors must be square matrices")
+        out = f if out is None else np.kron(out, f)
+    return out
+
+
+def assert_valid_povm(elements):
+    """Hermitian, positive semidefinite 2x2 elements that sum to the identity."""
+    total = np.zeros((2, 2), dtype=complex)
+    for m in elements:
+        np.testing.assert_allclose(m, m.conj().T, atol=OPERATOR_ATOL)
+        assert np.linalg.eigvalsh(m).min() > -1e-10
+        total = total + m
+    np.testing.assert_allclose(total, np.eye(2), atol=OPERATOR_ATOL)
+
+
+def validate_state(state, check_psd: bool = True) -> None:
+    """Raise ValueError unless ``state.rho`` is a density matrix of its parties."""
+    d = 2 ** state.n_parties
+    rho = state.rho
+    if rho.shape != (d, d):
+        raise ValueError(f"rho shape {rho.shape} does not match {state.n_parties} parties")
+    if abs(complex(np.trace(rho)) - 1.0) > TRACE_TOL:
+        raise ValueError("state trace is not 1")
+    if np.abs(rho - rho.conj().T).max() > 1e-12:
+        raise ValueError("state is not Hermitian")
+    if check_psd and np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -PSD_TOL:
+        raise ValueError("state has a negative eigenvalue")
+
+
+def nonlocal_content_lower_bound(r) -> float:
+    """EPR2 lower bound (value - local) / (algebraic - local), clipped to [0, 1].
+
+    Only meaningful when ``algebraic_max`` bounds the functional over all
+    non-signalling distributions (true for the linear functionals cabello,
+    mermin3 and chsh).
+    """
+    span = r.algebraic_max - r.local_bound
+    if span <= 1e-12:
+        raise ValueError("degenerate functional: algebraic max equals the local bound")
+    return float(min(1.0, max(0.0, (r.value - r.local_bound) / span)))
 
 
 @dataclass(frozen=True)
@@ -70,9 +123,7 @@ def apply_channel(rho: np.ndarray, kraus, site: int, n_sites: int) -> np.ndarray
     for k in kraus:
         factors = [np.eye(2, dtype=complex)] * n_sites
         factors[site] = k
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
+        full = tensor_product(factors)
         out += full @ rho @ full.conj().T
     return out
 
@@ -114,9 +165,8 @@ def brute_force_distribution(rho: np.ndarray, party_settings) -> np.ndarray:
                 rem, o = divmod(rem, n_out)
                 outcomes.append(o)
             outcomes = outcomes[::-1]
-            op = np.eye(1, dtype=complex)
-            for k in range(n):
-                op = np.kron(op, party_settings[k][settings[k]][outcomes[k]])
+            op = tensor_product([party_settings[k][settings[k]][outcomes[k]]
+                                 for k in range(n)])
             table[tuple(settings) + tuple(outcomes)] = np.trace(rho @ op).real
     return table
 

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from wbell.bell import cabello_value, nonlocal_content_lower_bound, wwwzb_value
+from wbell.bell import cabello_value, wwwzb_value
 from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, displaced_spd_povm, efficiency_povm
@@ -36,7 +36,7 @@ from wbell.search import (
 )
 from wbell.states import atom_photon_state, damped_w_state, w_state
 
-from oracles import damping_threshold, enumerate_vertices, fock_noclick_block
+from oracles import damping_threshold, enumerate_vertices, fock_noclick_block, nonlocal_content_lower_bound
 
 CLOSED_FORM_ATOL = 1e-10
 THRESHOLD_ATOL = 1e-3

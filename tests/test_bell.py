@@ -12,12 +12,13 @@ from wbell.bell import (
     cabello_value,
     chsh_value,
     mermin3_value,
-    nonlocal_content_lower_bound,
     wwwzb_value,
 )
 from wbell.dist import CorrelatorTable, JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
 from wbell.measure import BlochAxis, X_AXIS, Z_AXIS, efficiency_povm, equatorial_axis
 from wbell.states import damped_w_state, w_state
+
+from oracles import nonlocal_content_lower_bound
 
 CLOSED_FORM_ATOL = 1e-10
 LHV_GUARD = 1e-12
@@ -149,7 +150,7 @@ def test_chsh_quantum_route_on_w2():
             efficiency_povm(BlochAxis(math.pi / 2, 0.0), 1.0, 1.0))
     b0 = efficiency_povm(BlochAxis(3.0 * math.pi / 4.0, 0.0), 1.0, 1.0)
     b1 = efficiency_povm(BlochAxis(math.pi / 4.0, 0.0), 1.0, 1.0)
-    p = joint_distribution(w_state(2), MeasurementAssignment.with_atom(atom, b0, b1, 2))
+    p = joint_distribution(w_state(2), MeasurementAssignment((atom, (b0, b1))))
     got = chsh_value(full_correlators(p))
     assert got.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 

@@ -360,6 +360,70 @@ class TestFlagValidation:
                         + "param.eta_phase = 0.0 6.0 free\n")
         assert run(["threshold", "--config", str(path), "--dump-spec"])[0] == 0
 
+    def test_non_finite_literal_aux_is_rejected_at_load(self, tmp_path):
+        path = tmp_path / "aux.cfg"
+        for value in ("nan", "inf", "-inf"):
+            path.write_text("scenario.name = t\nscenario.n_parties = 3\n"
+                            "scenario.criterion = cabello\n"
+                            "photon_z.family = spd\nphoton_z.eff = 0.9\n"
+                            "photon_x.family = sym\nphoton_x.eff = 0.9\n"
+                            f"photon_x.aux = {value}\n")
+            code, out, err = run(["bell", "--config", str(path)])
+            assert code == 1 and out == "" and "photon_x.aux" in err, value
+            assert err.startswith("wbell: error:") and len(err.splitlines()) == 1
+
+    def test_overflowing_device_is_rejected(self, tmp_path):
+        """A huge displacement makes the device's elements NaN; the finite
+        check on the criterion value rejects it, with or without a search."""
+        base = ("scenario.name = t\nscenario.n_parties = 3\nscenario.criterion = cabello\n"
+                "photon_z.family = spd\nphoton_z.eff = 0.9\n"
+                "photon_x.family = displaced\nphoton_x.eff = 0.9\n")
+        path = tmp_path / "alpha.cfg"
+        for text, extra in ((base + "photon_x.aux = @alpha\nparam.alpha = 0 1e200 free\n", []),
+                            (base + "photon_x.aux = 1e200\n", ["--inequality", "cabello"])):
+            path.write_text(text)
+            code, out, err = run(["bell", "--config", str(path), "--starts", "2", *extra])
+            assert code == 1 and out == "", extra
+            assert err.splitlines()[-1].startswith("wbell: error:") and "not finite" in err
+
+    def test_out_of_range_grid_or_bracket_end_evaluates_nothing(self, monkeypatch):
+        import wbell.search as search
+
+        calls, margin = [], search.violation_margin
+
+        def counting_margin(*args):
+            calls.append(args)
+            return margin(*args)
+
+        monkeypatch.setattr(search, "violation_margin", counting_margin)
+        for argv in (["region", "--preset", "fig1", "--x-range", "0.9", "1.1",
+                      "--grid", "3", "--starts", "4", "--jobs", "1"],
+                     ["region", "--preset", "fig1", "--x-range", "0.9", "1.0",
+                      "--grid", "2", "--bracket", "0.5", "1.5", "--jobs", "1"],
+                     ["threshold", "--preset", "fig1", "--bracket", "0.5", "1.5"],
+                     ["threshold", "--preset", "fig1", "--bracket", "-0.5", "1.0"]):
+            code, out, err = run(argv)
+            assert code == 1 and out == "" and "efficiency" in err, argv
+            assert len(err.splitlines()) == 1 and calls == [], argv
+
+    def test_memory_error_is_one_line(self):
+        """numpy refuses the 16 TiB state vector of N = 40 at once. Each run
+        gets a 4 GiB address-space cap all the same, so that no platform
+        that grants the allocation lazily starts filling memory."""
+        resource = pytest.importorskip("resource")
+        cap = 4 << 30
+        env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
+        for argv in (["bell", "--inequality", "cabello", "--n", "40"],
+                     ["bell", "--preset", "fig2", "--n", "40", "--starts", "1"],
+                     ["negativity", "--theta", "0.3", "--n", "40"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wbell.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+            assert proc.returncode == 1 and proc.stdout == "", argv
+            assert proc.stderr.startswith("wbell: error:"), (argv, proc.stderr)
+            assert len(proc.stderr.splitlines()) == 1, argv
+
     def test_inequality_choices_are_the_table_rows_without_lp(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         action = next(a for a in sub.choices["bell"]._actions if a.dest == "inequality")
@@ -437,3 +501,14 @@ def test_console_script_matches_in_process_output():
             assert proc.returncode == code, (command, argv, proc.stderr)
             assert proc.stdout == out, (command, argv)
             assert "Traceback" not in proc.stderr, (command, argv, proc.stderr)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats (only qmc.Sobol is used) loads when the first search
+    starts, not with the CLI, so commands that never search start faster."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
+    code = "import sys, wbell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

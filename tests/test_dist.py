@@ -36,19 +36,13 @@ def ideal_assignment(n):
 def test_w3_all_z_block():
     """Measuring W3 in the z basis finds exactly one excitation, uniformly."""
     p = joint_distribution(w_state(3), ideal_assignment(3))
-    block = p.settings_block((0, 0, 0))
+    block = p.table[0, 0, 0]
     expected = np.zeros((2, 2, 2))
     for k in range(3):
         idx = [0, 0, 0]
         idx[k] = 1
         expected[tuple(idx)] = 1.0 / 3.0
     np.testing.assert_allclose(block, expected, atol=BRUTE_ATOL)
-
-
-def test_prob_indexing_matches_block():
-    p = joint_distribution(w_state(2), ideal_assignment(2))
-    assert p.prob((0, 1), (0, 1)) == pytest.approx(
-        p.settings_block((0, 1))[0, 1], abs=0.0)
 
 
 def test_joint_distribution_matches_brute_force_two_outcome():
@@ -83,7 +77,7 @@ def test_joint_distribution_with_atom_party():
             efficiency_povm(BlochAxis(math.pi / 2, 0.0), 1.0, 1.0))
     z = efficiency_povm(Z_AXIS, 0.8, 1.0)
     x = homodyne_povm(0.0, 1.0)
-    p = joint_distribution(st, MeasurementAssignment.with_atom(atom, z, x, 3))
+    p = joint_distribution(st, MeasurementAssignment((atom, (z, x), (z, x))))
     p.validate()
     parties = [(atom[0].elements(), atom[1].elements())] + [(z.elements(), x.elements())] * 2
     expected = brute_force_distribution(st.rho, parties)
@@ -135,12 +129,12 @@ def test_full_correlators_against_observable_trace():
             povm = x if settings[k] else z
             op = np.kron(op, povm.observable())
         expected = np.trace(st.rho @ op).real
-        assert c.xi_of(settings) == pytest.approx(expected, abs=1e-12)
+        assert c.xi[settings] == pytest.approx(expected, abs=1e-12)
 
 
 def test_w3_all_z_correlator_is_minus_one():
     p = joint_distribution(w_state(3), ideal_assignment(3))
-    assert full_correlators(p).xi_of((0, 0, 0)) == pytest.approx(-1.0, abs=1e-12)
+    assert full_correlators(p).xi[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlator_table_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import amplitude_damping_kraus, dephasing_kraus, fock_noclick_block
+from oracles import amplitude_damping_kraus, assert_valid_povm, dephasing_kraus, fock_noclick_block
 from wbell.measure import (
     HOMODYNE_IDEAL_CORRECT,
     BlochAxis,
@@ -23,15 +23,6 @@ from wbell.measure import (
 FOCK_ATOL = 1e-10
 OPERATOR_ATOL = 1e-12
 N_RANDOM = 40
-
-
-def assert_valid_povm(elements):
-    total = np.zeros((2, 2), dtype=complex)
-    for m in elements:
-        np.testing.assert_allclose(m, m.conj().T, atol=OPERATOR_ATOL)
-        assert np.linalg.eigvalsh(m).min() > -1e-10
-        total = total + m
-    np.testing.assert_allclose(total, np.eye(2), atol=OPERATOR_ATOL)
 
 
 def test_z_axis_eigenvectors():

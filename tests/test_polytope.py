@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import enumerate_vertices, enumerated_local_weight
-from wbell.bell import cabello_value, nonlocal_content_lower_bound
+from oracles import enumerate_vertices, enumerated_local_weight, nonlocal_content_lower_bound
+from wbell.bell import cabello_value
 from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, lossy_threeoutcome_povm
@@ -16,7 +16,6 @@ from wbell.polytope import (
     LPUnboundedError,
     _orbit_matrix,
     _party_classes,
-    is_local,
     nonlocal_content,
     solve_lp,
 )
@@ -24,6 +23,12 @@ from wbell.search import scenario_distribution
 from wbell.states import damped_w_state, w_state
 
 LP_ATOL = 1e-8
+LOCAL_WEIGHT_TOL = 1e-8
+
+
+def is_local(p):
+    """True when the local weight reaches 1 - LOCAL_WEIGHT_TOL."""
+    return nonlocal_content(p).local_weight >= 1.0 - LOCAL_WEIGHT_TOL
 
 
 def ideal_distribution(n):

@@ -14,8 +14,9 @@ from wbell.qmat import (
     n_qubits_of,
     negativity,
     partial_transpose,
-    tensor_product,
 )
+
+from oracles import tensor_product
 
 ATOL = 1e-12
 N_RANDOM = 25

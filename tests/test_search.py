@@ -9,7 +9,16 @@ import wbell.search as search
 from wbell.bell import VIOLATION_GUARD, BellResult
 from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
-from wbell.measure import X_AXIS, Z_AXIS, BlochAxis, displaced_spd_povm, efficiency_povm, equatorial_axis
+from wbell.measure import (
+    X_AXIS,
+    Z_AXIS,
+    BlochAxis,
+    displaced_spd_povm,
+    efficiency_povm,
+    equatorial_axis,
+    homodyne_povm,
+    lossy_threeoutcome_povm,
+)
 from wbell.polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from wbell.search import (
     BISECTION_ATOL,
@@ -18,21 +27,21 @@ from wbell.search import (
     MeasSpec,
     ParamSpec,
     ScenarioSpec,
-    build_photon_povm,
     criterion_result,
     critical_efficiency,
     fix_parameter,
     free_parameters,
     has_violation,
     optimize_free_parameters,
+    photon_elements,
     region_boundary,
     resolve_values,
     scenario_distribution,
     violation_margin,
 )
-from wbell.states import atom_photon_state
+from wbell.states import atom_photon_state, w_state
 
-from oracles import damping_threshold
+from oracles import assert_valid_povm, damping_threshold
 
 OPERATOR_ATOL = 1e-12
 MARGIN_ATOL = 1e-9
@@ -250,29 +259,29 @@ def test_resolve_values():
 
 class TestBuildPhotonPovm:
     def test_spd_is_one_sided_z(self):
-        povm = build_photon_povm(MeasSpec("spd", 0.8), {})
+        elements = photon_elements(MeasSpec("spd", 0.8), {})
         ref = efficiency_povm(Z_AXIS, 0.8, 1.0)
-        for a, b in zip(povm.elements(), ref.elements()):
+        for a, b in zip(elements, ref.elements()):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_sym_uses_equatorial_axis(self):
-        povm = build_photon_povm(MeasSpec("sym", "e", "phi"), {"e": 0.7, "phi": 0.4})
+        elements = photon_elements(MeasSpec("sym", "e", "phi"), {"e": 0.7, "phi": 0.4})
         ref = efficiency_povm(equatorial_axis(0.4), 0.7, 0.7)
-        for a, b in zip(povm.elements(), ref.elements()):
+        for a, b in zip(elements, ref.elements()):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_ad_x_symmetric_error_rate(self):
         eta = 0.6
-        povm = build_photon_povm(MeasSpec("ad_x", eta, 0.0), {})
+        elements = photon_elements(MeasSpec("ad_x", eta, 0.0), {})
         e = 0.5 * (1.0 + math.sqrt(eta))
         ref = efficiency_povm(X_AXIS, e, e)
-        for a, b in zip(povm.elements(), ref.elements()):
+        for a, b in zip(elements, ref.elements()):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_flip_swaps_elements(self):
-        plain = build_photon_povm(MeasSpec("sym", 0.7, 0.0), {})
-        flipped = build_photon_povm(MeasSpec("sym", 0.7, 0.0, flip=True), {})
-        np.testing.assert_allclose(plain.elements()[0], flipped.elements()[1],
+        plain = photon_elements(MeasSpec("sym", 0.7, 0.0), {})
+        flipped = photon_elements(MeasSpec("sym", 0.7, 0.0, flip=True), {})
+        np.testing.assert_allclose(plain[0], flipped[1],
                                    atol=OPERATOR_ATOL)
 
     def test_displaced_response_keeps_eigenstate_statistics(self):
@@ -280,10 +289,9 @@ class TestBuildPhotonPovm:
         minus = X_AXIS.eigenvector_up()
         for alpha in (-1.7, -0.3, 0.4, 0.9, 2.0):
             for eta in (0.4, 0.85, 1.0):
-                resp = build_photon_povm(
+                r_down, r_up = photon_elements(
                     MeasSpec("displaced_response", eta, alpha), {})
                 exact_up = displaced_spd_povm(alpha, eta).elements()[1]
-                r_down, r_up = resp.elements()
                 got_up = (minus.conj() @ r_up @ minus).real
                 got_down = (plus.conj() @ r_down @ plus).real
                 assert got_up == pytest.approx(
@@ -292,10 +300,10 @@ class TestBuildPhotonPovm:
                     1.0 - (plus.conj() @ exact_up @ plus).real, abs=OPERATOR_ATOL)
 
     def test_lossy3_families(self):
-        povm = build_photon_povm(MeasSpec("lossy3_z", 0.75), {})
-        assert povm.n_outcomes == 3
+        elements = photon_elements(MeasSpec("lossy3_z", 0.75), {})
+        assert len(elements) == 3
         down, _ = Z_AXIS.projectors()
-        np.testing.assert_allclose(povm.elements()[0], 0.75 * down,
+        np.testing.assert_allclose(elements[0], 0.75 * down,
                                    atol=OPERATOR_ATOL)
 
 
@@ -314,11 +322,9 @@ def test_scenario_distribution_places_atom_first():
         for s in range(2))
     ref = joint_distribution(
         atom_photon_state(-0.6, 0.9, 2),
-        MeasurementAssignment.with_atom(
-            atom_pair,
+        MeasurementAssignment((atom_pair,) + ((
             efficiency_povm(Z_AXIS, 0.8, 1.0),
-            efficiency_povm(equatorial_axis(0.1), 0.7, 0.7),
-            3))
+            efficiency_povm(equatorial_axis(0.1), 0.7, 0.7)),) * 2))
     np.testing.assert_allclose(got.table, ref.table, atol=OPERATOR_ATOL)
 
 
@@ -493,3 +499,122 @@ def test_threshold_curve_csv_format():
     assert text.endswith("\n")
     value = float(lines[1].split(",")[1])
     assert value == pytest.approx(curve.points[0][1], abs=1e-9)
+
+
+# The scenario path builds devices from the private element functions and
+# contracts the table unchecked. These tests pin it to the checked public
+# path, bit for bit, and pin that it runs no check per evaluation.
+
+def public_photon_povm(ms, values):
+    """The checked public object behind one MeasSpec."""
+    eff = values[ms.eff] if isinstance(ms.eff, str) else float(ms.eff)
+    aux = values[ms.aux] if isinstance(ms.aux, str) else float(ms.aux or 0.0)
+    if ms.family == "displaced_response":
+        damp = math.exp(-eff * aux * aux)
+        up = min(max(0.5 * damp * ((1.0 - eff * aux) ** 2 + 1.0 - eff), 0.0), 1.0)
+        down = min(max(1.0 - 0.5 * damp * ((1.0 + eff * aux) ** 2 + 1.0 - eff), 0.0), 1.0)
+        povm = efficiency_povm(X_AXIS, up, down)
+    elif ms.family == "ad_x":
+        e = 0.5 * (1.0 + math.sqrt(eff))
+        povm = efficiency_povm(equatorial_axis(aux), e, e)
+    else:
+        povm = {
+            "spd": lambda: efficiency_povm(Z_AXIS, eff, 1.0),
+            "sym": lambda: efficiency_povm(equatorial_axis(aux), eff, eff),
+            "homodyne": lambda: homodyne_povm(aux, eff),
+            "displaced": lambda: displaced_spd_povm(aux, eff),
+            "lossy3_z": lambda: lossy_threeoutcome_povm(Z_AXIS, eff),
+            "lossy3_x": lambda: lossy_threeoutcome_povm(equatorial_axis(aux), eff),
+        }[ms.family]()
+    return povm.flipped() if ms.flip else povm
+
+
+def test_family_elements_equal_the_public_builders_bit_for_bit():
+    rng = np.random.default_rng(11)
+    families = {name: k for name, (k, _) in search._FAMILIES.items()}
+    assert set(families) == {"spd", "sym", "homodyne", "displaced", "displaced_response",
+                             "ad_x", "lossy3_z", "lossy3_x"}
+    for family, k in families.items():
+        for flip in ((False, True) if k == 2 else (False,)):
+            for _ in range(25):
+                eff = float(rng.uniform(0.0, 1.0))
+                aux = float(rng.uniform(-5.0, 5.0) if family.startswith("displaced")
+                            else rng.uniform(0.0, 2.0 * math.pi))
+                ms = MeasSpec(family, eff, aux, flip)
+                trusted = photon_elements(ms, {})
+                public = public_photon_povm(ms, {}).elements()
+                assert len(trusted) == len(public) == k
+                for a, b in zip(trusted, public):
+                    np.testing.assert_array_equal(a, b)
+                assert_valid_povm(trusted)
+    for _ in range(25):
+        values = {"eta_atom": float(rng.uniform(0.0, 1.0)),
+                  "a_polar_0": float(rng.uniform(0.0, 2.0 * math.pi)),
+                  "a_polar_1": float(rng.uniform(0.0, 2.0 * math.pi))}
+        for s, trusted in enumerate(search.atom_elements(values)):
+            public = efficiency_povm(BlochAxis(values[f"a_polar_{s}"], 0.0),
+                                     values["eta_atom"], 1.0).elements()
+            for a, b in zip(trusted, public):
+                np.testing.assert_array_equal(a, b)
+            assert_valid_povm(trusted)
+
+
+def random_in_box_values(spec, rng):
+    return resolve_values(spec, {name: float(rng.uniform(spec.params[name].lo,
+                                                         spec.params[name].hi))
+                                 for name in free_parameters(spec)})
+
+
+def test_scenario_tables_equal_the_checked_path_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for name, preset in PRESETS.items():
+        rule = CRITERIA[preset.spec.criterion]
+        for n in (preset.default_n, preset.default_n + 1):
+            if rule.max_parties is not None and n > rule.max_parties:
+                continue
+            spec = preset.build(n)
+            for _ in range(3):
+                values = random_in_box_values(spec, rng)
+                photon = (public_photon_povm(spec.photon_z, values),
+                          public_photon_povm(spec.photon_x, values))
+                if spec.atom:
+                    atom = tuple(efficiency_povm(BlochAxis(values[f"a_polar_{s}"], 0.0),
+                                                 values["eta_atom"], 1.0) for s in range(2))
+                    assignment = MeasurementAssignment((atom,) + (photon,) * (n - 1))
+                else:
+                    assignment = MeasurementAssignment.uniform(*photon, n)
+                checked = joint_distribution(search.scenario_state(spec, values), assignment)
+                trusted = scenario_distribution(spec, values)
+                assert (trusted.n_parties, trusted.n_outcomes) == (n, rule.n_outcomes)
+                np.testing.assert_array_equal(trusted.table, checked.table, err_msg=name)
+                trusted.validate()
+
+
+def test_a_margin_evaluation_runs_no_device_or_table_check(monkeypatch):
+    import wbell.measure as measure
+
+    counts = {"elements": 0, "validate": 0}
+    check_elements, validate = measure._check_elements, JointDistribution.validate
+
+    def counting_check(*args):
+        counts["elements"] += 1
+        return check_elements(*args)
+
+    def counting_validate(self):
+        counts["validate"] += 1
+        return validate(self)
+
+    monkeypatch.setattr(measure, "_check_elements", counting_check)
+    monkeypatch.setattr(JointDistribution, "validate", counting_validate)
+    rng = np.random.default_rng(13)
+    for name, preset in PRESETS.items():
+        spec = preset.spec
+        counts.update(elements=0, validate=0)
+        violation_margin(spec, random_in_box_values(spec, rng))
+        lp = CRITERIA[spec.criterion].lp
+        assert counts == {"elements": 0, "validate": 1 if lp else 0}, name
+    # The counters see the public checks, so the zeros above are real.
+    counts.update(elements=0, validate=0)
+    z, x = efficiency_povm(Z_AXIS, 0.9, 1.0), efficiency_povm(X_AXIS, 0.9, 0.9)
+    joint_distribution(w_state(2), MeasurementAssignment.uniform(z, x, 2))
+    assert counts == {"elements": 2, "validate": 1}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import amplitude_damping_kraus, apply_channel_everywhere
+from oracles import amplitude_damping_kraus, apply_channel_everywhere, validate_state
 from wbell.qmat import negativity
 from wbell.states import StateDensity, atom_photon_state, damped_w_state, w_state, w_vector
 
@@ -25,7 +25,7 @@ def test_w_vector_support_and_norm():
 def test_w_state_is_valid_pure_state():
     for n in (2, 3, 5):
         st = w_state(n)
-        st.validate()
+        validate_state(st)
         assert st.n_parties == n
         assert not st.atom_flag
         np.testing.assert_allclose(st.rho @ st.rho, st.rho, atol=1e-10)
@@ -40,7 +40,7 @@ def test_damped_w_state_equals_per_mode_amplitude_damping():
             kraus = kraus_cache.setdefault(eta, amplitude_damping_kraus(eta))
             expected = apply_channel_everywhere(pure, kraus, n)
             got = damped_w_state(n, eta)
-            got.validate()
+            validate_state(got)
             np.testing.assert_allclose(got.rho, expected, atol=CHANNEL_ATOL)
 
 
@@ -53,7 +53,7 @@ def test_damped_w_state_rejects_bad_eta():
 
 def test_atom_photon_state_pure_at_full_coupling():
     st = atom_photon_state(-0.7, 1.0, 2)
-    st.validate()
+    validate_state(st)
     assert st.atom_flag and st.n_parties == 3
     np.testing.assert_allclose(st.rho @ st.rho, st.rho, atol=1e-10)
     # Atom excited and no photon: amplitude cos(theta) at index 100 (binary).
@@ -63,7 +63,7 @@ def test_atom_photon_state_pure_at_full_coupling():
 def test_atom_photon_state_vacuum_weight_tracks_coupling():
     theta, eta_c = -0.6, 0.55
     st = atom_photon_state(theta, eta_c, 3)
-    st.validate()
+    validate_state(st)
     # The uncoupled branch parks (1 - eta_c) sin^2(theta) on |g, vac>.
     assert st.rho[0, 0].real == pytest.approx((1.0 - eta_c) * math.sin(theta) ** 2, abs=ATOL)
     # The coherent branch keeps the photon amplitude scaled by sqrt(eta_c);
@@ -86,10 +86,10 @@ def test_atom_photon_state_theta_zero_is_product():
 def test_validate_rejects_broken_states():
     good = w_state(2)
     with pytest.raises(ValueError):
-        StateDensity(3, good.rho).validate()
+        validate_state(StateDensity(3, good.rho))
     with pytest.raises(ValueError):
-        StateDensity(2, 0.5 * good.rho).validate()
+        validate_state(StateDensity(2, 0.5 * good.rho))
     skew = good.rho.copy()
     skew[0, 1] = 0.3
     with pytest.raises(ValueError):
-        StateDensity(2, skew).validate()
+        validate_state(StateDensity(2, skew))
