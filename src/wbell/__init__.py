@@ -58,7 +58,7 @@ from .search import (
     scenario_result,
     violation_margin,
 )
-from .states import StateDensity, atom_photon_state, damped_w_state, w_state, w_vector
+from .states import ExcitationState, StateDensity, atom_photon_state, damped_w_state, w_state, w_vector
 
 __version__ = "0.1.0"
 
@@ -68,6 +68,7 @@ __all__ = [
     "BracketError",
     "ContentResult",
     "CorrelatorTable",
+    "ExcitationState",
     "HOMODYNE_IDEAL_CORRECT",
     "JointDistribution",
     "LPError",

@@ -76,10 +76,12 @@ def _harmonic_transform(xi: np.ndarray) -> np.ndarray:
     t = np.array(xi, dtype=float)
     n = t.ndim
     for ax in range(n):
-        t = np.moveaxis(t, ax, 0)
-        t = np.stack([t[0] + t[1], t[0] - t[1]])
-        t = np.moveaxis(t, 0, ax)
-    return t / 2.0 ** n
+        # Axis ax as the middle axis of a (2^ax, 2, 2^(n-ax-1)) view.
+        v = t.reshape(2 ** ax, 2, -1)
+        t = np.empty_like(v)
+        t[:, 0] = v[:, 0] + v[:, 1]
+        t[:, 1] = v[:, 0] - v[:, 1]
+    return t.reshape(np.shape(xi)) / 2.0 ** n
 
 
 def wwwzb_value(c: CorrelatorTable) -> BellResult:

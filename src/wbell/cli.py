@@ -555,8 +555,9 @@ def _resolve_scenario(args, cfg: RunConfig) -> tuple:
     """The scenario to run, and the preset it came from (or None)."""
     preset = None
     config_spec = cfg.scenario()
-    if args.preset is not None and config_spec is not None:
-        raise UsageError("give either a preset or explicit scenario keys")
+    explicit = getattr(args, "inequality", None) is not None
+    if (args.preset is not None) + (config_spec is not None) + explicit > 1:
+        raise UsageError("give one scenario: a preset, config scenario keys, or --inequality")
     if args.preset is not None:
         preset = PRESETS.get(args.preset)
         if preset is None:
@@ -564,7 +565,7 @@ def _resolve_scenario(args, cfg: RunConfig) -> tuple:
         spec = preset.spec
     elif config_spec is not None:
         spec = config_spec
-    elif getattr(args, "inequality", None) is not None:
+    elif explicit:
         spec = _explicit_bell_scenario(args)
     else:
         raise UsageError("no scenario given: pass --preset, --config, or "

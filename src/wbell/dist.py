@@ -1,9 +1,18 @@
-"""Joint outcome distributions for N parties with two settings each.
+"""Joint outcome distributions and full correlators for N parties with two
+settings each.
 
 A scenario assigns each party a pair of POVMs (setting 0, setting 1; for the
 photonic presets setting 0 is the z-type and setting 1 the x-type device).
 ``joint_distribution`` produces the full table P(o|s) = Tr[rho (x)_k M_{o_k|s_k}]
-as a dense array indexed by the settings bits then the outcome digits.
+as a dense array indexed by the settings bits then the outcome digits, by
+contracting the dense density matrix as a (4,)^N site tensor. It is the
+general path, for any state, and ``full_correlators`` reads the correlators
+off its table.
+
+A two-outcome scenario on an :class:`ExcitationState` needs neither: its 2^N
+full correlators xi(s) = Tr[rho (x)_k A_k(s_k)], with A = M_0 - M_1, come
+from ``_excitation_correlators`` in O(2^N N) time, without the 2^N x 2^N
+matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .states import StateDensity
+from .states import ExcitationState, StateDensity
 
 ENTRY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -162,6 +171,43 @@ def joint_distribution(state: StateDensity, assignment: MeasurementAssignment) -
     dist = _contract(state, [[povm.elements() for povm in pair] for pair in assignment.parties])
     dist.validate()
     return dist
+
+
+def _excitation_correlators(state: ExcitationState, parties) -> CorrelatorTable:
+    """The full correlators of ``state`` under two-outcome devices, unchecked.
+
+    ``parties[k][s]`` holds party k's POVM elements for setting s, as for
+    ``_contract``. Expanding rho = w_psi |psi><psi| + w_vac |vac><vac| over
+    psi's components, xi(s) is a product of per-party 4x4 transfer matrices,
+    one per setting, over four channels: 0 nothing placed, 1 the bra's
+    excitation placed (a factor beta_k^* A_k[1, 0]), 2 the ket's (a factor
+    beta_k A_k[0, 1]), 3 both. A party where neither is placed contributes
+    A_k[0, 0], and one that takes both |beta_k|^2 A_k[1, 1]. The boundary
+    vector closes each channel with the vacuum amplitudes it still lacks.
+    """
+    n = state.n_parties
+    obs = np.array([[el[0] - el[1] for el in pair] for pair in parties])
+    beta = np.asarray(state.beta)[:, None]
+    transfer = np.zeros((n, 2, 4, 4), dtype=complex)
+    diagonal = np.arange(4)
+    transfer[..., diagonal, diagonal] = obs[..., 0, 0, None]
+    transfer[..., 0, 1] = transfer[..., 2, 3] = beta.conj() * obs[..., 1, 0]
+    transfer[..., 0, 2] = transfer[..., 1, 3] = beta * obs[..., 0, 1]
+    transfer[..., 0, 3] = (beta.conj() * beta) * obs[..., 1, 1]
+    # Row r holds the channel amplitudes of one settings string of the
+    # parties placed so far, party by party from the last; the newest party's
+    # setting is the most significant bit. The whole output is requested at
+    # once, so a size beyond memory fails before any work.
+    rows = np.empty((2 ** n, 4), dtype=complex)
+    rows[0] = (1.0, 0.0, 0.0, 0.0)
+    m = 1
+    for k in range(n - 1, -1, -1):
+        rows[m:2 * m] = rows[:m] @ transfer[k, 1]
+        rows[:m] = rows[:m] @ transfer[k, 0]
+        m *= 2
+    a, w = state.alpha, state.w_psi
+    boundary = np.array([w * abs(a) ** 2 + state.w_vac, w * a, w * np.conj(a), w])
+    return CorrelatorTable(n, (rows @ boundary).real.reshape((2,) * n))
 
 
 def full_correlators(p: JointDistribution) -> CorrelatorTable:

@@ -173,9 +173,10 @@ def _displaced_spd_elements(alpha: float, eta_spd: float) -> tuple:
         raise ValueError(f"eta_spd={eta_spd} outside [0, 1]")
     a, eta = float(alpha), float(eta_spd)
     pref = math.exp(-eta * a * a)
-    e0 = pref * np.array(
-        [[1.0, eta * a], [eta * a, eta * eta * a * a + 1.0 - eta]], dtype=complex
-    )
+    # Scaled in Python floats: where eta^2 a^2 overflows, pref is 0 and the
+    # entry becomes NaN, for the finite check to reject, with no warning.
+    off = pref * (eta * a)
+    e0 = np.array([[pref, off], [off, pref * (eta * eta * a * a + 1.0 - eta)]], dtype=complex)
     return np.eye(2) - e0, e0
 
 

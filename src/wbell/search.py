@@ -20,7 +20,13 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .bell import BellResult, cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
-from .dist import JointDistribution, _contract, full_correlators
+from .dist import (
+    CorrelatorTable,
+    JointDistribution,
+    _contract,
+    _excitation_correlators,
+    full_correlators,
+)
 from .measure import (
     BlochAxis,
     X_AXIS,
@@ -32,7 +38,7 @@ from .measure import (
     equatorial_axis,
 )
 from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
-from .states import StateDensity, atom_photon_state, w_state
+from .states import ExcitationState, atom_photon_state, w_state
 
 DEFAULT_STARTS = 32
 SIMPLEX_XATOL = 1e-6
@@ -44,24 +50,26 @@ _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
 
 class Criterion(NamedTuple):
     """A criterion's outcome count and party range (``max_parties`` None: no
-    cap), and ``evaluate``, which maps a JointDistribution to a BellResult,
-    or to a ContentResult when ``lp`` is set."""
+    cap), and ``evaluate``, which maps a JointDistribution (a CorrelatorTable
+    when ``correlators`` is set) to a BellResult, or to a ContentResult when
+    ``lp`` is set."""
 
     n_outcomes: int
     min_parties: int
     max_parties: Optional[int]
     evaluate: Callable
     lp: bool = False
+    correlators: bool = False
 
 
-# Every rule about a criterion lives in this table. Its evaluators look up
-# full_correlators and nonlocal_content in this module's globals when
-# called, so that wrapping either here wraps every evaluation.
+# Every rule about a criterion lives in this table. The LP evaluators look
+# up nonlocal_content in this module's globals when called, so that wrapping
+# it here wraps every evaluation.
 CRITERIA = {
     "cabello": Criterion(2, 3, None, cabello_value),
-    "wwwzb": Criterion(2, 1, None, lambda p: wwwzb_value(full_correlators(p))),
-    "mermin3": Criterion(2, 3, 3, lambda p: mermin3_value(full_correlators(p))),
-    "chsh": Criterion(2, 2, 2, lambda p: chsh_value(full_correlators(p))),
+    "wwwzb": Criterion(2, 1, None, wwwzb_value, correlators=True),
+    "mermin3": Criterion(2, 3, 3, mermin3_value, correlators=True),
+    "chsh": Criterion(2, 2, 2, chsh_value, correlators=True),
     "lp2": Criterion(2, 1, LP_MAX_PARTIES[2], lambda p: nonlocal_content(p), lp=True),
     "lp3": Criterion(3, 1, LP_MAX_PARTIES[3], lambda p: nonlocal_content(p), lp=True),
 }
@@ -278,8 +286,14 @@ def _displaced_response_elements(alpha: float, eta_spd: float) -> tuple:
     eigenstates, which is how threshold studies usually tabulate the device.
     """
     damp = math.exp(-eta_spd * alpha * alpha)
-    up = 0.5 * damp * ((1.0 - eta_spd * alpha) ** 2 + 1.0 - eta_spd)
-    down = 1.0 - 0.5 * damp * ((1.0 + eta_spd * alpha) ** 2 + 1.0 - eta_spd)
+    try:
+        up = 0.5 * damp * ((1.0 - eta_spd * alpha) ** 2 + 1.0 - eta_spd)
+        down = 1.0 - 0.5 * damp * ((1.0 + eta_spd * alpha) ** 2 + 1.0 - eta_spd)
+    except OverflowError:
+        # (eta alpha)^2 beyond float range: NaN elements, which the finite
+        # check on the criterion value rejects.
+        nan = np.full((2, 2), math.nan, dtype=complex)
+        return nan, nan
     up = min(max(up, 0.0), 1.0)
     down = min(max(down, 0.0), 1.0)
     return _efficiency_elements(X_AXIS, up, down)
@@ -317,39 +331,54 @@ def atom_elements(values: dict) -> tuple:
                                       values["eta_atom"], 1.0) for s in range(2))
 
 
-def scenario_state(spec: ScenarioSpec, values: dict) -> StateDensity:
+def scenario_state(spec: ScenarioSpec, values: dict) -> ExcitationState:
     if spec.atom:
         return atom_photon_state(values["theta"], values["eta_c"], spec.n_parties - 1)
     return w_state(spec.n_parties)
 
 
-def scenario_distribution(spec: ScenarioSpec, values: dict,
-                          state: Optional[StateDensity] = None) -> JointDistribution:
-    """The scenario's table, unchecked (ScenarioSpec checked its inputs)."""
+def _scenario_parties(spec: ScenarioSpec, values: dict) -> list:
+    """Each party's (setting 0, setting 1) POVM elements, the atom first."""
     photon = (photon_elements(spec.photon_z, values), photon_elements(spec.photon_x, values))
     parties = [photon] * spec.n_parties
     if spec.atom:
         parties[0] = atom_elements(values)
+    return parties
+
+
+def scenario_distribution(spec: ScenarioSpec, values: dict,
+                          state: Optional[ExcitationState] = None) -> JointDistribution:
+    """The scenario's table, unchecked (ScenarioSpec checked its inputs)."""
+    parties = _scenario_parties(spec, values)
     return _contract(scenario_state(spec, values) if state is None else state, parties)
 
 
-def criterion_result(criterion: str, p: JointDistribution):
-    """Apply one named criterion to a distribution."""
+def criterion_result(criterion: str, data: Union[JointDistribution, CorrelatorTable]):
+    """Apply one named criterion to a distribution, or a full-correlator
+    criterion to its correlators."""
     rule = CRITERIA.get(criterion)
     if rule is None:
         raise ValueError(f"unknown criterion {criterion!r}")
-    return rule.evaluate(p)
+    if rule.correlators and isinstance(data, JointDistribution):
+        data = full_correlators(data)
+    return rule.evaluate(data)
 
 
 def scenario_result(spec: ScenarioSpec, values: dict,
-                    state: Optional[StateDensity] = None):
+                    state: Optional[ExcitationState] = None):
     """Evaluate the scenario's criterion: a BellResult or a ContentResult.
 
-    ``state`` replaces the scenario's source state. A device that overflows
-    gives NaN elements: an LP criterion rejects the table, and the finite
-    check below, the one guard of the unchecked path, rejects a closed form.
+    A full-correlator criterion reads the correlators of the single-excitation
+    state from their transfer-matrix contraction; the others read the dense
+    table. ``state`` replaces the scenario's source state. A device that
+    overflows gives NaN elements: an LP criterion rejects the table, and the
+    finite check below, the one guard of the unchecked path, rejects a
+    closed form.
     """
-    r = criterion_result(spec.criterion, scenario_distribution(spec, values, state))
+    contract = _excitation_correlators if CRITERIA[spec.criterion].correlators else _contract
+    parties = _scenario_parties(spec, values)
+    data = contract(scenario_state(spec, values) if state is None else state, parties)
+    r = criterion_result(spec.criterion, data)
     if isinstance(r, BellResult) and not math.isfinite(r.value):
         raise ValueError(f"{spec.name}: {spec.criterion} value {r.value} is not finite at {values}")
     return r

@@ -1,14 +1,20 @@
-"""Single-excitation (W type) states as density matrices.
+"""Single-excitation (W type) states.
 
 Party 0 may be an atom entangled with the photonic modes; all other parties
 are photonic modes in the {vacuum |0>, one photon |1>} subspace. Basis index
 convention: party 0 owns the most significant bit of the register index.
+
+Every state built here lies in the span of the vacuum and the N states
+|e_k> in which party k alone is excited, and :class:`ExcitationState`
+describes it on that span. Its ``rho`` is the dense 2^N x 2^N matrix, which
+only the dense paths build; :class:`StateDensity` holds any other state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +32,37 @@ class StateDensity:
     atom_flag: bool = False
 
 
+@dataclass(frozen=True)
+class ExcitationState:
+    """w_psi |psi><psi| + w_vac |vac><vac|, psi = alpha |vac> + sum_k beta_k |e_k>.
+
+    ``beta`` holds one amplitude per party, party 0 first. ``rho`` expands
+    the description into the dense density matrix, on first use.
+    """
+
+    alpha: complex
+    beta: np.ndarray
+    w_vac: float = 0.0
+    w_psi: float = 1.0
+    atom_flag: bool = False
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.beta)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        n = self.n_parties
+        psi = np.zeros(2 ** n, dtype=complex)
+        psi[0] = self.alpha
+        for k, b in enumerate(self.beta):
+            psi[1 << (n - 1 - k)] = b
+        rho = np.outer(psi, psi.conj())
+        rho *= self.w_psi
+        rho[0, 0] += self.w_vac
+        return rho
+
+
 def w_vector(n_parties: int) -> np.ndarray:
     """State vector of the single excitation shared evenly over n parties."""
     if n_parties < 1:
@@ -37,13 +74,12 @@ def w_vector(n_parties: int) -> np.ndarray:
     return v
 
 
-def w_state(n_parties: int) -> StateDensity:
+def w_state(n_parties: int) -> ExcitationState:
     """Pure W state of ``n_parties`` photonic modes."""
-    v = w_vector(n_parties)
-    return StateDensity(n_parties, np.outer(v, v.conj()))
+    return damped_w_state(n_parties, 1.0)
 
 
-def damped_w_state(n_parties: int, eta: float) -> StateDensity:
+def damped_w_state(n_parties: int, eta: float) -> ExcitationState:
     """W state mixed with vacuum: eta |W><W| + (1 - eta) |vac><vac|.
 
     Identical to sending each mode of the W state through an amplitude
@@ -51,15 +87,13 @@ def damped_w_state(n_parties: int, eta: float) -> StateDensity:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"survival probability {eta} outside [0, 1]")
-    d = 2 ** n_parties
-    v = w_vector(n_parties)
-    rho = eta * np.outer(v, v.conj())
-    rho[0, 0] += 1.0 - eta
-    assert rho.shape == (d, d)
-    return StateDensity(n_parties, rho)
+    if n_parties < 1:
+        raise ValueError("need at least one party")
+    return ExcitationState(0.0, np.full(n_parties, 1.0 / math.sqrt(n_parties)),
+                           w_vac=1.0 - eta, w_psi=eta)
 
 
-def atom_photon_state(theta: float, eta_c: float, n_modes: int) -> StateDensity:
+def atom_photon_state(theta: float, eta_c: float, n_modes: int) -> ExcitationState:
     """Atom entangled with a shared photonic excitation, with lossy coupling.
 
     The target state is cos(theta)|e>|vac> + sin(theta)|g>|W_modes>, with the
@@ -73,12 +107,8 @@ def atom_photon_state(theta: float, eta_c: float, n_modes: int) -> StateDensity:
         raise ValueError("need at least one photonic mode")
     if not 0.0 <= eta_c <= 1.0:
         raise ValueError(f"coupling efficiency {eta_c} outside [0, 1]")
-    n = n_modes + 1
-    d = 2 ** n
     c, s = math.cos(theta), math.sin(theta)
-    coupled = np.zeros(d, dtype=complex)
-    coupled[1 << (n - 1)] = c
-    coupled[: 2 ** n_modes] += math.sqrt(eta_c) * s * w_vector(n_modes)
-    rho = np.outer(coupled, coupled.conj())
-    rho[0, 0] += (1.0 - eta_c) * s * s
-    return StateDensity(n, rho, atom_flag=True)
+    beta = np.empty(n_modes + 1)
+    beta[0] = c
+    beta[1:] = math.sqrt(eta_c) * s * (1.0 / math.sqrt(n_modes))
+    return ExcitationState(0.0, beta, w_vac=(1.0 - eta_c) * s * s, atom_flag=True)

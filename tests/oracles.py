@@ -171,6 +171,15 @@ def brute_force_distribution(rho: np.ndarray, party_settings) -> np.ndarray:
     return table
 
 
+def brute_force_correlators(rho: np.ndarray, party_settings) -> np.ndarray:
+    """Full correlators xi(s) = sum_o (-1)^(sum_k o_k) P(o|s) of the
+    two-outcome ``brute_force_distribution``, shape (2,)*n."""
+    n = len(party_settings)
+    table = brute_force_distribution(rho, party_settings).reshape(2 ** n, 2 ** n)
+    parity = np.array([(-1.0) ** bin(o).count("1") for o in range(2 ** n)])
+    return (table @ parity).reshape((2,) * n)
+
+
 def damping_threshold(n: int) -> float:
     """Closed-form critical efficiency of the symmetric damping scheme."""
     return (8.0 - 2.0 ** (n + 2) + 2.0 ** n * n * (n - 1)) / (

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -95,6 +96,28 @@ class TestBell:
     def test_vacuum_needs_explicit_inequality(self):
         code, _, _ = run(["bell", "--preset", "fig1", "--state", "vacuum"])
         assert code == 1
+
+    def test_inequality_is_its_own_scenario_source(self, tmp_path):
+        """--inequality builds the spd/sym scenario on W or vacuum; it never
+        relabels a preset's or a config's scenario."""
+        path = tmp_path / "s.cfg"
+        path.write_text(dump_scenario(PRESETS["fig2"].spec))
+        for argv in (["bell", "--preset", "chsh-homodyne", "--inequality", "chsh",
+                      "--set", "theta=-0.3", "--set", "a_polar_0=0",
+                      "--set", "a_polar_1=1.5708", "--set", "phi_x=0"],
+                     ["bell", "--preset", "fig1", "--inequality", "wwwzb", "--starts", "2"],
+                     ["bell", "--config", str(path), "--inequality", "wwwzb"],
+                     ["bell", "--config", str(path), "--inequality", "cabello",
+                      "--state", "vacuum"]):
+            code, out, err = run(argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("wbell: error:") and "--inequality" in err, argv
+            assert len(err.splitlines()) == 1, argv
+        # A config of run keys alone is no scenario source.
+        path.write_text("starts = 2\n")
+        d = run_json(["bell", "--config", str(path), "--inequality", "wwwzb", "--state", "vacuum"])
+        assert (d["criterion"], d["state"], d["scenario"]) == ("wwwzb", "vacuum", "custom")
+        assert d["value"] == pytest.approx(1.0, abs=VALUE_ATOL)
 
 
 class TestThreshold:
@@ -374,17 +397,26 @@ class TestFlagValidation:
 
     def test_overflowing_device_is_rejected(self, tmp_path):
         """A huge displacement makes the device's elements NaN; the finite
-        check on the criterion value rejects it, with or without a search."""
-        base = ("scenario.name = t\nscenario.n_parties = 3\nscenario.criterion = cabello\n"
-                "photon_z.family = spd\nphoton_z.eff = 0.9\n"
-                "photon_x.family = displaced\nphoton_x.eff = 0.9\n")
+        check on the criterion value rejects it, with or without a search,
+        on the dense table and on the correlator contraction alike, in one
+        line and with no numpy warning."""
         path = tmp_path / "alpha.cfg"
-        for text, extra in ((base + "photon_x.aux = @alpha\nparam.alpha = 0 1e200 free\n", []),
-                            (base + "photon_x.aux = 1e200\n", ["--inequality", "cabello"])):
-            path.write_text(text)
-            code, out, err = run(["bell", "--config", str(path), "--starts", "2", *extra])
-            assert code == 1 and out == "", extra
-            assert err.splitlines()[-1].startswith("wbell: error:") and "not finite" in err
+        for family in ("displaced", "displaced_response"):
+            for criterion in ("cabello", "wwwzb"):
+                base = (f"scenario.name = t\nscenario.n_parties = 3\n"
+                        f"scenario.criterion = {criterion}\n"
+                        "photon_z.family = spd\nphoton_z.eff = 0.9\n"
+                        f"photon_x.family = {family}\nphoton_x.eff = 0.9\n")
+                # With no free parameter, bell --config makes one evaluation.
+                for aux in ("@alpha\nparam.alpha = 0 1e200 free", "1e200", "-1e160"):
+                    path.write_text(base + f"photon_x.aux = {aux}\n")
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        code, out, err = run(["bell", "--config", str(path), "--starts", "2"])
+                    case = (family, criterion, aux)
+                    assert code == 1 and out == "" and caught == [], case
+                    assert err.startswith("wbell: error:") and "not finite" in err, case
+                    assert len(err.splitlines()) == 1, case
 
     def test_out_of_range_grid_or_bracket_end_evaluates_nothing(self, monkeypatch):
         import wbell.search as search

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_distribution
+from oracles import brute_force_correlators, brute_force_distribution
 from wbell.dist import (
     CorrelatorTable,
     JointDistribution,
     MeasurementAssignment,
+    _contract,
+    _excitation_correlators,
     full_correlators,
     joint_distribution,
 )
@@ -21,7 +23,7 @@ from wbell.measure import (
     homodyne_povm,
     lossy_threeoutcome_povm,
 )
-from wbell.states import damped_w_state, w_state
+from wbell.states import ExcitationState, damped_w_state, w_state
 
 BRUTE_ATOL = 1e-12
 AD_EQUIV_ATOL = 1e-11
@@ -182,3 +184,34 @@ def test_povm_error_model_equals_channel_on_state():
             modelled = joint_distribution(
                 w_state(n), MeasurementAssignment.uniform(z, x, n))
             np.testing.assert_allclose(modelled.table, damped.table, atol=AD_EQUIV_ATOL)
+
+
+def random_two_outcome_elements(rng):
+    """Elements (M_0, M_1) of a random two-outcome qubit POVM."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = a @ a.conj().T
+    m0 = h / np.linalg.eigvalsh(h).max()
+    return m0, np.eye(2) - m0
+
+
+def test_excitation_correlators_match_the_dense_contraction():
+    """Complex alpha and beta, a vacuum admixture, and unstructured devices:
+    the transfer-matrix contraction agrees with the (4,)^N site tensor, and
+    with the Kronecker brute force at small N."""
+    rng = np.random.default_rng(21)
+    for n in range(1, 8):
+        for _ in range(4):
+            alpha = complex(rng.normal(), rng.normal())
+            beta = rng.normal(size=n) + 1j * rng.normal(size=n)
+            norm = math.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(beta) ** 2)))
+            w_vac = float(rng.uniform(0.0, 1.0))
+            state = ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
+            parties = [(random_two_outcome_elements(rng), random_two_outcome_elements(rng))
+                       for _ in range(n)]
+            got = _excitation_correlators(state, parties)
+            assert got.xi.shape == (2,) * n
+            dense = full_correlators(_contract(state, parties)).xi
+            np.testing.assert_allclose(got.xi, dense, atol=BRUTE_ATOL, rtol=0.0)
+            if n <= 4:
+                brute = brute_force_correlators(state.rho, parties)
+                np.testing.assert_allclose(got.xi, brute, atol=BRUTE_ATOL, rtol=0.0)

@@ -1,6 +1,7 @@
 """Scenario specs, the margin optimizer, and threshold bisection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ import pytest
 import wbell.search as search
 from wbell.bell import VIOLATION_GUARD, BellResult
 from wbell.cli import PRESETS
-from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
+import wbell.dist as dist
+from wbell.dist import (
+    CorrelatorTable,
+    JointDistribution,
+    MeasurementAssignment,
+    full_correlators,
+    joint_distribution,
+)
 from wbell.measure import (
     X_AXIS,
     Z_AXIS,
@@ -39,9 +47,9 @@ from wbell.search import (
     scenario_distribution,
     violation_margin,
 )
-from wbell.states import atom_photon_state, w_state
+from wbell.states import ExcitationState, atom_photon_state, damped_w_state, w_state
 
-from oracles import assert_valid_povm, damping_threshold
+from oracles import assert_valid_povm, brute_force_correlators, damping_threshold
 
 OPERATOR_ATOL = 1e-12
 MARGIN_ATOL = 1e-9
@@ -618,3 +626,94 @@ def test_a_margin_evaluation_runs_no_device_or_table_check(monkeypatch):
     z, x = efficiency_povm(Z_AXIS, 0.9, 1.0), efficiency_povm(X_AXIS, 0.9, 0.9)
     joint_distribution(w_state(2), MeasurementAssignment.uniform(z, x, 2))
     assert counts == {"elements": 2, "validate": 1}
+
+
+# Full-correlator criteria read the correlators of the single-excitation
+# state from the transfer-matrix contraction. These tests pin it to the
+# checked dense path and to the Kronecker brute force, and pin that a margin
+# evaluation builds no dense state.
+
+CORRELATOR_ATOL = 1e-12
+
+
+def checked_assignment(spec, values):
+    """The checked public POVMs of a scenario, the atom first."""
+    photon = (public_photon_povm(spec.photon_z, values),
+              public_photon_povm(spec.photon_x, values))
+    if not spec.atom:
+        return MeasurementAssignment.uniform(*photon, spec.n_parties)
+    atom = tuple(efficiency_povm(BlochAxis(values[f"a_polar_{s}"], 0.0),
+                                 values["eta_atom"], 1.0) for s in range(2))
+    return MeasurementAssignment((atom,) + (photon,) * (spec.n_parties - 1))
+
+
+def correlator_cases(rng):
+    """(label, spec, values, state override) over every full-correlator preset
+    from its fewest parties to 8, and fig3 at 10, with random in-box values,
+    a coupling below 1 and a flipped device in some draws; then the explicit
+    spd/sym scenarios on W, vacuum and damped W states."""
+    for name, preset in PRESETS.items():
+        rule = CRITERIA[preset.spec.criterion]
+        if not rule.correlators:
+            continue
+        fewest = max(rule.min_parties, 2 if preset.spec.atom else 1)
+        sizes = list(range(fewest, min(rule.max_parties or 8, 8) + 1))
+        if name == "fig3":
+            sizes.append(10)
+        for n in sizes:
+            for draw in range(3):
+                spec = preset.build(n)
+                if spec.atom and draw > 0:
+                    spec = fix_parameter(spec, "eta_c", float(rng.uniform(0.0, 1.0)))
+                if draw == 2:
+                    spec = replace(spec, photon_x=replace(spec.photon_x, flip=True))
+                yield f"{name} N={n} draw {draw}", spec, random_in_box_values(spec, rng), None
+    for criterion in ("wwwzb", "mermin3", "chsh"):
+        rule = CRITERIA[criterion]
+        for n in range(rule.min_parties, min(rule.max_parties or 8, 8) + 1):
+            for eta in (1.0, 0.0, float(rng.uniform(0.0, 1.0))):
+                x = MeasSpec("sym", float(rng.uniform(0.0, 1.0)),
+                             float(rng.uniform(0.0, 2.0 * math.pi)), bool(rng.integers(2)))
+                spec = ScenarioSpec("custom", n, criterion,
+                                    MeasSpec("spd", float(rng.uniform(0.0, 1.0))), x)
+                yield f"explicit {criterion} N={n} eta={eta}", spec, {}, damped_w_state(n, eta)
+
+
+def test_correlators_equal_the_checked_dense_path():
+    rng = np.random.default_rng(14)
+    for label, spec, values, state in correlator_cases(rng):
+        n = spec.n_parties
+        source = search.scenario_state(spec, values) if state is None else state
+        got = dist._excitation_correlators(source, search._scenario_parties(spec, values))
+        assignment = checked_assignment(spec, values)
+        checked = full_correlators(joint_distribution(source, assignment))
+        np.testing.assert_allclose(got.xi, checked.xi, atol=CORRELATOR_ATOL, rtol=0.0,
+                                   err_msg=label)
+        if n <= 4:
+            brute = brute_force_correlators(
+                source.rho, [[p.elements() for p in pair] for pair in assignment.parties])
+            np.testing.assert_allclose(got.xi, brute, atol=CORRELATOR_ATOL, rtol=0.0,
+                                       err_msg=label)
+        # The criterion value is read from exactly these correlators.
+        value = search.scenario_result(spec, values, state).value
+        assert value == CRITERIA[spec.criterion].evaluate(CorrelatorTable(n, got.xi)).value
+
+
+def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense path was taken")
+
+    monkeypatch.setattr(ExcitationState, "rho", property(refuse))
+    for module in (dist, search):
+        monkeypatch.setattr(module, "_contract", refuse)
+        monkeypatch.setattr(module, "full_correlators", refuse)
+    monkeypatch.setattr(dist, "_site_tensor", refuse)
+    rng = np.random.default_rng(15)
+    for name, preset in PRESETS.items():
+        rule = CRITERIA[preset.spec.criterion]
+        if rule.correlators:
+            spec = preset.build(8 if rule.max_parties is None else preset.default_n)
+            assert math.isfinite(violation_margin(spec, random_in_box_values(spec, rng))), name
+    # The refusals are real: the table path trips them.
+    with pytest.raises(AssertionError):
+        scenario_distribution(PRESETS["fig1"].spec, {"eta_z": 0.9, "eta_x": 0.9})

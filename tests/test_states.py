@@ -7,7 +7,14 @@ import pytest
 
 from oracles import amplitude_damping_kraus, apply_channel_everywhere, validate_state
 from wbell.qmat import negativity
-from wbell.states import StateDensity, atom_photon_state, damped_w_state, w_state, w_vector
+from wbell.states import (
+    ExcitationState,
+    StateDensity,
+    atom_photon_state,
+    damped_w_state,
+    w_state,
+    w_vector,
+)
 
 ATOL = 1e-12
 CHANNEL_ATOL = 1e-12
@@ -93,3 +100,48 @@ def test_validate_rejects_broken_states():
     skew[0, 1] = 0.3
     with pytest.raises(ValueError):
         validate_state(StateDensity(2, skew))
+
+
+def test_dense_states_expand_the_excitation_description_bit_for_bit():
+    """The dense matrices equal the direct outer-product constructions
+    entry for entry, so the dense path sees the very matrices it always saw."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 8):
+        v = w_vector(n)
+        np.testing.assert_array_equal(w_state(n).rho, np.outer(v, v.conj()))
+        for eta in (0.0, 1.0, 0.35, *rng.uniform(0.0, 1.0, 4)):
+            rho = float(eta) * np.outer(v, v.conj())
+            rho[0, 0] += 1.0 - float(eta)
+            np.testing.assert_array_equal(damped_w_state(n, float(eta)).rho, rho)
+        for theta in (0.0, -0.7, -1.2, *rng.uniform(-math.pi / 2.0, 0.0, 3)):
+            for eta_c in (1.0, 0.0, 0.55, *rng.uniform(0.0, 1.0, 2)):
+                theta, eta_c = float(theta), float(eta_c)
+                c, s = math.cos(theta), math.sin(theta)
+                coupled = np.zeros(2 ** (n + 1), dtype=complex)
+                coupled[1 << n] = c
+                coupled[: 2 ** n] += math.sqrt(eta_c) * s * v
+                rho = np.outer(coupled, coupled.conj())
+                rho[0, 0] += (1.0 - eta_c) * s * s
+                st = atom_photon_state(theta, eta_c, n)
+                assert st.atom_flag and st.n_parties == n + 1
+                np.testing.assert_array_equal(st.rho, rho)
+
+
+def test_excitation_description_of_each_state():
+    st = damped_w_state(4, 0.25)
+    assert (st.n_parties, st.alpha, st.w_vac, st.w_psi) == (4, 0.0, 0.75, 0.25)
+    np.testing.assert_array_equal(st.beta, np.full(4, 0.5))
+    at = atom_photon_state(-0.6, 0.64, 3)
+    assert at.atom_flag and at.n_parties == 4 and at.alpha == 0.0 and at.w_psi == 1.0
+    assert at.w_vac == pytest.approx(0.36 * math.sin(0.6) ** 2, abs=ATOL)
+    np.testing.assert_allclose(at.beta, [math.cos(0.6)] + [-0.8 * math.sin(0.6) / math.sqrt(3)] * 3,
+                               atol=ATOL)
+    # A general description: trace w_psi (|alpha|^2 + |beta|^2) + w_vac.
+    general = ExcitationState(0.6j, np.array([0.0, 0.8]), w_vac=0.5, w_psi=0.5)
+    validate_state(general)
+    # Party 1, the last, owns the least significant bit.
+    assert general.rho[0, 1] == pytest.approx(0.5 * 0.6j * 0.8, abs=ATOL)
+    with pytest.raises(ValueError):
+        w_state(0)
+    with pytest.raises(ValueError):
+        atom_photon_state(0.3, 1.5, 2)
