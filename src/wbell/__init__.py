@@ -19,14 +19,11 @@ from .dist import (
     CorrelatorTable,
     JointDistribution,
     MeasurementAssignment,
-    full_correlators,
     joint_distribution,
 )
 from .measure import (
+    POVM,
     BlochAxis,
-    HOMODYNE_IDEAL_CORRECT,
-    ThreeOutcomePOVM,
-    TwoOutcomePOVM,
     X_AXIS,
     Z_AXIS,
     displaced_spd_povm,
@@ -58,7 +55,7 @@ from .search import (
     scenario_result,
     violation_margin,
 )
-from .states import ExcitationState, StateDensity, atom_photon_state, damped_w_state, w_state, w_vector
+from .states import ExcitationState, atom_photon_state, damped_w_state, w_state
 
 __version__ = "0.1.0"
 
@@ -69,20 +66,17 @@ __all__ = [
     "ContentResult",
     "CorrelatorTable",
     "ExcitationState",
-    "HOMODYNE_IDEAL_CORRECT",
     "JointDistribution",
     "LPError",
     "LPInfeasibleError",
     "LPUnboundedError",
     "MeasSpec",
     "MeasurementAssignment",
+    "POVM",
     "ParamSpec",
     "ScenarioSpec",
     "SearchResult",
-    "StateDensity",
-    "ThreeOutcomePOVM",
     "ThresholdCurve",
-    "TwoOutcomePOVM",
     "X_AXIS",
     "Z_AXIS",
     "atom_photon_state",
@@ -93,7 +87,6 @@ __all__ = [
     "displaced_spd_povm",
     "efficiency_povm",
     "equatorial_axis",
-    "full_correlators",
     "homodyne_povm",
     "joint_distribution",
     "lossy_threeoutcome_povm",
@@ -108,6 +101,5 @@ __all__ = [
     "solve_lp",
     "violation_margin",
     "w_state",
-    "w_vector",
     "wwwzb_value",
 ]

@@ -68,10 +68,6 @@ class Preset:
     region_y: Optional[str] = None
     region_y_bracket: Optional[tuple] = None
 
-    @property
-    def default_n(self) -> int:
-        return self.spec.n_parties
-
     def build(self, n: int) -> ScenarioSpec:
         return replace(self.spec, n_parties=n)
 
@@ -405,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="source state for --inequality scenarios")
     p_bell.add_argument("--ideal", action="store_true",
                         help="force perfect detectors in --inequality scenarios")
-    p_bell.add_argument("--eta-z", type=float, default=1.0,
-                        help="z-detector efficiency for --inequality scenarios")
-    p_bell.add_argument("--eta-x", type=float, default=1.0,
-                        help="x-detector efficiency for --inequality scenarios")
+    p_bell.add_argument("--eta-z", type=float, default=None,
+                        help="z-detector efficiency for --inequality scenarios (default 1)")
+    p_bell.add_argument("--eta-x", type=float, default=None,
+                        help="x-detector efficiency for --inequality scenarios (default 1)")
 
     p_thr = sub.add_parser("threshold", help="bisect a critical efficiency")
     p_thr.set_defaults(run=_cmd_threshold)
@@ -545,8 +541,8 @@ def _parse_set_flags(pairs) -> dict:
 def _explicit_bell_scenario(args) -> ScenarioSpec:
     """Three parties, or as many as the criterion allows; --n resizes later."""
     n = min(3, CRITERIA[args.inequality].max_parties or 3)
-    eta_z = 1.0 if args.ideal else args.eta_z
-    eta_x = 1.0 if args.ideal else args.eta_x
+    eta_z = 1.0 if args.ideal or args.eta_z is None else args.eta_z
+    eta_x = 1.0 if args.ideal or args.eta_x is None else args.eta_x
     return ScenarioSpec("custom", n, args.inequality,
                         MeasSpec("spd", eta_z), MeasSpec("sym", eta_x), params={})
 
@@ -588,8 +584,11 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_bell(args, cfg: RunConfig) -> str:
-    if args.state == "vacuum" and args.inequality is None:
-        raise UsageError("--state vacuum needs an explicit --inequality scenario")
+    if args.inequality is None:
+        if args.state == "vacuum":
+            raise UsageError("--state vacuum needs an explicit --inequality scenario")
+        if args.ideal or args.eta_z is not None or args.eta_x is not None:
+            raise UsageError("--ideal, --eta-z and --eta-x need an explicit --inequality scenario")
     spec, _ = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
@@ -720,6 +719,8 @@ def _cmd_content(args, cfg: RunConfig) -> str:
 
 
 def _cmd_negativity(args, cfg: RunConfig) -> str:
+    if not math.isfinite(args.theta):
+        raise UsageError(f"--theta must be finite, got {args.theta!r}")
     state = atom_photon_state(args.theta, args.eta_c, args.n - 1)
     return _json_text({
         "command": "negativity",

@@ -4,15 +4,13 @@ settings each.
 A scenario assigns each party a pair of POVMs (setting 0, setting 1; for the
 photonic presets setting 0 is the z-type and setting 1 the x-type device).
 ``joint_distribution`` produces the full table P(o|s) = Tr[rho (x)_k M_{o_k|s_k}]
-as a dense array indexed by the settings bits then the outcome digits, by
-contracting the dense density matrix as a (4,)^N site tensor. It is the
-general path, for any state, and ``full_correlators`` reads the correlators
-off its table.
+of an :class:`ExcitationState` as a dense array indexed by the settings bits
+then the outcome digits, by contracting the dense density matrix as a (4,)^N
+site tensor.
 
-A two-outcome scenario on an :class:`ExcitationState` needs neither: its 2^N
-full correlators xi(s) = Tr[rho (x)_k A_k(s_k)], with A = M_0 - M_1, come
-from ``_excitation_correlators`` in O(2^N N) time, without the 2^N x 2^N
-matrix.
+A two-outcome scenario needs no table: its 2^N full correlators
+xi(s) = Tr[rho (x)_k A_k(s_k)], with A = M_0 - M_1, come from
+``_excitation_correlators`` in O(2^N N) time, without the 2^N x 2^N matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .states import ExcitationState, StateDensity
+from .states import ExcitationState
 
 ENTRY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -49,10 +47,6 @@ class MeasurementAssignment:
     @property
     def n_parties(self) -> int:
         return len(self.parties)
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.parties[0][0].n_outcomes
 
     @classmethod
     def uniform(cls, setting0, setting1, n_parties: int) -> "MeasurementAssignment":
@@ -147,7 +141,7 @@ def _site_tensor(rho: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(order).reshape((4,) * n)
 
 
-def _contract(state: StateDensity, parties) -> JointDistribution:
+def _contract(state: ExcitationState, parties) -> JointDistribution:
     """The table of ``joint_distribution``, unchecked. ``parties[k][s]`` holds
     party k's POVM elements for setting s, in outcome order."""
     n = state.n_parties
@@ -163,12 +157,12 @@ def _contract(state: StateDensity, parties) -> JointDistribution:
     return JointDistribution(n, k, np.ascontiguousarray(t.transpose(order).real))
 
 
-def joint_distribution(state: StateDensity, assignment: MeasurementAssignment) -> JointDistribution:
+def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment) -> JointDistribution:
     """Full table of outcome probabilities for every settings string."""
     n = state.n_parties
     if assignment.n_parties != n:
         raise ValueError(f"assignment has {assignment.n_parties} parties, state has {n}")
-    dist = _contract(state, [[povm.elements() for povm in pair] for pair in assignment.parties])
+    dist = _contract(state, [[povm.elements for povm in pair] for pair in assignment.parties])
     dist.validate()
     return dist
 
@@ -208,14 +202,3 @@ def _excitation_correlators(state: ExcitationState, parties) -> CorrelatorTable:
     a, w = state.alpha, state.w_psi
     boundary = np.array([w * abs(a) ** 2 + state.w_vac, w * a, w * np.conj(a), w])
     return CorrelatorTable(n, (rows @ boundary).real.reshape((2,) * n))
-
-
-def full_correlators(p: JointDistribution) -> CorrelatorTable:
-    """xi(s) = sum_o (-1)^(sum_k o_k) P(o|s), outcome 0 valued +1."""
-    if p.n_outcomes != 2:
-        raise ValueError("full correlators are defined for two-outcome scenarios")
-    n = p.n_parties
-    flat = p.table.reshape(2 ** n, 2 ** n)
-    parity = np.array([(-1.0) ** bin(i).count("1") for i in range(2 ** n)])
-    xi = (flat @ parity).reshape((2,) * n)
-    return CorrelatorTable(n, xi)

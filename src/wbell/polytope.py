@@ -126,14 +126,12 @@ def _orbit_matrix(n_parties: int, n_outcomes: int) -> tuple:
     return m, row_of
 
 
-def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray,
-             feasibility_tol: float = FEASIBILITY_TOL,
-             optimality_tol: float = OPTIMALITY_TOL):
+def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray):
     """Maximize objective . x subject to a_ub x <= b_ub and x >= 0.
 
     Returns (value, x). The solution is certified: primal feasibility within
-    ``feasibility_tol`` and, when the solver reports duals, a weak-duality gap
-    within ``optimality_tol`` (relative to the value's scale).
+    FEASIBILITY_TOL and, when the solver reports duals, a weak-duality gap
+    within OPTIMALITY_TOL (relative to the value's scale).
     """
     c = -np.asarray(objective, dtype=float)
     # The certificate below is stricter than the HiGHS defaults (1e-7), so
@@ -152,21 +150,19 @@ def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray,
     residual = a_ub @ x - b_ub
     worst = float(np.max(residual)) if residual.size else 0.0
     lowest = float(x.min(initial=0.0))
-    if worst > feasibility_tol or lowest < -feasibility_tol:
+    if worst > FEASIBILITY_TOL or lowest < -FEASIBILITY_TOL:
         raise LPError(f"solution violates feasibility (residual {worst:g}, "
                       f"lowest variable {lowest:g})")
     value = float(-res.fun)
     marginals = getattr(getattr(res, "ineqlin", None), "marginals", None)
     if marginals is not None:
         dual_value = float(np.asarray(b_ub) @ -np.asarray(marginals))
-        if abs(dual_value - value) > optimality_tol * (1.0 + abs(value)):
+        if abs(dual_value - value) > OPTIMALITY_TOL * (1.0 + abs(value)):
             raise LPError(f"duality gap {dual_value - value:g} exceeds tolerance")
     return value, x
 
 
-def nonlocal_content(p: JointDistribution,
-                     feasibility_tol: float = FEASIBILITY_TOL,
-                     optimality_tol: float = OPTIMALITY_TOL) -> ContentResult:
+def nonlocal_content(p: JointDistribution) -> ContentResult:
     """Exact EPR2 nonlocal content of a two-setting distribution.
 
     ``certificate`` holds the optimal weight of each vertex orbit; the
@@ -196,7 +192,6 @@ def nonlocal_content(p: JointDistribution,
     entries = p.table.transpose([axis for i in order for axis in (i, n + i)])
     b = np.full(a.shape[0], np.inf)
     np.minimum.at(b, row_of.reshape(-1), np.clip(entries.reshape(-1), 0.0, None))
-    value, q = solve_lp(np.ones(a.shape[1]), a, b,
-                        feasibility_tol=feasibility_tol, optimality_tol=optimality_tol)
+    value, q = solve_lp(np.ones(a.shape[1]), a, b)
     local_weight = float(min(1.0, max(0.0, value)))
     return ContentResult(local_weight, 1.0 - local_weight, q)

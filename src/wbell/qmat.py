@@ -9,11 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+TRACE_TOL = 1e-8
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -28,17 +24,18 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
     return float(np.abs(m - dag(m)).max()) <= tol
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     The input is symmetrised as (M + M^dag)/2 before decomposition, which
-    absorbs roundoff; anything farther than ``tol`` from Hermitian is rejected.
+    absorbs roundoff; anything farther than HERMITIAN_TOL from Hermitian is
+    rejected.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if not is_hermitian(m, tol):
-        raise ValueError(f"matrix is not Hermitian within {tol:g}")
+    if not is_hermitian(m, HERMITIAN_TOL):
+        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
     return np.linalg.eigvalsh((m + dag(m)) / 2.0)
 
 
@@ -60,7 +57,7 @@ def partial_transpose(rho: np.ndarray, dim_left: int, dim_right: int) -> np.ndar
     return t.transpose(2, 1, 0, 3).reshape(d, d)
 
 
-def negativity(rho: np.ndarray, cut: int, trace_tol: float = 1e-8) -> float:
+def negativity(rho: np.ndarray, cut: int) -> float:
     """Entanglement negativity of a qubit register across a bipartition.
 
     ``cut`` groups parties 0..cut against the rest. Returns twice the absolute
@@ -72,7 +69,7 @@ def negativity(rho: np.ndarray, cut: int, trace_tol: float = 1e-8) -> float:
     if not 0 <= cut <= n - 2:
         raise ValueError(f"cut {cut} out of range for {n} parties")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace {tr} is not 1")
     pt = partial_transpose(rho, 2 ** (cut + 1), 2 ** (n - cut - 1))
     evs = hermitian_eigenvalues(pt)

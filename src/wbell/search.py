@@ -20,13 +20,7 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .bell import BellResult, cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
-from .dist import (
-    CorrelatorTable,
-    JointDistribution,
-    _contract,
-    _excitation_correlators,
-    full_correlators,
-)
+from .dist import CorrelatorTable, JointDistribution, _contract, _excitation_correlators
 from .measure import (
     BlochAxis,
     X_AXIS,
@@ -346,21 +340,17 @@ def _scenario_parties(spec: ScenarioSpec, values: dict) -> list:
     return parties
 
 
-def scenario_distribution(spec: ScenarioSpec, values: dict,
-                          state: Optional[ExcitationState] = None) -> JointDistribution:
+def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
     """The scenario's table, unchecked (ScenarioSpec checked its inputs)."""
-    parties = _scenario_parties(spec, values)
-    return _contract(scenario_state(spec, values) if state is None else state, parties)
+    return _contract(scenario_state(spec, values), _scenario_parties(spec, values))
 
 
 def criterion_result(criterion: str, data: Union[JointDistribution, CorrelatorTable]):
-    """Apply one named criterion to a distribution, or a full-correlator
-    criterion to its correlators."""
+    """Apply one named criterion to what it reads: a full-correlator
+    criterion to a CorrelatorTable, any other to a JointDistribution."""
     rule = CRITERIA.get(criterion)
     if rule is None:
         raise ValueError(f"unknown criterion {criterion!r}")
-    if rule.correlators and isinstance(data, JointDistribution):
-        data = full_correlators(data)
     return rule.evaluate(data)
 
 
@@ -404,8 +394,7 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
     return names, lo + unit * (hi - lo)
 
 
-def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray,
-                   xatol: float) -> tuple:
+def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray) -> tuple:
     lo = [spec.params[n].lo for n in names]
     hi = [spec.params[n].hi for n in names]
 
@@ -414,13 +403,12 @@ def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray,
 
     res = minimize(negative_margin, x0, method="Nelder-Mead",
                    bounds=Bounds(lo, hi),
-                   options={"xatol": xatol, "fatol": SIMPLEX_FATOL})
+                   options={"xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
     x = np.clip(res.x, lo, hi)
     return -float(negative_margin(x)), x
 
 
-def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS,
-                             xatol: float = SIMPLEX_XATOL) -> SearchResult:
+def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> SearchResult:
     """Maximize the violation margin over all free parameters.
 
     Multi-start Nelder-Mead from an unscrambled Sobol sequence, so repeated
@@ -434,15 +422,14 @@ def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS,
     best_margin = -np.inf
     best_x = starts[0]
     for x0 in starts:
-        margin, x = _minimize_from(spec, names, x0, xatol)
+        margin, x = _minimize_from(spec, names, x0)
         if margin > best_margin:
             best_margin, best_x = margin, x
     return SearchResult(best_margin,
                         resolve_values(spec, dict(zip(names, best_x))))
 
 
-def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS,
-                  xatol: float = SIMPLEX_XATOL) -> bool:
+def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
     """Sign of the optimized margin, short-circuiting on the first success.
 
     Raw margins at the start points are scanned before any simplex runs, and
@@ -461,7 +448,7 @@ def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS,
         raw.append(m)
     order = np.argsort(np.array(raw), kind="stable")[::-1]
     for idx in order:
-        margin, _ = _minimize_from(spec, names, starts[idx], xatol)
+        margin, _ = _minimize_from(spec, names, starts[idx])
         if is_violation(margin):
             return True
     return False
@@ -473,7 +460,8 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     """Bisect ``param`` for the point where the optimized margin changes sign.
 
     Raises :class:`BracketError` when both bracket ends agree (kind "always"
-    or "never"). The returned midpoint is within ``atol`` of the boundary.
+    or "never"). The returned midpoint is within ``atol`` of the boundary, or
+    as close as floats allow when ``atol`` is below their spacing there.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -491,6 +479,8 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
             f"whole bracket [{lo:g}, {hi:g}] of {param!r}", kind)
     while hi - lo > atol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if has_violation(fix_parameter(spec, param, mid), n_starts) == lo_viol:
             lo = mid
         else:
@@ -524,7 +514,8 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
     tasks = [(fix_parameter(spec, x_name, float(x)), float(x), y_name, tuple(y_bracket),
               atol, n_starts) for x in x_values]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool may start every worker at once, so start no more than rows.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             points = tuple(pool.map(_boundary_point, tasks))
     else:
         points = tuple(_boundary_point(t) for t in tasks)

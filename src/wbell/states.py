@@ -7,7 +7,7 @@ convention: party 0 owns the most significant bit of the register index.
 Every state built here lies in the span of the vacuum and the N states
 |e_k> in which party k alone is excited, and :class:`ExcitationState`
 describes it on that span. Its ``rho`` is the dense 2^N x 2^N matrix, which
-only the dense paths build; :class:`StateDensity` holds any other state.
+only the dense paths build.
 """
 
 from __future__ import annotations
@@ -17,19 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class StateDensity:
-    """Density matrix of an ``n_parties`` qubit register.
-
-    ``atom_flag`` marks party 0 as atomic (informational; the numerics treat
-    every party as a qubit).
-    """
-
-    n_parties: int
-    rho: np.ndarray
-    atom_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -44,7 +31,6 @@ class ExcitationState:
     beta: np.ndarray
     w_vac: float = 0.0
     w_psi: float = 1.0
-    atom_flag: bool = False
 
     @property
     def n_parties(self) -> int:
@@ -61,17 +47,6 @@ class ExcitationState:
         rho *= self.w_psi
         rho[0, 0] += self.w_vac
         return rho
-
-
-def w_vector(n_parties: int) -> np.ndarray:
-    """State vector of the single excitation shared evenly over n parties."""
-    if n_parties < 1:
-        raise ValueError("need at least one party")
-    v = np.zeros(2 ** n_parties, dtype=complex)
-    amp = 1.0 / math.sqrt(n_parties)
-    for k in range(n_parties):
-        v[1 << (n_parties - 1 - k)] = amp
-    return v
 
 
 def w_state(n_parties: int) -> ExcitationState:
@@ -111,4 +86,4 @@ def atom_photon_state(theta: float, eta_c: float, n_modes: int) -> ExcitationSta
     beta = np.empty(n_modes + 1)
     beta[0] = c
     beta[1:] = math.sqrt(eta_c) * s * (1.0 / math.sqrt(n_modes))
-    return ExcitationState(0.0, beta, w_vac=(1.0 - eta_c) * s * s, atom_flag=True)
+    return ExcitationState(0.0, beta, w_vac=(1.0 - eta_c) * s * s)

@@ -5,12 +5,15 @@ loops, scipy matrix exponentials, explicit Kraus sums. Agreement between
 these and the fast package routines is what the oracle tests assert.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
+
+from wbell.dist import CorrelatorTable
 
 FOCK_CUTOFF = 40
 VERTEX_CAP = 10 ** 6
@@ -102,6 +105,18 @@ def enumerate_vertices(n_parties: int, n_outcomes: int) -> list:
     return [LocalVertex(choice) for choice in product(per_party, repeat=n_parties)]
 
 
+def w_vector(n_parties: int) -> np.ndarray:
+    """State vector of the single excitation shared evenly over n parties,
+    party 0 on the most significant bit."""
+    if n_parties < 1:
+        raise ValueError("need at least one party")
+    v = np.zeros(2 ** n_parties, dtype=complex)
+    amp = 1.0 / math.sqrt(n_parties)
+    for k in range(n_parties):
+        v[1 << (n_parties - 1 - k)] = amp
+    return v
+
+
 def amplitude_damping_kraus(eta: float):
     """Kraus pair for one-qubit amplitude damping that keeps |1> with
     probability eta (decay probability 1 - eta)."""
@@ -178,6 +193,18 @@ def brute_force_correlators(rho: np.ndarray, party_settings) -> np.ndarray:
     table = brute_force_distribution(rho, party_settings).reshape(2 ** n, 2 ** n)
     parity = np.array([(-1.0) ** bin(o).count("1") for o in range(2 ** n)])
     return (table @ parity).reshape((2,) * n)
+
+
+def full_correlators(p) -> CorrelatorTable:
+    """xi(s) = sum_o (-1)^(sum_k o_k) P(o|s) of a two-outcome
+    JointDistribution, outcome 0 valued +1."""
+    if p.n_outcomes != 2:
+        raise ValueError("full correlators are defined for two-outcome scenarios")
+    n = p.n_parties
+    flat = p.table.reshape(2 ** n, 2 ** n)
+    parity = np.array([(-1.0) ** bin(i).count("1") for i in range(2 ** n)])
+    xi = (flat @ parity).reshape((2,) * n)
+    return CorrelatorTable(n, xi)
 
 
 def damping_threshold(n: int) -> float:

@@ -23,7 +23,7 @@ import pytest
 
 from wbell.bell import cabello_value, wwwzb_value
 from wbell.cli import PRESETS
-from wbell.dist import JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
+from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, displaced_spd_povm, efficiency_povm
 from wbell.polytope import nonlocal_content
 from wbell.qmat import negativity
@@ -36,7 +36,13 @@ from wbell.search import (
 )
 from wbell.states import atom_photon_state, damped_w_state, w_state
 
-from oracles import damping_threshold, enumerate_vertices, fock_noclick_block, nonlocal_content_lower_bound
+from oracles import (
+    damping_threshold,
+    enumerate_vertices,
+    fock_noclick_block,
+    full_correlators,
+    nonlocal_content_lower_bound,
+)
 
 CLOSED_FORM_ATOL = 1e-10
 THRESHOLD_ATOL = 1e-3
@@ -257,7 +263,7 @@ def test_ac7_oracle_and_property_suites():
     worst = 0.0
     for alpha in (-1.5, -0.4, 0.6, 1.8):
         for eta in (0.35, 0.8, 1.0):
-            got = displaced_spd_povm(alpha, eta).elements()[1]
+            got = displaced_spd_povm(alpha, eta).elements[1]
             worst = max(worst, np.max(np.abs(got - fock_noclick_block(alpha, eta))))
     checks.append(("displaced counter vs truncated-mode oracle", worst <= 1e-10))
 

@@ -14,11 +14,11 @@ from wbell.bell import (
     mermin3_value,
     wwwzb_value,
 )
-from wbell.dist import CorrelatorTable, JointDistribution, MeasurementAssignment, full_correlators, joint_distribution
+from wbell.dist import CorrelatorTable, JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import BlochAxis, X_AXIS, Z_AXIS, efficiency_povm, equatorial_axis
 from wbell.states import damped_w_state, w_state
 
-from oracles import nonlocal_content_lower_bound
+from oracles import brute_force_distribution, full_correlators, nonlocal_content_lower_bound
 
 CLOSED_FORM_ATOL = 1e-10
 LHV_GUARD = 1e-12
@@ -100,14 +100,17 @@ def test_wwwzb_mixture_of_strategies_stays_bounded():
 
 
 def ghz_distribution():
+    """GHZ lies outside the single-excitation span, so its table comes from
+    the Kronecker brute force."""
     v = np.zeros(8)
     v[0] = v[7] = 1.0 / math.sqrt(2.0)
-    from wbell.states import StateDensity
-
-    ghz = StateDensity(3, np.outer(v, v).astype(complex))
     y = efficiency_povm(BlochAxis(math.pi / 2, math.pi / 2), 1.0, 1.0)
     xbar = efficiency_povm(equatorial_axis(math.pi), 1.0, 1.0)
-    return joint_distribution(ghz, MeasurementAssignment.uniform(y, xbar, 3))
+    table = brute_force_distribution(np.outer(v, v).astype(complex),
+                                     [(y.elements, xbar.elements)] * 3)
+    p = JointDistribution(3, 2, table)
+    p.validate()
+    return p
 
 
 def test_mermin3_ghz_reaches_algebraic_max():

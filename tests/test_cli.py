@@ -97,6 +97,24 @@ class TestBell:
         code, _, _ = run(["bell", "--preset", "fig1", "--state", "vacuum"])
         assert code == 1
 
+    def test_device_flags_need_explicit_inequality(self, tmp_path):
+        """--ideal, --eta-z and --eta-x describe the --inequality scenario's
+        devices; with any other scenario source they are refused, not ignored."""
+        path = tmp_path / "s.cfg"
+        path.write_text(dump_scenario(PRESETS["fig2"].spec))
+        for source in (["--preset", "fig1"], ["--config", str(path)]):
+            for flags in (["--ideal"], ["--eta-z", "0.3"], ["--eta-x", "1"],
+                          ["--ideal", "--eta-z", "0.3"]):
+                argv = ["bell", *source, *flags, "--starts", "1"]
+                code, out, err = run(argv)
+                assert code == 1 and out == "", argv
+                assert err.startswith("wbell: error:") and "--inequality" in err, argv
+                assert len(err.splitlines()) == 1, argv
+        # With --inequality an unset efficiency means a perfect device.
+        assert run(["bell", "--inequality", "cabello", "--eta-z", "1", "--eta-x", "1"]) == \
+            run(["bell", "--inequality", "cabello"]) == \
+            run(["bell", "--inequality", "cabello", "--ideal", "--eta-z", "0.3"])
+
     def test_inequality_is_its_own_scenario_source(self, tmp_path):
         """--inequality builds the spd/sym scenario on W or vacuum; it never
         relabels a preset's or a config's scenario."""
@@ -234,6 +252,13 @@ class TestNegativity:
             code, out, err = run(["negativity", "--theta", "-0.5", *argv])
             assert code == 1 and out == "", argv
             assert err.startswith("wbell: error:") and len(err.splitlines()) == 1
+
+    def test_non_finite_theta_is_named(self):
+        for theta in ("nan", "inf", "-inf"):
+            code, out, err = run(["negativity", f"--theta={theta}"])
+            assert code == 1 and out == "", theta
+            assert err.startswith("wbell: error: --theta must be finite"), (theta, err)
+            assert len(err.splitlines()) == 1, theta
 
 
 class TestConfigFiles:
@@ -468,14 +493,20 @@ class TestFlagValidation:
     def test_every_preset_builds_at_its_default_size(self):
         golden = golden_preset_specs()
         for name, preset in PRESETS.items():
-            spec = preset.build(preset.default_n)
+            spec = preset.build(preset.spec.n_parties)
             assert spec.name == name
-            assert (name, preset.default_n) in golden
+            assert (name, preset.spec.n_parties) in golden
         for (name, n), text in golden.items():
             code, out, err = run(["threshold", "--preset", name, "--n", str(n),
                                   "--dump-spec"])
             assert code == 0, err
             assert out == text, (name, n)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(wbell.__all__)) == len(wbell.__all__)
+    for name in wbell.__all__:
+        assert getattr(wbell, name, None) is not None, name
 
 
 def test_golden_outputs_are_byte_identical():

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_correlators, brute_force_distribution
+from oracles import brute_force_correlators, brute_force_distribution, full_correlators
 from wbell.dist import (
     CorrelatorTable,
     JointDistribution,
     MeasurementAssignment,
     _contract,
     _excitation_correlators,
-    full_correlators,
     joint_distribution,
 )
 from wbell.measure import (
@@ -54,7 +53,7 @@ def test_joint_distribution_matches_brute_force_two_outcome():
         x = homodyne_povm(0.4, 0.9)
         p = joint_distribution(st, MeasurementAssignment.uniform(z, x, n))
         p.validate()
-        parties = [(z.elements(), x.elements())] * n
+        parties = [(z.elements, x.elements)] * n
         expected = brute_force_distribution(st.rho, parties)
         np.testing.assert_allclose(p.table, expected, atol=BRUTE_ATOL)
 
@@ -65,7 +64,7 @@ def test_joint_distribution_matches_brute_force_three_outcome():
     x3 = lossy_threeoutcome_povm(X_AXIS, 0.6)
     p = joint_distribution(st, MeasurementAssignment.uniform(z3, x3, 3))
     p.validate()
-    parties = [(z3.elements(), x3.elements())] * 3
+    parties = [(z3.elements, x3.elements)] * 3
     expected = brute_force_distribution(st.rho, parties)
     np.testing.assert_allclose(p.table, expected, atol=BRUTE_ATOL)
 
@@ -81,7 +80,7 @@ def test_joint_distribution_with_atom_party():
     x = homodyne_povm(0.0, 1.0)
     p = joint_distribution(st, MeasurementAssignment((atom, (z, x), (z, x))))
     p.validate()
-    parties = [(atom[0].elements(), atom[1].elements())] + [(z.elements(), x.elements())] * 2
+    parties = [(atom[0].elements, atom[1].elements)] + [(z.elements, x.elements)] * 2
     expected = brute_force_distribution(st.rho, parties)
     np.testing.assert_allclose(p.table, expected, atol=BRUTE_ATOL)
 
@@ -128,8 +127,8 @@ def test_full_correlators_against_observable_trace():
         settings = tuple((s_flat >> (n - 1 - k)) & 1 for k in range(n))
         op = np.eye(1, dtype=complex)
         for k in range(n):
-            povm = x if settings[k] else z
-            op = np.kron(op, povm.observable())
+            m_0, m_1 = (x if settings[k] else z).elements
+            op = np.kron(op, m_0 - m_1)
         expected = np.trace(st.rho @ op).real
         assert c.xi[settings] == pytest.approx(expected, abs=1e-12)
 

@@ -7,10 +7,8 @@ import pytest
 
 from oracles import amplitude_damping_kraus, assert_valid_povm, dephasing_kraus, fock_noclick_block
 from wbell.measure import (
-    HOMODYNE_IDEAL_CORRECT,
+    POVM,
     BlochAxis,
-    ThreeOutcomePOVM,
-    TwoOutcomePOVM,
     X_AXIS,
     Z_AXIS,
     displaced_spd_povm,
@@ -48,11 +46,12 @@ def test_axis_projectors_are_orthogonal_resolution():
 
 
 def test_equatorial_axis_direction():
-    axis = equatorial_axis(0.3)
-    x, y, z = axis.direction()
-    assert x == pytest.approx(math.cos(0.3), abs=OPERATOR_ATOL)
-    assert y == pytest.approx(math.sin(0.3), abs=OPERATOR_ATOL)
-    assert z == pytest.approx(0.0, abs=OPERATOR_ATOL)
+    # The observable p_down - p_up of the axis is n . sigma.
+    p_down, p_up = equatorial_axis(0.3).projectors()
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    np.testing.assert_allclose(p_down - p_up, math.cos(0.3) * sigma_x + math.sin(0.3) * sigma_y,
+                               atol=OPERATOR_ATOL)
 
 
 def test_efficiency_povm_random_draws_are_valid():
@@ -60,21 +59,23 @@ def test_efficiency_povm_random_draws_are_valid():
     for _ in range(N_RANDOM):
         axis = BlochAxis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         povm = efficiency_povm(axis, rng.uniform(), rng.uniform())
-        assert_valid_povm(povm.elements())
+        assert_valid_povm(povm.elements)
 
 
 def test_efficiency_povm_unit_is_projective():
     povm = efficiency_povm(Z_AXIS, 1.0, 1.0)
-    np.testing.assert_allclose(povm.m_up, [[0, 0], [0, 1]], atol=OPERATOR_ATOL)
-    np.testing.assert_allclose(povm.observable(), np.diag([1.0, -1.0]), atol=OPERATOR_ATOL)
+    assert povm.n_outcomes == 2
+    m_down, m_up = povm.elements
+    np.testing.assert_allclose(m_up, [[0, 0], [0, 1]], atol=OPERATOR_ATOL)
+    np.testing.assert_allclose(m_down - m_up, np.diag([1.0, -1.0]), atol=OPERATOR_ATOL)
 
 
 def test_spd_convention_vacuum_never_clicks():
-    povm = efficiency_povm(Z_AXIS, 0.4, 1.0)
+    m_up = efficiency_povm(Z_AXIS, 0.4, 1.0).elements[1]
     vac = np.array([1.0, 0.0])
-    assert vac @ povm.m_up @ vac == pytest.approx(0.0, abs=OPERATOR_ATOL)
+    assert vac @ m_up @ vac == pytest.approx(0.0, abs=OPERATOR_ATOL)
     one = np.array([0.0, 1.0])
-    assert (one @ povm.m_up @ one).real == pytest.approx(0.4, abs=OPERATOR_ATOL)
+    assert (one @ m_up @ one).real == pytest.approx(0.4, abs=OPERATOR_ATOL)
 
 
 def test_efficiency_povm_rejects_out_of_range():
@@ -84,28 +85,23 @@ def test_efficiency_povm_rejects_out_of_range():
         efficiency_povm(Z_AXIS, 0.5, -0.1)
 
 
-def test_flipped_swaps_outcomes():
-    povm = efficiency_povm(X_AXIS, 0.7, 0.9)
-    flip = povm.flipped()
-    np.testing.assert_array_equal(flip.m_up, povm.m_down)
-    np.testing.assert_array_equal(flip.elements()[0], povm.elements()[1])
-
-
 def test_two_outcome_povm_validation():
     with pytest.raises(ValueError):
-        TwoOutcomePOVM(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                       np.array([[1.0, -1.0], [0.0, 1.0]]))
+        POVM((np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])))
     with pytest.raises(ValueError):
-        TwoOutcomePOVM(1.5 * np.eye(2), -0.5 * np.eye(2))
+        POVM((-0.5 * np.eye(2), 1.5 * np.eye(2)))
     with pytest.raises(ValueError):
-        TwoOutcomePOVM(0.5 * np.eye(2), 0.4 * np.eye(2))
+        POVM((0.4 * np.eye(2), 0.5 * np.eye(2)))
+    with pytest.raises(ValueError, match="^two-level: "):
+        POVM((0.4 * np.eye(2), 0.5 * np.eye(2)), "two-level")
+    assert POVM((0.4 * np.eye(2), 0.6 * np.eye(2))).n_outcomes == 2
 
 
 def test_homodyne_ideal_correctness_constant():
-    assert HOMODYNE_IDEAL_CORRECT == pytest.approx(0.5 * (1.0 + math.sqrt(2.0 / math.pi)))
-    povm = homodyne_povm(0.0, 1.0)
+    correct = 0.5 * (1.0 + math.sqrt(2.0 / math.pi))
+    m_down = homodyne_povm(0.0, 1.0).elements[0]
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert (plus @ povm.m_down @ plus).real == pytest.approx(HOMODYNE_IDEAL_CORRECT, abs=1e-12)
+    assert (plus @ m_down @ plus).real == pytest.approx(correct, abs=1e-12)
 
 
 def test_homodyne_matches_symmetric_efficiency_model():
@@ -114,12 +110,12 @@ def test_homodyne_matches_symmetric_efficiency_model():
             e = 0.5 * (1.0 + math.sqrt(2.0 * eta / math.pi))
             expected = efficiency_povm(equatorial_axis(phi), e, e)
             got = homodyne_povm(phi, eta)
-            np.testing.assert_allclose(got.m_up, expected.m_up, atol=OPERATOR_ATOL)
+            np.testing.assert_allclose(got.elements[1], expected.elements[1], atol=OPERATOR_ATOL)
 
 
 def test_homodyne_zero_efficiency_is_coin_flip():
     povm = homodyne_povm(0.4, 0.0)
-    np.testing.assert_allclose(povm.m_up, 0.5 * np.eye(2), atol=OPERATOR_ATOL)
+    np.testing.assert_allclose(povm.elements[1], 0.5 * np.eye(2), atol=OPERATOR_ATOL)
 
 
 def test_displaced_noclick_matches_fock_oracle():
@@ -127,24 +123,24 @@ def test_displaced_noclick_matches_fock_oracle():
     for alpha in np.linspace(-3.0, 3.0, 13):
         for eta in (0.3, 0.7, 1.0):
             oracle = fock_noclick_block(float(alpha), eta)
-            got = displaced_spd_povm(float(alpha), eta).m_up
+            got = displaced_spd_povm(float(alpha), eta).elements[1]
             np.testing.assert_allclose(got, oracle, atol=FOCK_ATOL)
 
 
 def test_displaced_povm_is_valid_over_parameter_grid():
     for alpha in np.linspace(-2.5, 2.5, 11):
         for eta in (0.1, 0.5, 0.9, 1.0):
-            assert_valid_povm(displaced_spd_povm(float(alpha), eta).elements())
+            assert_valid_povm(displaced_spd_povm(float(alpha), eta).elements)
 
 
 def test_displaced_click_statistics_at_reference_point():
     # At alpha = -1, eta = 1 the +x eigenstate always clicks and the -x
     # eigenstate stays silent with probability 2/e.
-    povm = displaced_spd_povm(-1.0, 1.0)
+    noclick = displaced_spd_povm(-1.0, 1.0).elements[1]
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    assert (plus @ povm.m_up @ plus).real == pytest.approx(0.0, abs=1e-12)
-    assert (minus @ povm.m_up @ minus).real == pytest.approx(2.0 / math.e, abs=1e-12)
+    assert (plus @ noclick @ plus).real == pytest.approx(0.0, abs=1e-12)
+    assert (minus @ noclick @ minus).real == pytest.approx(2.0 / math.e, abs=1e-12)
 
 
 def test_displaced_rejects_bad_efficiency():
@@ -152,20 +148,39 @@ def test_displaced_rejects_bad_efficiency():
         displaced_spd_povm(0.5, 1.01)
 
 
+def test_every_builder_rejects_a_probability_outside_the_unit_interval():
+    """The builders check their scalar inputs, NaN included, before any
+    element is built, and name the input in the message."""
+    builders = (
+        ("eta_up", lambda p: efficiency_povm(Z_AXIS, p, 1.0)),
+        ("eta_down", lambda p: efficiency_povm(Z_AXIS, 1.0, p)),
+        ("eta_hom", lambda p: homodyne_povm(0.2, p)),
+        ("eta_spd", lambda p: displaced_spd_povm(0.5, p)),
+        ("eta", lambda p: lossy_threeoutcome_povm(X_AXIS, p)),
+    )
+    for name, build in builders:
+        for bad in (-1e-9, 1.0 + 1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name}="):
+                build(bad)
+        for good in (0.0, 1.0):
+            build(good)
+
+
 def test_lossy_threeoutcome_structure():
     povm = lossy_threeoutcome_povm(X_AXIS, 0.6)
     assert povm.n_outcomes == 3
-    assert_valid_povm(povm.elements())
+    assert_valid_povm(povm.elements)
     p_down, p_up = X_AXIS.projectors()
-    np.testing.assert_allclose(povm.m_plus, 0.6 * p_down, atol=OPERATOR_ATOL)
-    np.testing.assert_allclose(povm.m_minus, 0.6 * p_up, atol=OPERATOR_ATOL)
-    np.testing.assert_allclose(povm.m_noclick, 0.4 * np.eye(2), atol=OPERATOR_ATOL)
+    m_plus, m_minus, m_noclick = povm.elements
+    np.testing.assert_allclose(m_plus, 0.6 * p_down, atol=OPERATOR_ATOL)
+    np.testing.assert_allclose(m_minus, 0.6 * p_up, atol=OPERATOR_ATOL)
+    np.testing.assert_allclose(m_noclick, 0.4 * np.eye(2), atol=OPERATOR_ATOL)
 
 
 def test_three_outcome_povm_validation():
     eye = np.eye(2)
     with pytest.raises(ValueError):
-        ThreeOutcomePOVM(0.5 * eye, 0.5 * eye, 0.5 * eye)
+        POVM((0.5 * eye, 0.5 * eye, 0.5 * eye))
 
 
 def test_symmetric_error_equals_amplitude_damped_projectors():
@@ -174,7 +189,7 @@ def test_symmetric_error_equals_amplitude_damped_projectors():
     for eta in (0.0, 0.3, 0.75, 1.0):
         e = 0.5 * (1.0 + math.sqrt(eta))
         povm = efficiency_povm(X_AXIS, e, e)
-        for proj, element in ((p_up, povm.m_up), (p_down, povm.m_down)):
+        for proj, element in zip((p_down, p_up), povm.elements):
             heisenberg = sum(k.conj().T @ proj @ k for k in amplitude_damping_kraus(eta))
             np.testing.assert_allclose(element, heisenberg, atol=OPERATOR_ATOL)
 
@@ -185,6 +200,6 @@ def test_symmetric_error_equals_dephased_projectors():
     for e in (0.5, 0.8, 1.0):
         scale = 2.0 * e - 1.0
         povm = efficiency_povm(X_AXIS, e, e)
-        for proj, element in ((p_up, povm.m_up), (p_down, povm.m_down)):
+        for proj, element in zip((p_down, p_up), povm.elements):
             heisenberg = sum(k.conj().T @ proj @ k for k in dephasing_kraus(scale))
             np.testing.assert_allclose(element, heisenberg, atol=OPERATOR_ATOL)

@@ -10,14 +10,9 @@ import wbell.search as search
 from wbell.bell import VIOLATION_GUARD, BellResult
 from wbell.cli import PRESETS
 import wbell.dist as dist
-from wbell.dist import (
-    CorrelatorTable,
-    JointDistribution,
-    MeasurementAssignment,
-    full_correlators,
-    joint_distribution,
-)
+from wbell.dist import CorrelatorTable, JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import (
+    POVM,
     X_AXIS,
     Z_AXIS,
     BlochAxis,
@@ -49,7 +44,7 @@ from wbell.search import (
 )
 from wbell.states import ExcitationState, atom_photon_state, damped_w_state, w_state
 
-from oracles import assert_valid_povm, brute_force_correlators, damping_threshold
+from oracles import assert_valid_povm, brute_force_correlators, damping_threshold, full_correlators
 
 OPERATOR_ATOL = 1e-12
 MARGIN_ATOL = 1e-9
@@ -269,13 +264,13 @@ class TestBuildPhotonPovm:
     def test_spd_is_one_sided_z(self):
         elements = photon_elements(MeasSpec("spd", 0.8), {})
         ref = efficiency_povm(Z_AXIS, 0.8, 1.0)
-        for a, b in zip(elements, ref.elements()):
+        for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_sym_uses_equatorial_axis(self):
         elements = photon_elements(MeasSpec("sym", "e", "phi"), {"e": 0.7, "phi": 0.4})
         ref = efficiency_povm(equatorial_axis(0.4), 0.7, 0.7)
-        for a, b in zip(elements, ref.elements()):
+        for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_ad_x_symmetric_error_rate(self):
@@ -283,7 +278,7 @@ class TestBuildPhotonPovm:
         elements = photon_elements(MeasSpec("ad_x", eta, 0.0), {})
         e = 0.5 * (1.0 + math.sqrt(eta))
         ref = efficiency_povm(X_AXIS, e, e)
-        for a, b in zip(elements, ref.elements()):
+        for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_flip_swaps_elements(self):
@@ -299,7 +294,7 @@ class TestBuildPhotonPovm:
             for eta in (0.4, 0.85, 1.0):
                 r_down, r_up = photon_elements(
                     MeasSpec("displaced_response", eta, alpha), {})
-                exact_up = displaced_spd_povm(alpha, eta).elements()[1]
+                exact_up = displaced_spd_povm(alpha, eta).elements[1]
                 got_up = (minus.conj() @ r_up @ minus).real
                 got_down = (plus.conj() @ r_down @ plus).real
                 assert got_up == pytest.approx(
@@ -340,7 +335,7 @@ def test_criterion_result_dispatch():
     spec = cabello_spd_spec(eta_z=1.0)
     p = scenario_distribution(spec, {})
     assert isinstance(criterion_result("cabello", p), BellResult)
-    assert isinstance(criterion_result("wwwzb", p), BellResult)
+    assert isinstance(criterion_result("wwwzb", full_correlators(p)), BellResult)
     assert isinstance(criterion_result("lp2", p), ContentResult)
     with pytest.raises(ValueError):
         criterion_result("steering", p)
@@ -472,6 +467,32 @@ def test_bisection_bracket_errors():
             critical_efficiency(spec, "eta", (0.5, 0.99), atol=atol)
 
 
+def test_bisection_stops_where_no_float_lies_between_the_ends(monkeypatch):
+    """An atol below the float spacing at the root cannot be met; the
+    bisection stops once the midpoint equals an end, after about as many
+    steps as the mantissa has bits, and still returns the boundary."""
+    calls, verdict = [], search.has_violation
+
+    def counting_verdict(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 200:
+            raise AssertionError("the bisection does not stop")
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(search, "has_violation", counting_verdict)
+    spec = damping_spec(3)
+    for atol in (1e-17, 1e-300, 5e-324):
+        calls.clear()
+        root = critical_efficiency(spec, "eta", (0.5, 1.0), atol=atol)
+        assert len(calls) <= 2 + 60, (atol, len(calls))
+        # The verdict needs a margin above VIOLATION_GUARD, just past 3/4.
+        assert 0.75 < root < 0.75 + 1e-8
+    # An atol above the spacing ends on the width test: 2 ends + 13 steps.
+    calls.clear()
+    critical_efficiency(spec, "eta", (0.5, 1.0), atol=1e-4)
+    assert len(calls) == 2 + 13
+
+
 def two_efficiency_spec():
     return ScenarioSpec(
         name="t", n_parties=3, criterion="cabello",
@@ -488,6 +509,35 @@ def test_region_boundary_rows_do_not_depend_on_jobs():
     parallel = region_boundary(two_efficiency_spec(), "eta_x", "eta_z", xs, (0.3, 1.0), jobs=2)
     assert serial.points == parallel.points
     assert all(status == "ok" for _, _, status in serial.points)
+
+
+def test_region_boundary_starts_no_more_workers_than_rows(monkeypatch):
+    """The pool may start all of its workers at once, so a large job count
+    on a short grid asks for one worker per row. The fake pool records the
+    request and maps in this process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    curves = []
+    for jobs, expected in ((1, []), (10 ** 6, [3]), (4, [3]), (2, [2])):
+        requested.clear()
+        curves.append(region_boundary(two_efficiency_spec(), "eta_x", "eta_z",
+                                      [0.92, 0.96, 1.0], (0.3, 1.0), atol=0.01, jobs=jobs))
+        assert requested == expected, jobs
+    assert all(curve.points == curves[0].points for curve in curves)
 
 
 def test_region_boundary_records_bracket_failures():
@@ -534,7 +584,7 @@ def public_photon_povm(ms, values):
             "lossy3_z": lambda: lossy_threeoutcome_povm(Z_AXIS, eff),
             "lossy3_x": lambda: lossy_threeoutcome_povm(equatorial_axis(aux), eff),
         }[ms.family]()
-    return povm.flipped() if ms.flip else povm
+    return POVM(povm.elements[::-1], povm.label) if ms.flip else povm
 
 
 def test_family_elements_equal_the_public_builders_bit_for_bit():
@@ -550,7 +600,7 @@ def test_family_elements_equal_the_public_builders_bit_for_bit():
                             else rng.uniform(0.0, 2.0 * math.pi))
                 ms = MeasSpec(family, eff, aux, flip)
                 trusted = photon_elements(ms, {})
-                public = public_photon_povm(ms, {}).elements()
+                public = public_photon_povm(ms, {}).elements
                 assert len(trusted) == len(public) == k
                 for a, b in zip(trusted, public):
                     np.testing.assert_array_equal(a, b)
@@ -561,7 +611,7 @@ def test_family_elements_equal_the_public_builders_bit_for_bit():
                   "a_polar_1": float(rng.uniform(0.0, 2.0 * math.pi))}
         for s, trusted in enumerate(search.atom_elements(values)):
             public = efficiency_povm(BlochAxis(values[f"a_polar_{s}"], 0.0),
-                                     values["eta_atom"], 1.0).elements()
+                                     values["eta_atom"], 1.0).elements
             for a, b in zip(trusted, public):
                 np.testing.assert_array_equal(a, b)
             assert_valid_povm(trusted)
@@ -577,7 +627,7 @@ def test_scenario_tables_equal_the_checked_path_bit_for_bit():
     rng = np.random.default_rng(12)
     for name, preset in PRESETS.items():
         rule = CRITERIA[preset.spec.criterion]
-        for n in (preset.default_n, preset.default_n + 1):
+        for n in (preset.spec.n_parties, preset.spec.n_parties + 1):
             if rule.max_parties is not None and n > rule.max_parties:
                 continue
             spec = preset.build(n)
@@ -601,31 +651,37 @@ def test_scenario_tables_equal_the_checked_path_bit_for_bit():
 def test_a_margin_evaluation_runs_no_device_or_table_check(monkeypatch):
     import wbell.measure as measure
 
-    counts = {"elements": 0, "validate": 0}
+    counts = {"elements": 0, "probabilities": 0, "validate": 0}
     check_elements, validate = measure._check_elements, JointDistribution.validate
+    check_probability = measure._check_probability
 
     def counting_check(*args):
         counts["elements"] += 1
         return check_elements(*args)
+
+    def counting_probability(**values):
+        counts["probabilities"] += 1
+        return check_probability(**values)
 
     def counting_validate(self):
         counts["validate"] += 1
         return validate(self)
 
     monkeypatch.setattr(measure, "_check_elements", counting_check)
+    monkeypatch.setattr(measure, "_check_probability", counting_probability)
     monkeypatch.setattr(JointDistribution, "validate", counting_validate)
     rng = np.random.default_rng(13)
     for name, preset in PRESETS.items():
         spec = preset.spec
-        counts.update(elements=0, validate=0)
+        counts.update(elements=0, probabilities=0, validate=0)
         violation_margin(spec, random_in_box_values(spec, rng))
         lp = CRITERIA[spec.criterion].lp
-        assert counts == {"elements": 0, "validate": 1 if lp else 0}, name
+        assert counts == {"elements": 0, "probabilities": 0, "validate": 1 if lp else 0}, name
     # The counters see the public checks, so the zeros above are real.
-    counts.update(elements=0, validate=0)
+    counts.update(elements=0, probabilities=0, validate=0)
     z, x = efficiency_povm(Z_AXIS, 0.9, 1.0), efficiency_povm(X_AXIS, 0.9, 0.9)
     joint_distribution(w_state(2), MeasurementAssignment.uniform(z, x, 2))
-    assert counts == {"elements": 2, "validate": 1}
+    assert counts == {"elements": 2, "probabilities": 2, "validate": 1}
 
 
 # Full-correlator criteria read the correlators of the single-excitation
@@ -691,7 +747,7 @@ def test_correlators_equal_the_checked_dense_path():
                                    err_msg=label)
         if n <= 4:
             brute = brute_force_correlators(
-                source.rho, [[p.elements() for p in pair] for pair in assignment.parties])
+                source.rho, [[p.elements for p in pair] for pair in assignment.parties])
             np.testing.assert_allclose(got.xi, brute, atol=CORRELATOR_ATOL, rtol=0.0,
                                        err_msg=label)
         # The criterion value is read from exactly these correlators.
@@ -706,13 +762,12 @@ def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
     monkeypatch.setattr(ExcitationState, "rho", property(refuse))
     for module in (dist, search):
         monkeypatch.setattr(module, "_contract", refuse)
-        monkeypatch.setattr(module, "full_correlators", refuse)
     monkeypatch.setattr(dist, "_site_tensor", refuse)
     rng = np.random.default_rng(15)
     for name, preset in PRESETS.items():
         rule = CRITERIA[preset.spec.criterion]
         if rule.correlators:
-            spec = preset.build(8 if rule.max_parties is None else preset.default_n)
+            spec = preset.build(8 if rule.max_parties is None else preset.spec.n_parties)
             assert math.isfinite(violation_margin(spec, random_in_box_values(spec, rng))), name
     # The refusals are real: the table path trips them.
     with pytest.raises(AssertionError):

@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import amplitude_damping_kraus, apply_channel_everywhere, validate_state
+from types import SimpleNamespace
+
+from oracles import amplitude_damping_kraus, apply_channel_everywhere, validate_state, w_vector
 from wbell.qmat import negativity
-from wbell.states import (
-    ExcitationState,
-    StateDensity,
-    atom_photon_state,
-    damped_w_state,
-    w_state,
-    w_vector,
-)
+from wbell.states import ExcitationState, atom_photon_state, damped_w_state, w_state
 
 ATOL = 1e-12
 CHANNEL_ATOL = 1e-12
@@ -34,7 +29,6 @@ def test_w_state_is_valid_pure_state():
         st = w_state(n)
         validate_state(st)
         assert st.n_parties == n
-        assert not st.atom_flag
         np.testing.assert_allclose(st.rho @ st.rho, st.rho, atol=1e-10)
 
 
@@ -61,7 +55,7 @@ def test_damped_w_state_rejects_bad_eta():
 def test_atom_photon_state_pure_at_full_coupling():
     st = atom_photon_state(-0.7, 1.0, 2)
     validate_state(st)
-    assert st.atom_flag and st.n_parties == 3
+    assert st.n_parties == 3
     np.testing.assert_allclose(st.rho @ st.rho, st.rho, atol=1e-10)
     # Atom excited and no photon: amplitude cos(theta) at index 100 (binary).
     np.testing.assert_allclose(st.rho[4, 4], math.cos(0.7) ** 2, atol=ATOL)
@@ -93,13 +87,13 @@ def test_atom_photon_state_theta_zero_is_product():
 def test_validate_rejects_broken_states():
     good = w_state(2)
     with pytest.raises(ValueError):
-        validate_state(StateDensity(3, good.rho))
+        validate_state(SimpleNamespace(n_parties=3, rho=good.rho))
     with pytest.raises(ValueError):
-        validate_state(StateDensity(2, 0.5 * good.rho))
+        validate_state(SimpleNamespace(n_parties=2, rho=0.5 * good.rho))
     skew = good.rho.copy()
     skew[0, 1] = 0.3
     with pytest.raises(ValueError):
-        validate_state(StateDensity(2, skew))
+        validate_state(SimpleNamespace(n_parties=2, rho=skew))
 
 
 def test_dense_states_expand_the_excitation_description_bit_for_bit():
@@ -123,7 +117,7 @@ def test_dense_states_expand_the_excitation_description_bit_for_bit():
                 rho = np.outer(coupled, coupled.conj())
                 rho[0, 0] += (1.0 - eta_c) * s * s
                 st = atom_photon_state(theta, eta_c, n)
-                assert st.atom_flag and st.n_parties == n + 1
+                assert st.n_parties == n + 1
                 np.testing.assert_array_equal(st.rho, rho)
 
 
@@ -132,7 +126,7 @@ def test_excitation_description_of_each_state():
     assert (st.n_parties, st.alpha, st.w_vac, st.w_psi) == (4, 0.0, 0.75, 0.25)
     np.testing.assert_array_equal(st.beta, np.full(4, 0.5))
     at = atom_photon_state(-0.6, 0.64, 3)
-    assert at.atom_flag and at.n_parties == 4 and at.alpha == 0.0 and at.w_psi == 1.0
+    assert at.n_parties == 4 and at.alpha == 0.0 and at.w_psi == 1.0
     assert at.w_vac == pytest.approx(0.36 * math.sin(0.6) ** 2, abs=ATOL)
     np.testing.assert_allclose(at.beta, [math.cos(0.6)] + [-0.8 * math.sin(0.6) / math.sqrt(3)] * 3,
                                atol=ATOL)
