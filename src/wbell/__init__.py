@@ -16,7 +16,6 @@ from .bell import (
     wwwzb_value,
 )
 from .dist import (
-    CorrelatorTable,
     JointDistribution,
     MeasurementAssignment,
     joint_distribution,
@@ -26,11 +25,9 @@ from .measure import (
     BlochAxis,
     X_AXIS,
     Z_AXIS,
-    displaced_spd_povm,
     efficiency_povm,
     equatorial_axis,
-    homodyne_povm,
-    lossy_threeoutcome_povm,
+    family_povm,
 )
 from .polytope import (
     ContentResult,
@@ -64,7 +61,6 @@ __all__ = [
     "BlochAxis",
     "BracketError",
     "ContentResult",
-    "CorrelatorTable",
     "ExcitationState",
     "JointDistribution",
     "LPError",
@@ -84,12 +80,10 @@ __all__ = [
     "chsh_value",
     "critical_efficiency",
     "damped_w_state",
-    "displaced_spd_povm",
     "efficiency_povm",
     "equatorial_axis",
-    "homodyne_povm",
+    "family_povm",
     "joint_distribution",
-    "lossy_threeoutcome_povm",
     "mermin3_value",
     "negativity",
     "nonlocal_content",

@@ -1,7 +1,8 @@
-"""Bell inequality functionals on joint distributions and correlator tables.
+"""Bell inequality functionals on joint distributions and full correlators.
 
 Settings convention: setting 0 is the z-type measurement and setting 1 the
-x-type one. Outcome 0 carries correlator value +1.
+x-type one. Outcome 0 carries correlator value +1. The full-correlator
+functionals read xi(s), an array of shape (2,)*N indexed by the settings bits.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CorrelatorTable, JointDistribution
+from .dist import JointDistribution
 
 VIOLATION_GUARD = 1e-9
 
@@ -84,7 +85,7 @@ def _harmonic_transform(xi: np.ndarray) -> np.ndarray:
     return t.reshape(np.shape(xi)) / 2.0 ** n
 
 
-def wwwzb_value(c: CorrelatorTable) -> BellResult:
+def wwwzb_value(xi: np.ndarray) -> BellResult:
     """Aggregate full-correlator criterion: sum_r |xi_hat(r)| with local bound 1.
 
     Every local deterministic strategy evaluates to exactly 1, and any
@@ -94,30 +95,29 @@ def wwwzb_value(c: CorrelatorTable) -> BellResult:
     non-signalling distributions, so it must not feed the nonlocal-content
     lower bound.
     """
-    n = c.n_parties
-    value = float(np.abs(_harmonic_transform(c.xi)).sum())
+    n = xi.ndim
+    value = float(np.abs(_harmonic_transform(xi)).sum())
     return BellResult.make(value, 1.0, 2.0 ** ((n - 1) / 2.0))
 
 
-def mermin3_value(c: CorrelatorTable) -> BellResult:
+def mermin3_value(xi: np.ndarray) -> BellResult:
     """Three-party Mermin combination xi(001) + xi(010) + xi(100) - xi(111).
 
     Local bound 2, algebraic max 4. The sign convention is fixed so that the
     value reaches 4 on (|000> + |111>)/sqrt(2) with setting 0 measuring
     sigma_y and setting 1 the equatorial axis at azimuth pi.
     """
-    if c.n_parties != 3:
+    if xi.ndim != 3:
         raise ValueError("this functional is specific to three parties")
-    xi = c.xi
     value = float(xi[0, 0, 1] + xi[0, 1, 0] + xi[1, 0, 0] - xi[1, 1, 1])
     return BellResult.make(value, 2.0, 4.0)
 
 
-def chsh_value(c: CorrelatorTable) -> BellResult:
+def chsh_value(xi: np.ndarray) -> BellResult:
     """Best CHSH combination over the eight sign/setting relabelings."""
-    if c.n_parties != 2:
+    if xi.ndim != 2:
         raise ValueError("CHSH is a two-party functional")
-    xi = c.xi.reshape(-1)
+    xi = xi.reshape(-1)
     total = xi.sum()
     value = float(max(abs(total - 2.0 * xi[k]) for k in range(4)))
     return BellResult.make(value, 2.0, 4.0)

@@ -51,22 +51,26 @@ class UsageError(Exception):
     """Bad flags, config keys, or parameter values (exit code 1)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag, in any subcommand, as one UsageError line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # Presets
 
 
 @dataclass(frozen=True)
 class Preset:
-    """A named scenario at its default size, with run defaults."""
+    """A named scenario at its default size, with run defaults: the
+    (parameter, range) pairs of threshold and of region's x and y."""
 
-    summary: str
     spec: ScenarioSpec
-    threshold_param: str
-    threshold_bracket: tuple
-    region_x: Optional[str] = None
-    region_x_range: Optional[tuple] = None
-    region_y: Optional[str] = None
-    region_y_bracket: Optional[tuple] = None
+    threshold: tuple
+    region_x: Optional[tuple] = None
+    region_y: Optional[tuple] = None
 
     def build(self, n: int) -> ScenarioSpec:
         return replace(self.spec, n_parties=n)
@@ -112,105 +116,80 @@ def _atom_displacement(name: str, n: int, criterion: str,
         atom=True, params=params)
 
 
+# The run defaults of every atom preset: threshold and region bisect the
+# counter efficiency, over a grid of the coupling for region.
+_ATOM_RUNS = (("eta_spd", (0.05, 1.0)), ("eta_c", (0.0, 1.0)), ("eta_spd", (0.05, 1.0)))
+
 # A verdict needs a margin above VIOLATION_GUARD (an LP point: content above
 # lp_tol plus the guard), so rounding noise decides none. At eta = 0 the
 # counter never clicks and the full-correlator and CHSH criteria sit exactly
 # on their classical bound; the brackets of those presets start above that
 # degenerate point all the same, as the bisected digits depend on the bracket.
 PRESETS = {
-    "fig1": Preset(
-        "single-excitation inequality region over z/x detector quality",
-        _photonic_zx("fig1", 3, "cabello"), "eta_z", (0.0, 1.0),
-        "eta_z", (0.5, 1.0), "eta_x", (0.5, 1.0)),
-    "fig2": Preset(
-        "full-correlator inequality region over z/x detector quality",
-        _photonic_zx("fig2", 3, "wwwzb"), "eta_z", (0.1, 1.0),
-        "eta_z", (0.5, 1.0), "eta_x", (0.5, 1.0)),
-    "fig3": Preset(
-        "atom-photon full-correlator thresholds, photon-counting + homodyne",
-        _atom_homodyne("fig3", 2, "wwwzb", eta_atom=1.0, eta_hom=1.0),
-        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+    "fig1": Preset(_photonic_zx("fig1", 3, "cabello"), ("eta_z", (0.0, 1.0)),
+                   ("eta_z", (0.5, 1.0)), ("eta_x", (0.5, 1.0))),
+    "fig2": Preset(_photonic_zx("fig2", 3, "wwwzb"), ("eta_z", (0.1, 1.0)),
+                   ("eta_z", (0.5, 1.0)), ("eta_x", (0.5, 1.0))),
+    "fig3": Preset(_atom_homodyne("fig3", 2, "wwwzb", eta_atom=1.0, eta_hom=1.0),
+                   *_ATOM_RUNS),
     "fig4-homodyne": Preset(
-        "two-party CHSH with homodyne x-readout, lossy atom and coupling",
-        _atom_homodyne("fig4-homodyne", 2, "chsh", eta_atom=0.95, eta_hom=0.98),
-        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        _atom_homodyne("fig4-homodyne", 2, "chsh", eta_atom=0.95, eta_hom=0.98), *_ATOM_RUNS),
     "fig4-displacement": Preset(
-        "two-party CHSH with displaced-counter x-readout, lossy atom",
-        _atom_displacement("fig4-displacement", 2, "chsh", eta_atom=0.95),
-        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
-    "fig5": Preset(
-        "exact locality region from the EPR2 linear program",
-        _photonic_zx("fig5", 3, "lp2"), "eta_z", (0.0, 1.0),
-        "eta_x", (0.5, 1.0), "eta_z", (0.0, 1.0)),
+        _atom_displacement("fig4-displacement", 2, "chsh", eta_atom=0.95), *_ATOM_RUNS),
+    "fig5": Preset(_photonic_zx("fig5", 3, "lp2"), ("eta_z", (0.0, 1.0)),
+                   ("eta_x", (0.5, 1.0)), ("eta_z", (0.0, 1.0))),
     "garbarino3": Preset(
-        "locality region for loss-flagging three-outcome detectors",
         ScenarioSpec(
             "garbarino3", 3, "lp3",
             MeasSpec("lossy3_z", "eta_z"), MeasSpec("lossy3_x", "eta_x", 0.0),
             params={"eta_z": ParamSpec.free(0.0, 1.0),
                     "eta_x": ParamSpec.free(0.0, 1.0)}),
-        "eta_x", (0.0, 1.0), "eta_z", (0.5, 1.0), "eta_x", (0.0, 1.0)),
+        ("eta_x", (0.0, 1.0)), ("eta_z", (0.5, 1.0)), ("eta_x", (0.0, 1.0))),
     "cabello-homodyne": Preset(
-        "critical counter efficiency, x basis via ideal homodyne",
         ScenarioSpec(
             "cabello-homodyne", 3, "cabello",
             MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
             params={"eta_spd": ParamSpec.free(0.0, 1.0)}),
-        "eta_spd", (0.0, 1.0)),
+        ("eta_spd", (0.0, 1.0))),
     "cabello-displacement": Preset(
-        "critical counter efficiency, x basis via displaced counting",
         ScenarioSpec(
             "cabello-displacement", 3, "cabello",
             MeasSpec("spd", "eta_spd"),
             MeasSpec("displaced_response", "eta_spd", "alpha"),
             params={"eta_spd": ParamSpec.free(0.0, 1.0),
                     "alpha": ParamSpec.free(0.01, 2.0)}),
-        "eta_spd", (0.0, 1.0)),
+        ("eta_spd", (0.0, 1.0))),
     "cabello-ad": Preset(
-        "critical shared efficiency for the amplitude-damping error model",
         ScenarioSpec(
             "cabello-ad", 3, "cabello",
             MeasSpec("spd", "eta"), MeasSpec("ad_x", "eta", 0.0),
             params={"eta": ParamSpec.free(0.0, 1.0)}),
-        "eta", (0.0, 1.0)),
+        ("eta", (0.0, 1.0))),
     "wwwzb-homodyne": Preset(
-        "critical counter efficiency for full-correlator inequalities",
         ScenarioSpec(
             "wwwzb-homodyne", 4, "wwwzb",
             MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
             params={"eta_spd": ParamSpec.free(0.0, 1.0)}),
-        "eta_spd", (0.1, 1.0)),
+        ("eta_spd", (0.1, 1.0))),
     "chsh-homodyne": Preset(
-        "ideal-device CHSH value for the homodyne scheme",
         fix_parameter(_atom_homodyne("chsh-homodyne", 2, "chsh",
                                      eta_atom=1.0, eta_hom=1.0), "eta_spd", 1.0),
-        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        *_ATOM_RUNS),
     "chsh-displacement": Preset(
-        "ideal-device CHSH value for the displacement scheme",
         fix_parameter(_atom_displacement("chsh-displacement", 2, "chsh",
                                          eta_atom=1.0), "eta_spd", 1.0),
-        "eta_spd", (0.05, 1.0), "eta_c", (0.0, 1.0), "eta_spd", (0.05, 1.0)),
+        *_ATOM_RUNS),
 }
 
 
 # ---------------------------------------------------------------------------
 # Config files: flat "key = value" lines, '#' comments, unknown keys rejected.
 
-# Every run key but ``command`` is a default for the flag of the same name;
-# bracket_lo and bracket_hi together stand for --bracket.
-_RUN_KEYS = {
-    "command": str,
-    "preset": str,
-    "n": int,
-    "grid": int,
-    "jobs": int,
-    "starts": int,
-    "out": str,
-    "param": str,
-    "atol": float,
-    "bracket_lo": float,
-    "bracket_hi": float,
-}
+# Every run key but ``command`` is kept as text and parsed as the flag of the
+# same name, ahead of the command line's flags; bracket_lo and bracket_hi
+# together stand for --bracket.
+_RUN_KEYS = {"command", "preset", "n", "grid", "jobs", "starts", "out", "param",
+             "atol", "bracket_lo", "bracket_hi"}
 
 _SCENARIO_KEYS = {
     "scenario.name", "scenario.n_parties", "scenario.criterion",
@@ -264,16 +243,7 @@ def parse_config(text: str) -> RunConfig:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         seen.add(key)
         if key in _RUN_KEYS:
-            kind = _RUN_KEYS[key]
-            if kind is float:
-                cfg.options[key] = _parse_float(raw, key)
-            elif kind is int:
-                try:
-                    cfg.options[key] = int(raw)
-                except ValueError:
-                    raise UsageError(f"{key} expects an integer") from None
-            else:
-                cfg.options[key] = raw
+            cfg.options[key] = raw
         elif key in _SCENARIO_KEYS or key.startswith("param."):
             cfg.scenario_keys[key] = raw
         elif key.startswith("set."):
@@ -376,7 +346,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                      help="pin one scenario parameter to a value")
     sub.add_argument("--dump-spec", action="store_true",
                      help="print the resolved scenario as config text and exit")
-    sub.add_argument("--starts", type=int, default=None,
+    sub.add_argument("--starts", type=int, default=DEFAULT_STARTS,
                      help="multi-start count for inner optimizations")
     sub.add_argument("--lp-tol", type=float, default=None,
                      help="nonlocal-content tolerance override")
@@ -385,7 +355,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wbell",
         description="Bell violations and detection thresholds for "
                     "single-photon path-entangled states.")
@@ -413,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parameter to bisect (preset default otherwise)")
     p_thr.add_argument("--bracket", type=float, nargs=2, default=None,
                        metavar=("LO", "HI"))
-    p_thr.add_argument("--atol", type=float, default=None,
+    p_thr.add_argument("--atol", type=float, default=DEFAULT_ATOL,
                        help="bisection width tolerance")
 
     p_reg = sub.add_parser("region", help="threshold curve over a grid (CSV)")
@@ -427,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("LO", "HI"))
     p_reg.add_argument("--bracket", type=float, nargs=2, default=None,
                        metavar=("LO", "HI"))
-    p_reg.add_argument("--grid", type=int, default=None,
+    p_reg.add_argument("--grid", type=int, default=DEFAULT_GRID,
                        help="number of grid points")
-    p_reg.add_argument("--atol", type=float, default=None)
+    p_reg.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     p_reg.add_argument("--jobs", type=int, default=None,
                        help="worker processes (or WBELL_JOBS)")
 
@@ -461,36 +431,37 @@ def build_parser() -> argparse.ArgumentParser:
 # Scenario resolution
 
 
-def _load_config(args) -> RunConfig:
-    """Read --config, and fill every flag not given from its run keys."""
-    path = getattr(args, "config", None)
-    if path is None:
-        cfg = RunConfig()
-    else:
+def _parse_args(argv: list) -> tuple:
+    """The flags, and the config file they name. Argparse reads every run
+    option: a config's run keys are parsed as their flags, ahead of the
+    command line's, so a flag the command lacks is refused and a flag given
+    on the command line beats its config key."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = RunConfig()
+    if getattr(args, "config", None) is not None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.config, "r", encoding="utf-8") as handle:
+                cfg = parse_config(handle.read())
         except OSError as err:
             raise UsageError(f"cannot read config file: {err}") from None
-        cfg = parse_config(text)
-    options = dict(cfg.options)
-    declared = options.pop("command", None)
-    if declared is not None and declared != args.command:
-        raise UsageError(
-            f"config is for command {declared!r}, invoked as {args.command!r}")
-    if "bracket_lo" in options or "bracket_hi" in options:
+        options = dict(cfg.options)
+        declared = options.pop("command", None)
+        if declared is not None and declared != args.command:
+            raise UsageError(
+                f"config is for command {declared!r}, invoked as {args.command!r}")
+        if ("bracket_lo" in options) != ("bracket_hi" in options):
+            raise UsageError("config needs both bracket_lo and bracket_hi")
+        flags = [f"--{key}={raw}" for key, raw in options.items()
+                 if key not in ("bracket_lo", "bracket_hi")]
+        if "bracket_lo" in options:
+            flags += ["--bracket", options["bracket_lo"], options["bracket_hi"]]
         try:
-            options["bracket"] = [options.pop("bracket_lo"), options.pop("bracket_hi")]
-        except KeyError:
-            raise UsageError("config needs both bracket_lo and bracket_hi") from None
-    options.setdefault("starts", DEFAULT_STARTS)
-    options.setdefault("grid", DEFAULT_GRID)
-    options.setdefault("atol", DEFAULT_ATOL)
-    for key, value in options.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+            args = parser.parse_args([argv[0], *flags, *argv[1:]])
+        except UsageError as err:
+            raise UsageError(f"config run keys: {err}") from None
     _check_run_options(args)
-    return cfg
+    return args, cfg
 
 
 def _check_run_options(args) -> None:
@@ -555,9 +526,7 @@ def _resolve_scenario(args, cfg: RunConfig) -> tuple:
     if (args.preset is not None) + (config_spec is not None) + explicit > 1:
         raise UsageError("give one scenario: a preset, config scenario keys, or --inequality")
     if args.preset is not None:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            raise UsageError(f"unknown preset {args.preset!r}")
+        preset = PRESETS[args.preset]
         spec = preset.spec
     elif config_spec is not None:
         spec = config_spec
@@ -573,6 +542,17 @@ def _resolve_scenario(args, cfg: RunConfig) -> tuple:
     sets = dict(cfg.sets)
     sets.update(_parse_set_flags(args.set))
     return _apply_sets(spec, sets), preset
+
+
+def _run_target(name, span, default, fallback=(0.0, 1.0)) -> tuple:
+    """A bisected or gridded parameter and its range: each from its flag,
+    else from the preset's ``default`` pair, whose range goes only with the
+    preset's own parameter; another parameter gets ``fallback``."""
+    own, own_span = default or (None, None)
+    name = name or own
+    if span is None:
+        span = own_span if name == own else fallback
+    return name, None if span is None else tuple(span)
 
 
 def _json_text(payload: dict) -> str:
@@ -623,15 +603,9 @@ def _cmd_threshold(args, cfg: RunConfig) -> str:
     spec, preset = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
-    param = args.param
-    if param is None and preset is not None:
-        param = preset.threshold_param
+    param, bracket = _run_target(args.param, args.bracket, preset and preset.threshold)
     if param is None:
         raise UsageError("no parameter to bisect: pass --param")
-    if args.bracket is not None:
-        bracket = tuple(args.bracket)
-    else:
-        bracket = preset.threshold_bracket if preset else (0.0, 1.0)
     threshold = critical_efficiency(spec, param, bracket, atol=args.atol,
                                     n_starts=args.starts)
     at_threshold = optimize_free_parameters(fix_parameter(spec, param, threshold),
@@ -654,22 +628,12 @@ def _cmd_region(args, cfg: RunConfig) -> str:
     spec, preset = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
-    x_name = args.x_name or (preset.region_x if preset else None)
-    y_name = args.y_name or (preset.region_y if preset else None)
+    x_name, x_range = _run_target(args.x_name, args.x_range, preset and preset.region_x, None)
+    y_name, bracket = _run_target(args.y_name, args.bracket, preset and preset.region_y)
     if x_name is None or y_name is None:
         raise UsageError("region needs --x and --y (preset has no defaults)")
-    if args.x_range is not None:
-        x_range = tuple(args.x_range)
-    else:
-        x_range = preset.region_x_range if preset and preset.region_x == x_name \
-            else None
     if x_range is None:
         raise UsageError("region needs --x-range for this parameter")
-    if args.bracket is not None:
-        bracket = tuple(args.bracket)
-    else:
-        bracket = preset.region_y_bracket if preset and preset.region_y == y_name \
-            else (0.0, 1.0)
     curve = region_boundary(
         spec, x_name, y_name,
         np.linspace(x_range[0], x_range[1], args.grid), bracket,
@@ -679,7 +643,8 @@ def _cmd_region(args, cfg: RunConfig) -> str:
 
 def _cmd_content(args, cfg: RunConfig) -> str:
     if args.dist_file is not None:
-        if args.preset or args.config or args.set:
+        if (args.preset or args.config or args.set or args.dump_spec
+                or args.n is not None or args.lp_tol is not None):
             raise UsageError("--dist-file replaces the scenario flags")
         try:
             with open(args.dist_file, "r", encoding="utf-8") as handle:
@@ -741,13 +706,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, cfg = _parse_args(list(argv))
+        _emit(args.run(args, cfg), args.out)
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        _emit(args.run(args, _load_config(args)), args.out)
     except UsageError as err:
         print(f"wbell: error: {err}", file=sys.stderr)
         return 1

@@ -120,20 +120,6 @@ class JointDistribution:
         return dist
 
 
-@dataclass(frozen=True)
-class CorrelatorTable:
-    """Full N-party correlators xi(s) for every settings string, shape (2,)*N."""
-
-    n_parties: int
-    xi: np.ndarray
-
-    def __post_init__(self):
-        if self.xi.shape != (2,) * self.n_parties:
-            raise ValueError("incomplete correlator table")
-        if np.abs(self.xi).max() > 1.0 + 1e-10:
-            raise ValueError("correlator magnitude exceeds 1")
-
-
 def _site_tensor(rho: np.ndarray, n: int) -> np.ndarray:
     """Reshape rho[i_vec, j_vec] into a (4,)*n tensor with axis order (i_k, j_k)."""
     t = rho.reshape((2,) * (2 * n))
@@ -167,8 +153,9 @@ def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment
     return dist
 
 
-def _excitation_correlators(state: ExcitationState, parties) -> CorrelatorTable:
-    """The full correlators of ``state`` under two-outcome devices, unchecked.
+def _excitation_correlators(state: ExcitationState, parties) -> np.ndarray:
+    """The full correlators xi(s) of ``state`` under two-outcome devices, as
+    an unchecked array of shape (2,)*N indexed by the settings bits.
 
     ``parties[k][s]`` holds party k's POVM elements for setting s, as for
     ``_contract``. Expanding rho = w_psi |psi><psi| + w_vac |vac><vac| over
@@ -201,4 +188,4 @@ def _excitation_correlators(state: ExcitationState, parties) -> CorrelatorTable:
         m *= 2
     a, w = state.alpha, state.w_psi
     boundary = np.array([w * abs(a) ** 2 + state.w_vac, w * a, w * np.conj(a), w])
-    return CorrelatorTable(n, (rows @ boundary).real.reshape((2,) * n))
+    return (rows @ boundary).real.reshape((2,) * n)

@@ -7,9 +7,10 @@ outcome order, (down, up) for a binary device on an axis: the "up" element
 weights the -1 eigenstate, which for the z axis is the excited / one-photon
 state |1> (the state a photon counter fires on).
 
-Each ``*_povm`` builder checks its scalar inputs and the elements that its
-``_*_elements`` function returns in outcome order; the scenario path in
-``wbell.search``, whose inputs are already checked, calls the latter directly.
+``FAMILIES`` is the one table of photonic devices. ``family_povm`` and
+``efficiency_povm`` check their scalar inputs and the elements they build;
+the scenario path in ``wbell.search``, whose inputs ``ScenarioSpec`` already
+checked, reads the table's element functions directly.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def equatorial_axis(phi: float) -> BlochAxis:
 
 def _check_elements(label: str, *elements: np.ndarray) -> None:
     for m in elements:
-        if m.shape != (2, 2) or not is_hermitian(m, POVM_TOL):
+        if m.shape != (2, 2) or not is_hermitian(m):
             raise ValueError(f"{label}: POVM elements must be 2x2 Hermitian")
         if hermitian_eigenvalues(m)[0] < -POVM_TOL:
             raise ValueError(f"{label}: POVM element has a negative eigenvalue")
@@ -108,24 +109,30 @@ def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str 
     return POVM(_efficiency_elements(axis, eta_up, eta_down), label or "efficiency")
 
 
-def _homodyne_elements(phi: float, eta_hom: float) -> tuple:
-    e = 0.5 * (1.0 + math.sqrt(2.0 * eta_hom / math.pi))
-    return _efficiency_elements(equatorial_axis(phi), e, e)
+def _homodyne_elements(eff: float, aux: float) -> tuple:
+    """Sign-binned quadrature at phase ``aux``, approximating an equatorial Pauli.
 
-
-def homodyne_povm(phi: float, eta_hom: float, label: str = "homodyne") -> POVM:
-    """Sign-binned quadrature measurement approximating an equatorial Pauli.
-
-    Binning the quadrature at phase phi identifies the equatorial eigenstates
-    correctly with probability (1 + sqrt(2 eta_hom / pi)) / 2, symmetric in
-    both outcomes; eta_hom is the homodyne detection efficiency.
+    Binning identifies the equatorial eigenstates correctly with probability
+    (1 + sqrt(2 eff / pi)) / 2, symmetric in both outcomes; ``eff`` is the
+    homodyne detection efficiency.
     """
-    _check_probability(eta_hom=eta_hom)
-    return POVM(_homodyne_elements(phi, eta_hom), label)
+    e = 0.5 * (1.0 + math.sqrt(2.0 * eff / math.pi))
+    return _efficiency_elements(equatorial_axis(aux), e, e)
 
 
-def _displaced_spd_elements(alpha: float, eta_spd: float) -> tuple:
-    a, eta = float(alpha), float(eta_spd)
+def _displaced_elements(eff: float, aux: float) -> tuple:
+    """Displacement followed by a photon counter, binned as an x measurement.
+
+    In the {|0>, |1>} Fock basis the no-click element is
+
+        E0 = exp(-eta a^2) [[1, eta a], [eta a, eta^2 a^2 + 1 - eta]]
+
+    with a = ``aux`` the (real) displacement amplitude and eta = ``eff`` the
+    counter efficiency. A click maps to Bell outcome 0 and no-click to outcome
+    1: at a = -1 and eta = 1 the +1 eigenstate of sigma_x always clicks,
+    while the -1 eigenstate stays silent with probability 2/e.
+    """
+    a, eta = float(aux), float(eff)
     pref = math.exp(-eta * a * a)
     # Scaled in Python floats: where eta^2 a^2 overflows, pref is 0 and the
     # entry becomes NaN, for the finite check to reject, with no warning.
@@ -134,29 +141,64 @@ def _displaced_spd_elements(alpha: float, eta_spd: float) -> tuple:
     return np.eye(2) - e0, e0
 
 
-def displaced_spd_povm(alpha: float, eta_spd: float, label: str = "displaced-spd") -> POVM:
-    """Displacement followed by a photon counter, binned as an x measurement.
+def _displaced_response_elements(eff: float, aux: float) -> tuple:
+    """Diagonal response model of displacement followed by on/off detection.
 
-    In the {|0>, |1>} Fock basis the no-click element is
-
-        E0 = exp(-eta a^2) [[1, eta a], [eta a, eta^2 a^2 + 1 - eta]]
-
-    with a = alpha the (real) displacement amplitude and eta = eta_spd the
-    counter efficiency. A click maps to Bell outcome 0 and no-click to outcome
-    1: at alpha = -1 and eta = 1 the +1 eigenstate of sigma_x always clicks,
-    while the -1 eigenstate stays silent with probability 2/e.
+    Keeps only the per-eigenstate click statistics of the displaced counter:
+    the x eigenstates respond with probabilities read off the exact no-click
+    element, and the POVM is rebuilt as a two-efficiency error model on the x
+    axis. Unlike "displaced" this drops the coherence between the two
+    eigenstates, which is how threshold studies usually tabulate the device.
     """
-    _check_probability(eta_spd=eta_spd)
-    return POVM(_displaced_spd_elements(alpha, eta_spd), label)
+    damp = math.exp(-eff * aux * aux)
+    try:
+        up = 0.5 * damp * ((1.0 - eff * aux) ** 2 + 1.0 - eff)
+        down = 1.0 - 0.5 * damp * ((1.0 + eff * aux) ** 2 + 1.0 - eff)
+    except OverflowError:
+        # (eff aux)^2 beyond float range: NaN elements, which the finite
+        # check on the criterion value rejects.
+        nan = np.full((2, 2), math.nan, dtype=complex)
+        return nan, nan
+    up = min(max(up, 0.0), 1.0)
+    down = min(max(down, 0.0), 1.0)
+    return _efficiency_elements(X_AXIS, up, down)
 
 
-def _lossy_threeoutcome_elements(axis: BlochAxis, eta: float) -> tuple:
+def _ad_x_elements(eff: float, aux: float) -> tuple:
+    """Equatorial measurement after amplitude damping of transmission ``eff``:
+    the symmetric model at (1 + sqrt(eff)) / 2."""
+    sym_eff = 0.5 * (1.0 + math.sqrt(eff))
+    return _efficiency_elements(equatorial_axis(aux), sym_eff, sym_eff)
+
+
+def _lossy3_elements(axis: BlochAxis, eta: float) -> tuple:
+    """Projective measurement along ``axis`` that fails to fire with prob
+    1 - eta; outcomes +1 eigenstate, -1 eigenstate, no click."""
     p_down, p_up = axis.projectors()
     return eta * p_down, eta * p_up, (1.0 - eta) * np.eye(2)
 
 
-def lossy_threeoutcome_povm(axis: BlochAxis, eta: float, label: str = "lossy3") -> POVM:
-    """Projective measurement along ``axis`` that fails to fire with prob
-    1 - eta; outcomes +1 eigenstate, -1 eigenstate, no click."""
-    _check_probability(eta=eta)
-    return POVM(_lossy_threeoutcome_elements(axis, eta), label)
+# The one table of photonic devices: family -> (outcome count, its elements
+# in outcome order from the efficiency ``eff`` and the knob ``aux``), built
+# unchecked. ``aux`` is the azimuth of "sym", "homodyne", "ad_x" and
+# "lossy3_x", the displacement amplitude of "displaced" and
+# "displaced_response", and unused by "spd" and "lossy3_z".
+FAMILIES = {
+    "spd": (2, lambda eff, aux: _efficiency_elements(Z_AXIS, eff, 1.0)),
+    "sym": (2, lambda eff, aux: _efficiency_elements(equatorial_axis(aux), eff, eff)),
+    "homodyne": (2, _homodyne_elements),
+    "displaced": (2, _displaced_elements),
+    "displaced_response": (2, _displaced_response_elements),
+    "ad_x": (2, _ad_x_elements),
+    "lossy3_z": (3, lambda eff, aux: _lossy3_elements(Z_AXIS, eff)),
+    "lossy3_x": (3, lambda eff, aux: _lossy3_elements(equatorial_axis(aux), eff)),
+}
+
+
+def family_povm(family: str, eff: float, aux: float = 0.0) -> POVM:
+    """The checked device of one ``FAMILIES`` entry: ``eff`` must lie in
+    [0, 1], and :class:`POVM` checks the elements."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown measurement family {family!r}")
+    _check_probability(eff=eff)
+    return POVM(FAMILIES[family][1](eff, aux), family)

@@ -17,11 +17,12 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
+    """Square and within HERMITIAN_TOL of its conjugate transpose."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return float(np.abs(m - dag(m)).max()) <= tol
+    return float(np.abs(m - dag(m)).max()) <= HERMITIAN_TOL
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -34,7 +35,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if not is_hermitian(m, HERMITIAN_TOL):
+    if not is_hermitian(m):
         raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
     return np.linalg.eigvalsh((m + dag(m)) / 2.0)
 

@@ -20,17 +20,8 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .bell import BellResult, cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
-from .dist import CorrelatorTable, JointDistribution, _contract, _excitation_correlators
-from .measure import (
-    BlochAxis,
-    X_AXIS,
-    Z_AXIS,
-    _displaced_spd_elements,
-    _efficiency_elements,
-    _homodyne_elements,
-    _lossy_threeoutcome_elements,
-    equatorial_axis,
-)
+from .dist import JointDistribution, _contract, _excitation_correlators
+from .measure import FAMILIES, BlochAxis, _efficiency_elements
 from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from .states import ExcitationState, atom_photon_state, w_state
 
@@ -44,9 +35,9 @@ _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
 
 class Criterion(NamedTuple):
     """A criterion's outcome count and party range (``max_parties`` None: no
-    cap), and ``evaluate``, which maps a JointDistribution (a CorrelatorTable
-    when ``correlators`` is set) to a BellResult, or to a ContentResult when
-    ``lp`` is set."""
+    cap), and ``evaluate``, which maps a JointDistribution (the (2,)*N array
+    of full correlators when ``correlators`` is set) to a BellResult, or to a
+    ContentResult when ``lp`` is set."""
 
     n_outcomes: int
     min_parties: int
@@ -118,10 +109,8 @@ class MeasSpec:
     """One measurement device: a family plus its efficiency and auxiliary knob.
 
     ``eff`` and ``aux`` are either literals or names referring to scenario
-    parameters. The meaning of ``aux`` depends on the family: azimuth for
-    "sym", "homodyne", "ad_x" and "lossy3_x"; displacement amplitude for
-    "displaced"; unused for "spd" and "lossy3_z". ``flip`` swaps the two
-    outcome labels of a binary device.
+    parameters; ``measure.FAMILIES`` says what ``aux`` means to each family.
+    ``flip`` swaps the two outcome labels of a binary device.
     """
 
     family: str
@@ -130,14 +119,14 @@ class MeasSpec:
     flip: bool = False
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown measurement family {self.family!r}")
         if self.flip and self.n_outcomes != 2:
             raise ValueError("flip applies to two-outcome devices only")
 
     @property
     def n_outcomes(self) -> int:
-        return _FAMILIES[self.family][0]
+        return FAMILIES[self.family][0]
 
     def references(self) -> set:
         return {r for r in (self.eff, self.aux) if isinstance(r, str)}
@@ -270,52 +259,9 @@ def _lookup(ref, values: dict) -> float:
     return float(ref)
 
 
-def _displaced_response_elements(alpha: float, eta_spd: float) -> tuple:
-    """Diagonal response model of displacement followed by on/off detection.
-
-    Keeps only the per-eigenstate click statistics of the displaced counter:
-    the x eigenstates respond with probabilities read off the exact no-click
-    element, and the POVM is rebuilt as a two-efficiency error model on the x
-    axis. Unlike displaced_spd_povm this drops the coherence between the two
-    eigenstates, which is how threshold studies usually tabulate the device.
-    """
-    damp = math.exp(-eta_spd * alpha * alpha)
-    try:
-        up = 0.5 * damp * ((1.0 - eta_spd * alpha) ** 2 + 1.0 - eta_spd)
-        down = 1.0 - 0.5 * damp * ((1.0 + eta_spd * alpha) ** 2 + 1.0 - eta_spd)
-    except OverflowError:
-        # (eta alpha)^2 beyond float range: NaN elements, which the finite
-        # check on the criterion value rejects.
-        nan = np.full((2, 2), math.nan, dtype=complex)
-        return nan, nan
-    up = min(max(up, 0.0), 1.0)
-    down = min(max(down, 0.0), 1.0)
-    return _efficiency_elements(X_AXIS, up, down)
-
-
-def _ad_x_elements(eff: float, aux: float) -> tuple:
-    sym_eff = 0.5 * (1.0 + math.sqrt(eff))
-    return _efficiency_elements(equatorial_axis(aux), sym_eff, sym_eff)
-
-
-# Measurement family -> (outcome count, its POVM elements in outcome order
-# from efficiency and aux), built unchecked: ScenarioSpec checked the inputs.
-_FAMILIES = {
-    "spd": (2, lambda eff, aux: _efficiency_elements(Z_AXIS, eff, 1.0)),
-    "sym": (2, lambda eff, aux: _efficiency_elements(equatorial_axis(aux), eff, eff)),
-    "homodyne": (2, lambda eff, aux: _homodyne_elements(aux, eff)),
-    "displaced": (2, lambda eff, aux: _displaced_spd_elements(aux, eff)),
-    "displaced_response": (2, lambda eff, aux: _displaced_response_elements(aux, eff)),
-    "ad_x": (2, _ad_x_elements),
-    "lossy3_z": (3, lambda eff, aux: _lossy_threeoutcome_elements(Z_AXIS, eff)),
-    "lossy3_x": (3, lambda eff, aux: _lossy_threeoutcome_elements(equatorial_axis(aux), eff)),
-}
-
-
 def photon_elements(ms: MeasSpec, values: dict) -> tuple:
     """The POVM elements of one photonic device, in outcome order."""
-    _, build = _FAMILIES[ms.family]
-    elements = build(_lookup(ms.eff, values), _lookup(ms.aux, values))
+    elements = FAMILIES[ms.family][1](_lookup(ms.eff, values), _lookup(ms.aux, values))
     return elements[::-1] if ms.flip else elements
 
 
@@ -345,9 +291,9 @@ def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution
     return _contract(scenario_state(spec, values), _scenario_parties(spec, values))
 
 
-def criterion_result(criterion: str, data: Union[JointDistribution, CorrelatorTable]):
+def criterion_result(criterion: str, data: Union[JointDistribution, np.ndarray]):
     """Apply one named criterion to what it reads: a full-correlator
-    criterion to a CorrelatorTable, any other to a JointDistribution."""
+    criterion to the (2,)*N correlator array, any other to a JointDistribution."""
     rule = CRITERIA.get(criterion)
     if rule is None:
         raise ValueError(f"unknown criterion {criterion!r}")

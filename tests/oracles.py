@@ -13,8 +13,6 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from wbell.dist import CorrelatorTable
-
 FOCK_CUTOFF = 40
 VERTEX_CAP = 10 ** 6
 OPERATOR_ATOL = 1e-12
@@ -195,16 +193,15 @@ def brute_force_correlators(rho: np.ndarray, party_settings) -> np.ndarray:
     return (table @ parity).reshape((2,) * n)
 
 
-def full_correlators(p) -> CorrelatorTable:
+def full_correlators(p) -> np.ndarray:
     """xi(s) = sum_o (-1)^(sum_k o_k) P(o|s) of a two-outcome
-    JointDistribution, outcome 0 valued +1."""
+    JointDistribution, outcome 0 valued +1, shape (2,)*n."""
     if p.n_outcomes != 2:
         raise ValueError("full correlators are defined for two-outcome scenarios")
     n = p.n_parties
     flat = p.table.reshape(2 ** n, 2 ** n)
     parity = np.array([(-1.0) ** bin(i).count("1") for i in range(2 ** n)])
-    xi = (flat @ parity).reshape((2,) * n)
-    return CorrelatorTable(n, xi)
+    return (flat @ parity).reshape((2,) * n)
 
 
 def damping_threshold(n: int) -> float:

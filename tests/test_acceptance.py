@@ -24,7 +24,7 @@ import pytest
 from wbell.bell import cabello_value, wwwzb_value
 from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
-from wbell.measure import X_AXIS, Z_AXIS, displaced_spd_povm, efficiency_povm
+from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, family_povm
 from wbell.polytope import nonlocal_content
 from wbell.qmat import negativity
 from wbell.search import (
@@ -263,7 +263,7 @@ def test_ac7_oracle_and_property_suites():
     worst = 0.0
     for alpha in (-1.5, -0.4, 0.6, 1.8):
         for eta in (0.35, 0.8, 1.0):
-            got = displaced_spd_povm(alpha, eta).elements[1]
+            got = family_povm("displaced", eta, alpha).elements[1]
             worst = max(worst, np.max(np.abs(got - fock_noclick_block(alpha, eta))))
     checks.append(("displaced counter vs truncated-mode oracle", worst <= 1e-10))
 

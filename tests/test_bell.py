@@ -14,7 +14,7 @@ from wbell.bell import (
     mermin3_value,
     wwwzb_value,
 )
-from wbell.dist import CorrelatorTable, JointDistribution, MeasurementAssignment, joint_distribution
+from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import BlochAxis, X_AXIS, Z_AXIS, efficiency_povm, equatorial_axis
 from wbell.states import damped_w_state, w_state
 
@@ -133,7 +133,7 @@ def test_mermin3_needs_three_parties():
 def test_chsh_tsirelson_from_correlator_table():
     s = 1.0 / math.sqrt(2.0)
     xi = np.array([[s, s], [s, -s]])
-    got = chsh_value(CorrelatorTable(2, xi))
+    got = chsh_value(xi)
     assert got.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     assert got.violated
 
@@ -143,7 +143,7 @@ def test_chsh_minus_position_is_scanned():
     for i, j in itertools.product(range(2), repeat=2):
         xi = np.ones((2, 2))
         xi[i, j] = -1.0
-        assert chsh_value(CorrelatorTable(2, xi)).value == pytest.approx(4.0)
+        assert chsh_value(xi).value == pytest.approx(4.0)
 
 
 def test_chsh_quantum_route_on_w2():

@@ -160,6 +160,14 @@ class TestThreshold:
                             "--bracket", "0.3", "0.5"])
         assert code == 2 and "numerical failure" in err
 
+    def test_a_preset_bracket_goes_only_with_its_own_parameter(self):
+        """fig2 bisects eta_z on (0.1, 1); another parameter gets (0, 1)."""
+        for param, bracket in (("eta_x", "[0, 1]"), ("eta_z", "[0.1, 1]")):
+            code, out, err = run(["threshold", "--preset", "fig2", "--param", param,
+                                  "--starts", "2", "--atol", "0.1"])
+            assert code == 2 and out == "", (param, err)
+            assert f"whole bracket {bracket} of '{param}'" in err, (param, err)
+
     def test_unknown_bisection_parameter(self):
         code, _, _ = run(["threshold", "--preset", "cabello-ad",
                           "--param", "bogus"])
@@ -228,6 +236,16 @@ class TestContent:
                           "--preset", "fig5"])
         assert code == 1
 
+    def test_dist_file_refuses_size_tolerance_and_spec_flags(self, tmp_path):
+        """A table fixes its own size, and it is no scenario to dump: --n,
+        --lp-tol and --dump-spec are refused, not ignored."""
+        path = tmp_path / "w3.dist"
+        path.write_text(run(self.IDEAL + ["--dump-dist"])[1])
+        for flags in (["--n", "7"], ["--lp-tol", "0.1"], ["--dump-spec"]):
+            code, out, err = run(["content", "--dist-file", str(path), *flags])
+            assert code == 1 and out == "", flags
+            assert err == "wbell: error: --dist-file replaces the scenario flags\n", flags
+
     def test_matches_library_call(self):
         d = run_json(self.IDEAL)
         spec = PRESETS["fig5"].build(3)
@@ -279,7 +297,7 @@ class TestConfigFiles:
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nn = 4  # trailing\n")
-        assert cfg.options == {"n": 4}
+        assert cfg.options == {"n": "4"}
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -317,6 +335,12 @@ class TestConfigFiles:
         path.write_text("preset = cabello-ad\nbracket_lo = 0.5\n")
         code, _, err = run(["threshold", "--config", str(path)])
         assert code == 1 and "bracket_hi" in err
+        # A flag on the command line beats its config key, a bad one included.
+        path.write_text("preset = fig1\nn = 4\nstarts = 0\n")
+        assert run(["threshold", "--config", str(path), "--dump-spec"])[0] == 1
+        code, out, err = run(["threshold", "--config", str(path), "--n", "5",
+                              "--starts", "2", "--dump-spec"])
+        assert code == 0 and "scenario.n_parties = 5\n" in out, err
 
     def test_lp_tol_must_be_finite_and_non_negative(self, tmp_path):
         text = run(["content", "--preset", "fig5", "--n", "3", "--dump-spec"])[1]
@@ -331,6 +355,28 @@ class TestConfigFiles:
                 assert len(err.splitlines()) == 1
         path.write_text(text.replace("scenario.lp_tol = 1e-08", "scenario.lp_tol = 0"))
         assert run(["content", "--config", str(path), "--dump-spec"])[0] == 0
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["threshold", "--preset", "fig1", "--n", "x"], None),
+    (["threshold", "--preset", "nope"], None),
+    (["threshold", "--preset", "fig1", "--starts"], None),
+    (["threshold", "--preset", "fig1", "--bogus", "1"], None),
+    ([], None),
+    (["threshold"], "preset = fig1\nn = x\n"),
+    (["threshold"], "preset = fig1\ngrid = 3\n"),
+], ids=["bad-int", "bad-choice", "missing-value", "unknown-flag", "no-command",
+        "bad-run-key-value", "run-key-without-flag"])
+def test_bad_run_options_give_one_line(tmp_path, argv, config):
+    """Argparse reads every run option, flag or config run key, and a bad one
+    exits 1 with one error line and no usage text."""
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("wbell: error:") and len(err.splitlines()) == 1, err
 
 
 class TestFlagValidation:

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import brute_force_correlators, brute_force_distribution, full_correlators
 from wbell.dist import (
-    CorrelatorTable,
     JointDistribution,
     MeasurementAssignment,
     _contract,
@@ -19,8 +18,7 @@ from wbell.measure import (
     X_AXIS,
     Z_AXIS,
     efficiency_povm,
-    homodyne_povm,
-    lossy_threeoutcome_povm,
+    family_povm,
 )
 from wbell.states import ExcitationState, damped_w_state, w_state
 
@@ -50,7 +48,7 @@ def test_joint_distribution_matches_brute_force_two_outcome():
     for n in (2, 3):
         st = damped_w_state(n, 0.7)
         z = efficiency_povm(Z_AXIS, 0.8, 1.0)
-        x = homodyne_povm(0.4, 0.9)
+        x = family_povm("homodyne", 0.9, 0.4)
         p = joint_distribution(st, MeasurementAssignment.uniform(z, x, n))
         p.validate()
         parties = [(z.elements, x.elements)] * n
@@ -60,8 +58,8 @@ def test_joint_distribution_matches_brute_force_two_outcome():
 
 def test_joint_distribution_matches_brute_force_three_outcome():
     st = w_state(3)
-    z3 = lossy_threeoutcome_povm(Z_AXIS, 0.75)
-    x3 = lossy_threeoutcome_povm(X_AXIS, 0.6)
+    z3 = family_povm("lossy3_z", 0.75)
+    x3 = family_povm("lossy3_x", 0.6)
     p = joint_distribution(st, MeasurementAssignment.uniform(z3, x3, 3))
     p.validate()
     parties = [(z3.elements, x3.elements)] * 3
@@ -77,7 +75,7 @@ def test_joint_distribution_with_atom_party():
     atom = (efficiency_povm(Z_AXIS, 1.0, 1.0),
             efficiency_povm(BlochAxis(math.pi / 2, 0.0), 1.0, 1.0))
     z = efficiency_povm(Z_AXIS, 0.8, 1.0)
-    x = homodyne_povm(0.0, 1.0)
+    x = family_povm("homodyne", 1.0)
     p = joint_distribution(st, MeasurementAssignment((atom, (z, x), (z, x))))
     p.validate()
     parties = [(atom[0].elements, atom[1].elements)] + [(z.elements, x.elements)] * 2
@@ -120,9 +118,9 @@ def test_full_correlators_against_observable_trace():
     n = 3
     st = damped_w_state(n, 0.85)
     z = efficiency_povm(Z_AXIS, 0.9, 1.0)
-    x = homodyne_povm(0.2, 0.8)
+    x = family_povm("homodyne", 0.8, 0.2)
     p = joint_distribution(st, MeasurementAssignment.uniform(z, x, n))
-    c = full_correlators(p)
+    xi = full_correlators(p)
     for s_flat in range(2 ** n):
         settings = tuple((s_flat >> (n - 1 - k)) & 1 for k in range(n))
         op = np.eye(1, dtype=complex)
@@ -130,19 +128,12 @@ def test_full_correlators_against_observable_trace():
             m_0, m_1 = (x if settings[k] else z).elements
             op = np.kron(op, m_0 - m_1)
         expected = np.trace(st.rho @ op).real
-        assert c.xi[settings] == pytest.approx(expected, abs=1e-12)
+        assert xi[settings] == pytest.approx(expected, abs=1e-12)
 
 
 def test_w3_all_z_correlator_is_minus_one():
     p = joint_distribution(w_state(3), ideal_assignment(3))
-    assert full_correlators(p).xi[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_correlator_table_validation():
-    with pytest.raises(ValueError):
-        CorrelatorTable(2, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        CorrelatorTable(2, 2.0 * np.ones((2, 2)))
+    assert full_correlators(p)[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_serialization_round_trip_is_lossless():
@@ -208,9 +199,9 @@ def test_excitation_correlators_match_the_dense_contraction():
             parties = [(random_two_outcome_elements(rng), random_two_outcome_elements(rng))
                        for _ in range(n)]
             got = _excitation_correlators(state, parties)
-            assert got.xi.shape == (2,) * n
-            dense = full_correlators(_contract(state, parties)).xi
-            np.testing.assert_allclose(got.xi, dense, atol=BRUTE_ATOL, rtol=0.0)
+            assert got.shape == (2,) * n
+            dense = full_correlators(_contract(state, parties))
+            np.testing.assert_allclose(got, dense, atol=BRUTE_ATOL, rtol=0.0)
             if n <= 4:
                 brute = brute_force_correlators(state.rho, parties)
-                np.testing.assert_allclose(got.xi, brute, atol=BRUTE_ATOL, rtol=0.0)
+                np.testing.assert_allclose(got, brute, atol=BRUTE_ATOL, rtol=0.0)

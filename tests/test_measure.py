@@ -1,4 +1,4 @@
-"""Measurement models: axes, efficiency POVMs, homodyne and displaced detectors."""
+"""Measurement models: axes, efficiency POVMs, and the device families."""
 
 import math
 
@@ -11,11 +11,10 @@ from wbell.measure import (
     BlochAxis,
     X_AXIS,
     Z_AXIS,
-    displaced_spd_povm,
+    FAMILIES,
     efficiency_povm,
     equatorial_axis,
-    homodyne_povm,
-    lossy_threeoutcome_povm,
+    family_povm,
 )
 
 FOCK_ATOL = 1e-10
@@ -99,7 +98,7 @@ def test_two_outcome_povm_validation():
 
 def test_homodyne_ideal_correctness_constant():
     correct = 0.5 * (1.0 + math.sqrt(2.0 / math.pi))
-    m_down = homodyne_povm(0.0, 1.0).elements[0]
+    m_down = family_povm("homodyne", 1.0, 0.0).elements[0]
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert (plus @ m_down @ plus).real == pytest.approx(correct, abs=1e-12)
 
@@ -109,12 +108,12 @@ def test_homodyne_matches_symmetric_efficiency_model():
         for eta in (0.2, 0.77, 1.0):
             e = 0.5 * (1.0 + math.sqrt(2.0 * eta / math.pi))
             expected = efficiency_povm(equatorial_axis(phi), e, e)
-            got = homodyne_povm(phi, eta)
+            got = family_povm("homodyne", eta, phi)
             np.testing.assert_allclose(got.elements[1], expected.elements[1], atol=OPERATOR_ATOL)
 
 
 def test_homodyne_zero_efficiency_is_coin_flip():
-    povm = homodyne_povm(0.4, 0.0)
+    povm = family_povm("homodyne", 0.0, 0.4)
     np.testing.assert_allclose(povm.elements[1], 0.5 * np.eye(2), atol=OPERATOR_ATOL)
 
 
@@ -123,20 +122,20 @@ def test_displaced_noclick_matches_fock_oracle():
     for alpha in np.linspace(-3.0, 3.0, 13):
         for eta in (0.3, 0.7, 1.0):
             oracle = fock_noclick_block(float(alpha), eta)
-            got = displaced_spd_povm(float(alpha), eta).elements[1]
+            got = family_povm("displaced", eta, float(alpha)).elements[1]
             np.testing.assert_allclose(got, oracle, atol=FOCK_ATOL)
 
 
 def test_displaced_povm_is_valid_over_parameter_grid():
     for alpha in np.linspace(-2.5, 2.5, 11):
         for eta in (0.1, 0.5, 0.9, 1.0):
-            assert_valid_povm(displaced_spd_povm(float(alpha), eta).elements)
+            assert_valid_povm(family_povm("displaced", eta, float(alpha)).elements)
 
 
 def test_displaced_click_statistics_at_reference_point():
     # At alpha = -1, eta = 1 the +x eigenstate always clicks and the -x
     # eigenstate stays silent with probability 2/e.
-    noclick = displaced_spd_povm(-1.0, 1.0).elements[1]
+    noclick = family_povm("displaced", 1.0, -1.0).elements[1]
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
     assert (plus @ noclick @ plus).real == pytest.approx(0.0, abs=1e-12)
@@ -145,19 +144,21 @@ def test_displaced_click_statistics_at_reference_point():
 
 def test_displaced_rejects_bad_efficiency():
     with pytest.raises(ValueError):
-        displaced_spd_povm(0.5, 1.01)
+        family_povm("displaced", 1.01, 0.5)
+
+
+def test_family_povm_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown measurement family 'pnr'"):
+        family_povm("pnr", 0.5)
 
 
 def test_every_builder_rejects_a_probability_outside_the_unit_interval():
     """The builders check their scalar inputs, NaN included, before any
     element is built, and name the input in the message."""
-    builders = (
+    builders = [
         ("eta_up", lambda p: efficiency_povm(Z_AXIS, p, 1.0)),
         ("eta_down", lambda p: efficiency_povm(Z_AXIS, 1.0, p)),
-        ("eta_hom", lambda p: homodyne_povm(0.2, p)),
-        ("eta_spd", lambda p: displaced_spd_povm(0.5, p)),
-        ("eta", lambda p: lossy_threeoutcome_povm(X_AXIS, p)),
-    )
+    ] + [("eff", lambda p, family=family: family_povm(family, p, 0.5)) for family in FAMILIES]
     for name, build in builders:
         for bad in (-1e-9, 1.0 + 1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"^{name}="):
@@ -167,7 +168,7 @@ def test_every_builder_rejects_a_probability_outside_the_unit_interval():
 
 
 def test_lossy_threeoutcome_structure():
-    povm = lossy_threeoutcome_povm(X_AXIS, 0.6)
+    povm = family_povm("lossy3_x", 0.6)
     assert povm.n_outcomes == 3
     assert_valid_povm(povm.elements)
     p_down, p_up = X_AXIS.projectors()

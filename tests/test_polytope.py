@@ -9,7 +9,7 @@ from oracles import enumerate_vertices, enumerated_local_weight, nonlocal_conten
 from wbell.bell import cabello_value
 from wbell.cli import PRESETS
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
-from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, lossy_threeoutcome_povm
+from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, family_povm
 from wbell.polytope import (
     FEASIBILITY_TOL,
     LPInfeasibleError,
@@ -145,7 +145,7 @@ def w_with_devices(etas, n_outcomes=2):
         pairs = tuple((efficiency_povm(Z_AXIS, e, 1.0), efficiency_povm(X_AXIS, e, e))
                       for e in etas)
     else:
-        pairs = tuple((lossy_threeoutcome_povm(Z_AXIS, e), lossy_threeoutcome_povm(X_AXIS, e))
+        pairs = tuple((family_povm("lossy3_z", e), family_povm("lossy3_x", e))
                       for e in etas)
     return joint_distribution(w_state(len(etas)), MeasurementAssignment(pairs))
 

@@ -10,17 +10,16 @@ import wbell.search as search
 from wbell.bell import VIOLATION_GUARD, BellResult
 from wbell.cli import PRESETS
 import wbell.dist as dist
-from wbell.dist import CorrelatorTable, JointDistribution, MeasurementAssignment, joint_distribution
+from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import (
     POVM,
     X_AXIS,
     Z_AXIS,
+    FAMILIES,
     BlochAxis,
-    displaced_spd_povm,
     efficiency_povm,
     equatorial_axis,
-    homodyne_povm,
-    lossy_threeoutcome_povm,
+    family_povm,
 )
 from wbell.polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from wbell.search import (
@@ -294,7 +293,7 @@ class TestBuildPhotonPovm:
             for eta in (0.4, 0.85, 1.0):
                 r_down, r_up = photon_elements(
                     MeasSpec("displaced_response", eta, alpha), {})
-                exact_up = displaced_spd_povm(alpha, eta).elements[1]
+                exact_up = family_povm("displaced", eta, alpha).elements[1]
                 got_up = (minus.conj() @ r_up @ minus).real
                 got_down = (plus.conj() @ r_down @ plus).real
                 assert got_up == pytest.approx(
@@ -559,40 +558,67 @@ def test_threshold_curve_csv_format():
     assert value == pytest.approx(curve.points[0][1], abs=1e-9)
 
 
-# The scenario path builds devices from the private element functions and
-# contracts the table unchecked. These tests pin it to the checked public
-# path, bit for bit, and pin that it runs no check per evaluation.
+# The scenario path builds devices from the element functions of
+# measure.FAMILIES and contracts the table unchecked. These tests pin it to
+# the checked public path, bit for bit, and to closed forms written out here,
+# and pin that it runs no check per evaluation.
+
+FAMILY_ATOL = 1e-15
+
 
 def public_photon_povm(ms, values):
     """The checked public object behind one MeasSpec."""
     eff = values[ms.eff] if isinstance(ms.eff, str) else float(ms.eff)
     aux = values[ms.aux] if isinstance(ms.aux, str) else float(ms.aux or 0.0)
-    if ms.family == "displaced_response":
-        damp = math.exp(-eff * aux * aux)
-        up = min(max(0.5 * damp * ((1.0 - eff * aux) ** 2 + 1.0 - eff), 0.0), 1.0)
-        down = min(max(1.0 - 0.5 * damp * ((1.0 + eff * aux) ** 2 + 1.0 - eff), 0.0), 1.0)
-        povm = efficiency_povm(X_AXIS, up, down)
-    elif ms.family == "ad_x":
-        e = 0.5 * (1.0 + math.sqrt(eff))
-        povm = efficiency_povm(equatorial_axis(aux), e, e)
-    else:
-        povm = {
-            "spd": lambda: efficiency_povm(Z_AXIS, eff, 1.0),
-            "sym": lambda: efficiency_povm(equatorial_axis(aux), eff, eff),
-            "homodyne": lambda: homodyne_povm(aux, eff),
-            "displaced": lambda: displaced_spd_povm(aux, eff),
-            "lossy3_z": lambda: lossy_threeoutcome_povm(Z_AXIS, eff),
-            "lossy3_x": lambda: lossy_threeoutcome_povm(equatorial_axis(aux), eff),
-        }[ms.family]()
+    povm = family_povm(ms.family, eff, aux)
     return POVM(povm.elements[::-1], povm.label) if ms.flip else povm
 
 
+def closed_form_elements(family, eff, aux):
+    """Each family's elements in outcome order, written out from the
+    eigenprojectors of its axis: (+1, -1) of sigma_z, or of the equatorial
+    cos(aux) sigma_x + sin(aux) sigma_y."""
+    z_plus, z_minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    phase = np.exp(1j * aux)
+    eq_plus = 0.5 * np.array([[1.0, np.conj(phase)], [phase, 1.0]])
+    eq_minus = np.eye(2) - eq_plus
+
+    def symmetric(e, plus=eq_plus, minus=eq_minus):
+        return e * plus + (1.0 - e) * minus, e * minus + (1.0 - e) * plus
+
+    def no_click(a):
+        """The displaced counter's no-click element, Fock basis."""
+        return math.exp(-eff * a * a) * np.array(
+            [[1.0, eff * a], [eff * a, eff * eff * a * a + 1.0 - eff]])
+
+    if family == "spd":
+        return z_plus + (1.0 - eff) * z_minus, eff * z_minus
+    if family == "sym":
+        return symmetric(eff)
+    if family == "homodyne":
+        return symmetric(0.5 * (1.0 + math.sqrt(2.0 * eff / math.pi)))
+    if family == "ad_x":
+        return symmetric(0.5 * (1.0 + math.sqrt(eff)))
+    if family == "displaced":
+        return np.eye(2) - no_click(aux), no_click(aux)
+    if family == "displaced_response":
+        # The x eigenstates keep the displaced counter's click statistics.
+        x_plus = 0.5 * np.ones((2, 2))
+        x_minus = np.eye(2) - x_plus
+        up = min(max(np.trace(x_minus @ no_click(aux)).real, 0.0), 1.0)
+        down = min(max(1.0 - np.trace(x_plus @ no_click(aux)).real, 0.0), 1.0)
+        return down * x_plus + (1.0 - up) * x_minus, up * x_minus + (1.0 - down) * x_plus
+    plus, minus = (z_plus, z_minus) if family == "lossy3_z" else (eq_plus, eq_minus)
+    return eff * plus, eff * minus, (1.0 - eff) * np.eye(2)
+
+
 def test_family_elements_equal_the_public_builders_bit_for_bit():
+    """For every family of measure.FAMILIES, the scenario path's elements
+    equal family_povm's bit for bit, and a closed form within FAMILY_ATOL."""
     rng = np.random.default_rng(11)
-    families = {name: k for name, (k, _) in search._FAMILIES.items()}
-    assert set(families) == {"spd", "sym", "homodyne", "displaced", "displaced_response",
+    assert set(FAMILIES) == {"spd", "sym", "homodyne", "displaced", "displaced_response",
                              "ad_x", "lossy3_z", "lossy3_x"}
-    for family, k in families.items():
+    for family, (k, _) in FAMILIES.items():
         for flip in ((False, True) if k == 2 else (False,)):
             for _ in range(25):
                 eff = float(rng.uniform(0.0, 1.0))
@@ -601,9 +627,14 @@ def test_family_elements_equal_the_public_builders_bit_for_bit():
                 ms = MeasSpec(family, eff, aux, flip)
                 trusted = photon_elements(ms, {})
                 public = public_photon_povm(ms, {}).elements
-                assert len(trusted) == len(public) == k
-                for a, b in zip(trusted, public):
+                closed = closed_form_elements(family, eff, aux)
+                if flip:
+                    closed = closed[::-1]
+                assert len(trusted) == len(public) == len(closed) == k
+                for a, b, c in zip(trusted, public, closed):
                     np.testing.assert_array_equal(a, b)
+                    np.testing.assert_allclose(a, c, atol=FAMILY_ATOL, rtol=0.0,
+                                               err_msg=f"{family} {eff} {aux}")
                 assert_valid_povm(trusted)
     for _ in range(25):
         values = {"eta_atom": float(rng.uniform(0.0, 1.0)),
@@ -743,16 +774,16 @@ def test_correlators_equal_the_checked_dense_path():
         got = dist._excitation_correlators(source, search._scenario_parties(spec, values))
         assignment = checked_assignment(spec, values)
         checked = full_correlators(joint_distribution(source, assignment))
-        np.testing.assert_allclose(got.xi, checked.xi, atol=CORRELATOR_ATOL, rtol=0.0,
+        np.testing.assert_allclose(got, checked, atol=CORRELATOR_ATOL, rtol=0.0,
                                    err_msg=label)
         if n <= 4:
             brute = brute_force_correlators(
                 source.rho, [[p.elements for p in pair] for pair in assignment.parties])
-            np.testing.assert_allclose(got.xi, brute, atol=CORRELATOR_ATOL, rtol=0.0,
+            np.testing.assert_allclose(got, brute, atol=CORRELATOR_ATOL, rtol=0.0,
                                        err_msg=label)
         # The criterion value is read from exactly these correlators.
         value = search.scenario_result(spec, values, state).value
-        assert value == CRITERIA[spec.criterion].evaluate(CorrelatorTable(n, got.xi)).value
+        assert value == CRITERIA[spec.criterion].evaluate(got).value
 
 
 def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
