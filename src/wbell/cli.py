@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -52,7 +53,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag, in any subcommand, as one UsageError line."""
+    """Reports a bad flag, in any subcommand, as one UsageError line; -1e-3 is a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -486,16 +491,16 @@ def _check_run_options(args) -> None:
 def _apply_sets(spec: ScenarioSpec, sets: dict) -> ScenarioSpec:
     """Pin parameters; a free one only within its declared range.
 
-    ScenarioSpec checks every pin that a device reads as an efficiency.
+    ScenarioSpec checks every pin that a device reads as an efficiency, first.
     """
     for name, value in sets.items():
         declared = spec.params.get(name)
         if declared is None:
             raise UsageError(f"scenario has no parameter {name!r}")
+        spec = fix_parameter(spec, name, value)
         if declared.is_free and not declared.lo <= value <= declared.hi:
             raise UsageError(f"{name} = {value:g} lies outside its declared range "
                              f"[{declared.lo:g}, {declared.hi:g}]")
-        spec = fix_parameter(spec, name, value)
     return spec
 
 
@@ -544,12 +549,17 @@ def _resolve_scenario(args, cfg: RunConfig) -> tuple:
     return _apply_sets(spec, sets), preset
 
 
-def _run_target(name, span, default, fallback=(0.0, 1.0)) -> tuple:
+def _run_target(spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
     """A bisected or gridded parameter and its range: each from its flag,
-    else from the preset's ``default`` pair, whose range goes only with the
-    preset's own parameter; another parameter gets ``fallback``."""
+    else from the preset's ``default`` pair (its range for its own parameter
+    only), else a free parameter's declared range, else ``fallback``."""
     own, own_span = default or (None, None)
     name = name or own
+    declared = spec.params.get(name)
+    if declared is not None and declared.is_free:
+        fallback = (declared.lo, declared.hi)
+        for end in span or ():  # a flag's range stays within the declared one
+            _apply_sets(spec, {name: end})
     if span is None:
         span = own_span if name == own else fallback
     return name, None if span is None else tuple(span)
@@ -603,7 +613,7 @@ def _cmd_threshold(args, cfg: RunConfig) -> str:
     spec, preset = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
-    param, bracket = _run_target(args.param, args.bracket, preset and preset.threshold)
+    param, bracket = _run_target(spec, args.param, args.bracket, preset and preset.threshold)
     if param is None:
         raise UsageError("no parameter to bisect: pass --param")
     threshold = critical_efficiency(spec, param, bracket, atol=args.atol,
@@ -628,8 +638,8 @@ def _cmd_region(args, cfg: RunConfig) -> str:
     spec, preset = _resolve_scenario(args, cfg)
     if args.dump_spec:
         return dump_scenario(spec)
-    x_name, x_range = _run_target(args.x_name, args.x_range, preset and preset.region_x, None)
-    y_name, bracket = _run_target(args.y_name, args.bracket, preset and preset.region_y)
+    x_name, x_range = _run_target(spec, args.x_name, args.x_range, preset and preset.region_x, None)
+    y_name, bracket = _run_target(spec, args.y_name, args.bracket, preset and preset.region_y)
     if x_name is None or y_name is None:
         raise UsageError("region needs --x and --y (preset has no defaults)")
     if x_range is None:

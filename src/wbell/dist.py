@@ -72,9 +72,8 @@ class JointDistribution:
         sums = self.table.reshape((2,) * n + (k ** n,)).sum(axis=-1)
         if np.abs(sums - 1.0).max() > NORMALIZATION_TOL:
             raise ValueError("a settings block is not normalized")
-        block = self.table.reshape((2,) * n + (k,) * n)
         for party in range(n):
-            marg = block.sum(axis=n + party)
+            marg = self.table.sum(axis=n + party)
             if np.abs(np.diff(marg, axis=party)).max() > NONSIGNALLING_TOL:
                 raise ValueError(f"marginal of the others depends on party {party}'s setting")
 
@@ -104,10 +103,8 @@ class JointDistribution:
             entries[(parts[0], parts[1])] = float(parts[2])
         if not entries:
             raise ValueError("empty distribution text")
-        some_s, some_o = next(iter(entries))
-        n = len(some_s)
-        digits = {d for _, o in entries for d in o}
-        k = max(int(d) for d in digits) + 1
+        n = len(next(iter(entries))[0])
+        k = max(int(d) for _, o in entries for d in o) + 1
         if len(entries) != 2 ** n * k ** n:
             raise ValueError("distribution text does not list every (settings, outcomes) pair")
         table = np.empty((2,) * n + (k,) * n, dtype=float)

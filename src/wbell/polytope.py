@@ -27,8 +27,6 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .dist import JointDistribution
 
@@ -102,6 +100,7 @@ def _orbit_matrix(n_parties: int, n_outcomes: int) -> tuple:
     ordered event tuple to its row orbit. ``m`` is sparse (CSC); the arrays
     of both are read-only, as every caller shares them.
     """
+    import scipy.sparse as sp
     c, k = n_parties, n_outcomes
     events = np.array(list(combinations_with_replacement(range(2 * k), c)))
     strategies = np.array(list(combinations_with_replacement(range(k * k), c)))
@@ -124,6 +123,11 @@ def _orbit_matrix(n_parties: int, n_outcomes: int) -> tuple:
     for cached in (m.data, m.indices, m.indptr, row_of):
         cached.flags.writeable = False
     return m, row_of
+
+
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog  # on the first LP; bench/tracer.py wraps this name
+    return linprog(*args, **kwargs)
 
 
 def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray):
@@ -176,6 +180,7 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
 
     Scope caps (LP size): N <= LP_MAX_PARTIES[k].
     """
+    import scipy.sparse as sp
     p.validate()
     n, k = p.n_parties, p.n_outcomes
     if k > 3:

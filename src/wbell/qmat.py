@@ -33,8 +33,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     rejected.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
     if not is_hermitian(m):
         raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
     return np.linalg.eigvalsh((m + dag(m)) / 2.0)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .bell import BellResult, cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
 from .dist import JointDistribution, _contract, _excitation_correlators
@@ -335,12 +334,13 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
         return names, np.zeros((1, 0))
     lo = np.array([spec.params[n].lo for n in names])
     hi = np.array([spec.params[n].hi for n in names])
-    from scipy.stats import qmc  # imported here: it takes 40% of a CLI cold start
+    from scipy.stats import qmc  # scipy loads on first use, so the CLI starts in numpy time
     unit = qmc.Sobol(d=len(names), scramble=False).random(n_starts)
     return names, lo + unit * (hi - lo)
 
 
 def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray) -> tuple:
+    from scipy.optimize import Bounds, minimize  # see _start_points
     lo = [spec.params[n].lo for n in names]
     hi = [spec.params[n].hi for n in names]
 

@@ -161,12 +161,47 @@ class TestThreshold:
         assert code == 2 and "numerical failure" in err
 
     def test_a_preset_bracket_goes_only_with_its_own_parameter(self):
-        """fig2 bisects eta_z on (0.1, 1); another parameter gets (0, 1)."""
-        for param, bracket in (("eta_x", "[0, 1]"), ("eta_z", "[0.1, 1]")):
-            code, out, err = run(["threshold", "--preset", "fig2", "--param", param,
-                                  "--starts", "2", "--atol", "0.1"])
+        """fig2 bisects eta_z on (0.1, 1). Another free parameter gets its
+        declared range, as eta_x (0.5, 1); a fixed one gets (0, 1)."""
+        for preset, param, bracket in (("fig2", "eta_z", "[0.1, 1]"),
+                                       ("fig3", "eta_c", "[0, 1]")):
+            code, out, err = run(["threshold", "--preset", preset, "--param", param,
+                                  "--starts", "1", "--atol", "0.1"])
             assert code == 2 and out == "", (param, err)
             assert f"whole bracket {bracket} of '{param}'" in err, (param, err)
+        code, out, err = run(["threshold", "--preset", "fig2", "--param", "eta_x",
+                              "--starts", "2", "--atol", "0.1"])
+        assert code == 0, err
+        assert json.loads(out)["bracket"] == [0.5, 1.0]
+
+    def test_a_flag_range_stays_within_a_free_parameter_declared_range(self):
+        """An explicit range that leaves a free parameter's declared range is
+        refused before any evaluation, with the message of a bad --set."""
+        cases = [(["threshold", "--preset", "fig2", "--param", "eta_x",
+                   "--bracket", "0", "1"], "eta_x = 0"),
+                 (["region", "--preset", "fig4-homodyne", "--x", "theta", "--y", "eta_spd",
+                   "--x-range", "-2", "-1", "--grid", "2"], "theta = -2"),
+                 (["region", "--preset", "fig1", "--x-range", "0.5", "1",
+                   "--bracket", "0.4", "1", "--grid", "2"], "eta_x = 0.4")]
+        for argv, pin in cases:
+            code, out, err = run(argv)
+            assert code == 1 and out == "" and len(err.splitlines()) == 1, argv
+            assert err.startswith(f"wbell: error: {pin} lies outside its declared range ["), err
+
+    def test_a_negative_bound_reads_in_exponent_notation(self, tmp_path):
+        """-1e-3 is a number, as -0.001 is, and not a flag, in a config too."""
+        config = tmp_path / "bracket.cfg"
+        for argv in (["threshold", "--preset", "cabello-ad", "--bracket", "{}", "1"],
+                     ["region", "--preset", "fig1", "--x-range", "{}", "1", "--grid", "2"],
+                     ["threshold", "--config", str(config)]):
+            outcomes = []
+            for bound in ("-0.001", "-1e-3"):
+                config.write_text(f"preset = cabello-ad\nbracket_lo = {bound}\nbracket_hi = 1\n")
+                outcomes.append(run([a.format(bound) for a in argv]))
+            plain, exponent = outcomes
+            assert exponent == plain, argv
+            assert plain[0] == 1 and len(plain[2].splitlines()) == 1, plain
+            assert plain[2].startswith("wbell: error: efficiency"), plain
 
     def test_unknown_bisection_parameter(self):
         code, _, _ = run(["threshold", "--preset", "cabello-ad",
@@ -612,12 +647,27 @@ def test_console_script_matches_in_process_output():
             assert "Traceback" not in proc.stderr, (command, argv, proc.stderr)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats (only qmc.Sobol is used) loads when the first search
-    starts, not with the CLI, so commands that never search start faster."""
+def fresh_dispatch(argv):
+    """Exit code, stdout and the loaded scipy modules of a fresh process that
+    imports wbell.cli and, when ``argv`` is not empty, dispatches it."""
     env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
-    code = "import sys, wbell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code = ("import sys; from wbell.cli import dispatch; "
+            "code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy loads on the first search or LP, not with the CLI, so commands
+    that do neither start in numpy time; those that do still run."""
+    for argv in ([], ["negativity", "--theta", "-0.7", "--n", "3"],
+                 ["bell", "--inequality", "cabello", "--n", "3", "--ideal"],
+                 ["bell", "--preset", "fig2", "--dump-spec"]):
+        assert fresh_dispatch(argv) == (0, run(argv)[1] if argv else "", "[]"), argv
+    argv = ["content", "--preset", "fig5", "--n", "3", "--set", "eta_z=1", "--set", "eta_x=1"]
+    code, out, loaded = fresh_dispatch(argv)
+    assert (code, out) == run(argv)[:2] and code == 0
+    assert "'scipy.optimize'" in loaded and "'scipy.sparse'" in loaded

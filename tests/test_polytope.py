@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import wbell.polytope
 from oracles import enumerate_vertices, enumerated_local_weight, nonlocal_content_lower_bound
 from wbell.bell import cabello_value
 from wbell.cli import PRESETS
@@ -115,6 +116,27 @@ def test_content_caps_on_party_count():
     table4 = np.full((2, 2, 4, 4), 1.0 / 16.0)
     with pytest.raises(ValueError):
         nonlocal_content(JointDistribution(2, 4, table4))
+
+
+def test_solve_lp_calls_linprog_through_the_module_global(monkeypatch):
+    """The benchmark tracer wraps ``polytope.linprog`` in the module's
+    globals, reads the matrix from the ``A_ub`` keyword and the iteration
+    count from ``nit``: solve_lp must honour all three."""
+    p = ideal_distribution(3)
+    expected = nonlocal_content(p).nonlocal_content
+    calls, forward = [], wbell.polytope.linprog
+
+    def recording(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(wbell.polytope, "linprog", recording)
+    assert [nonlocal_content(p).nonlocal_content for _ in range(2)] == [expected] * 2
+    assert len(calls) == 2
+    for kwargs, result in calls:
+        assert kwargs["A_ub"].shape[0] == len(kwargs["b_ub"])
+        assert isinstance(result.nit, int) and result.nit >= 0
 
 
 def test_solve_lp_simple_problem():
