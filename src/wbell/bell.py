@@ -8,6 +8,7 @@ functionals read xi(s), an array of shape (2,)*N indexed by the settings bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,20 @@ class BellResult:
                    is_violation(value - local_bound))
 
 
+@lru_cache(maxsize=None)
+def _cabello_indices(n: int) -> tuple:
+    """Flat table indices (settings bits, then outcome bits, party 0 first) of
+    cabello's terms in the order of its formula, read-only, and how many of
+    them come first with a plus sign."""
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    ones = (1 << n) - 1
+    plus = [0] + bit
+    minus = [(bit[i] | bit[j]) << n | bit[i] for i in range(n) for j in range(n) if j != i]
+    indices = np.array(plus + minus + [ones << n, ones << n | ones])
+    indices.flags.writeable = False
+    return indices, len(plus)
+
+
 def cabello_value(p: JointDistribution) -> BellResult:
     """Single-excitation inequality with local bound 0 and algebraic max 1.
 
@@ -52,23 +67,15 @@ def cabello_value(p: JointDistribution) -> BellResult:
         raise ValueError("the inequality is defined for two-outcome scenarios")
     if n < 3:
         raise ValueError("the inequality needs at least three parties")
-    t = p.table
-    all_z = (0,) * n
-    all_x = (1,) * n
-    zeros = (0,) * n
-    value = float(t[all_z + zeros])
-    for i in range(n):
-        e_i = tuple(1 if k == i else 0 for k in range(n))
-        value += t[all_z + e_i]
-    for i in range(n):
-        e_i = tuple(1 if k == i else 0 for k in range(n))
-        for j in range(n):
-            if j == i:
-                continue
-            s = tuple(1 if k in (i, j) else 0 for k in range(n))
-            value -= t[s + e_i]
-    value -= t[all_x + zeros]
-    value -= t[all_x + (1,) * n]
+    indices, n_plus = _cabello_indices(n)
+    terms = p.table.reshape(-1)[indices].tolist()
+    # Added one term at a time in the order of the formula above, so that
+    # the value does not depend on how numpy or sum() would group the terms.
+    value = terms[0]
+    for term in terms[1:n_plus]:
+        value += term
+    for term in terms[n_plus:]:
+        value -= term
     return BellResult.make(value, 0.0, 1.0)
 
 

@@ -32,21 +32,10 @@ class BlochAxis:
     polar: float
     azimuth: float = 0.0
 
-    def eigenvector_down(self) -> np.ndarray:
-        """The +1 eigenstate of n . sigma (outcome 0)."""
-        half = self.polar / 2.0
-        return np.array([math.cos(half), math.sin(half) * np.exp(1j * self.azimuth)], dtype=complex)
-
-    def eigenvector_up(self) -> np.ndarray:
-        """The -1 eigenstate of n . sigma (outcome 1)."""
-        half = self.polar / 2.0
-        return np.array([math.sin(half), -math.cos(half) * np.exp(1j * self.azimuth)], dtype=complex)
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(down, up) projectors onto the +1 / -1 eigenstates."""
-        d = self.eigenvector_down()
-        u = self.eigenvector_up()
-        return np.outer(d, d.conj()), np.outer(u, u.conj())
+    def projectors(self) -> tuple:
+        """(down, up) projectors onto the +1 / -1 eigenstates: a perfect
+        detector's elements."""
+        return _efficiency_elements(self, 1.0, 1.0)
 
 
 Z_AXIS = BlochAxis(0.0, 0.0)
@@ -91,9 +80,24 @@ class POVM:
 
 
 def _efficiency_elements(axis: BlochAxis, eta_up: float, eta_down: float) -> tuple:
-    p_down, p_up = axis.projectors()
-    return (eta_down * p_down + (1.0 - eta_up) * p_up,
-            eta_up * p_up + (1.0 - eta_down) * p_down)
+    """(eta_down P_down + (1 - eta_up) P_up, eta_up P_up + (1 - eta_down) P_down),
+    written out entry by entry in one array.
+
+    With c = cos(polar/2), s = sin(polar/2) and o = c s e^(-i azimuth), the
+    projectors are P_down = [[c^2, o], [o*, s^2]] and P_up = [[s^2, -o], [-o*, c^2]].
+    """
+    half = axis.polar / 2.0
+    c, s = math.cos(half), math.sin(half)
+    cs = c * s
+    o = complex(cs * math.cos(axis.azimuth), -cs * math.sin(axis.azimuth))
+    oc = o.conjugate()
+    c2, s2 = c * c, s * s
+    miss_up, miss_down = 1.0 - eta_up, 1.0 - eta_down
+    m = np.array((((eta_down * c2 + miss_up * s2, eta_down * o + miss_up * -o),
+                   (eta_down * oc + miss_up * -oc, eta_down * s2 + miss_up * c2)),
+                  ((eta_up * s2 + miss_down * c2, eta_up * -o + miss_down * o),
+                   (eta_up * -oc + miss_down * oc, eta_up * c2 + miss_down * s2))))
+    return m[0], m[1]
 
 
 def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str = "") -> POVM:

@@ -12,7 +12,6 @@ scheme allows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -339,13 +338,47 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
     return names, lo + unit * (hi - lo)
 
 
-def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray) -> tuple:
+class _Witness(Exception):
+    """Raised by a simplex run of ``has_violation`` at its first margin above
+    the guard.
+
+    SciPy's Nelder-Mead never drops its best vertex: every point better than
+    the current best enters the simplex, and the run returns its best vertex.
+    So a run's final margin is the largest margin it evaluated, and the run
+    ends "violated" exactly when one of its evaluations is a violation.
+    Stopping there leaves the verdict as it was.
+    """
+
+
+def _values_merger(spec: ScenarioSpec, names: tuple) -> Callable:
+    """The map from an array of free values in ``names`` order to the full
+    value dict: a copy of one template that ``resolve_values`` checked, as
+    ``names`` is ``free_parameters(spec)``, so no evaluation checks keys."""
+    template = resolve_values(spec, dict.fromkeys(names, 0.0))
+
+    def values(x) -> dict:
+        out = dict(template)
+        out.update(zip(names, x.tolist()))
+        return out
+
+    return values
+
+
+def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray,
+                   stop_at_witness: bool = False) -> tuple:
+    """One bounded Nelder-Mead run from ``x0``: its best margin and point.
+    With ``stop_at_witness`` it raises :class:`_Witness` at the first margin
+    above the guard instead."""
     from scipy.optimize import Bounds, minimize  # see _start_points
     lo = [spec.params[n].lo for n in names]
     hi = [spec.params[n].hi for n in names]
+    values = _values_merger(spec, names)
 
     def negative_margin(x):
-        return -violation_margin(spec, resolve_values(spec, dict(zip(names, x))))
+        m = violation_margin(spec, values(x))
+        if stop_at_witness and is_violation(m):
+            raise _Witness
+        return -m
 
     res = minimize(negative_margin, x0, method="Nelder-Mead",
                    bounds=Bounds(lo, hi),
@@ -376,27 +409,30 @@ def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS)
 
 
 def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
-    """Sign of the optimized margin, short-circuiting on the first success.
+    """Sign of the optimized margin, stopping at the first margin above the guard.
 
     Raw margins at the start points are scanned before any simplex runs, and
-    the polished runs begin from the most promising starts, so the common
-    deep-violation case returns quickly. The verdict matches
+    the simplex runs begin from the most promising starts. Each run stops at
+    its first margin above the guard (see :class:`_Witness`), so the common
+    violated case returns quickly. The verdict matches
     ``is_violation(optimize_free_parameters(...).margin)``.
     """
     names, starts = _start_points(spec, n_starts)
     if not names:
         return is_violation(violation_margin(spec, resolve_values(spec)))
+    values = _values_merger(spec, names)
     raw = []
     for x0 in starts:
-        m = violation_margin(spec, resolve_values(spec, dict(zip(names, x0))))
+        m = violation_margin(spec, values(x0))
         if is_violation(m):
             return True
         raw.append(m)
     order = np.argsort(np.array(raw), kind="stable")[::-1]
-    for idx in order:
-        margin, _ = _minimize_from(spec, names, starts[idx])
-        if is_violation(margin):
-            return True
+    try:
+        for idx in order:
+            _minimize_from(spec, names, starts[idx], stop_at_witness=True)
+    except _Witness:
+        return True
     return False
 
 
@@ -460,7 +496,9 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
     tasks = [(fix_parameter(spec, x_name, float(x)), float(x), y_name, tuple(y_bracket),
               atol, n_starts) for x in x_values]
     if jobs > 1 and len(tasks) > 1:
-        # The pool may start every worker at once, so start no more than rows.
+        # Imported here: only a pool of more than one worker needs it. The
+        # pool may start every worker at once, so start no more than rows.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             points = tuple(pool.map(_boundary_point, tasks))
     else:

@@ -43,6 +43,51 @@ def assert_valid_povm(elements):
     np.testing.assert_allclose(total, np.eye(2), atol=OPERATOR_ATOL)
 
 
+def eigenvector_down(axis) -> np.ndarray:
+    """The +1 eigenstate (cos(polar/2), sin(polar/2) e^(i azimuth)) of a
+    BlochAxis's n . sigma (outcome 0)."""
+    half = axis.polar / 2.0
+    return np.array([math.cos(half), math.sin(half) * np.exp(1j * axis.azimuth)], dtype=complex)
+
+
+def eigenvector_up(axis) -> np.ndarray:
+    """The -1 eigenstate of a BlochAxis's n . sigma (outcome 1)."""
+    half = axis.polar / 2.0
+    return np.array([math.sin(half), -math.cos(half) * np.exp(1j * axis.azimuth)], dtype=complex)
+
+
+def outer_projectors(axis) -> tuple:
+    """(down, up) projectors of a BlochAxis as outer products of its eigenvectors."""
+    d, u = eigenvector_down(axis), eigenvector_up(axis)
+    return np.outer(d, d.conj()), np.outer(u, u.conj())
+
+
+def outer_efficiency_elements(axis, eta_up: float, eta_down: float) -> tuple:
+    """The two-efficiency elements eta_down P_down + (1 - eta_up) P_up and
+    eta_up P_up + (1 - eta_down) P_down, from ``outer_projectors``."""
+    p_down, p_up = outer_projectors(axis)
+    return (eta_down * p_down + (1.0 - eta_up) * p_up,
+            eta_up * p_up + (1.0 - eta_down) * p_down)
+
+
+def cabello_loop_value(p) -> float:
+    """The cabello functional of a two-outcome JointDistribution, read entry
+    by entry with tuple indices in the order of its formula."""
+    n, t = p.n_parties, p.table
+    all_z, all_x, zeros = (0,) * n, (1,) * n, (0,) * n
+    value = float(t[all_z + zeros])
+    for i in range(n):
+        value += t[all_z + tuple(1 if k == i else 0 for k in range(n))]
+    for i in range(n):
+        e_i = tuple(1 if k == i else 0 for k in range(n))
+        for j in range(n):
+            if j != i:
+                value -= t[tuple(1 if k in (i, j) else 0 for k in range(n)) + e_i]
+    value -= t[all_x + zeros]
+    value -= t[all_x + (1,) * n]
+    return float(value)
+
+
 def validate_state(state, check_psd: bool = True) -> None:
     """Raise ValueError unless ``state.rho`` is a density matrix of its parties."""
     d = 2 ** state.n_parties

@@ -18,7 +18,12 @@ from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribut
 from wbell.measure import BlochAxis, X_AXIS, Z_AXIS, efficiency_povm, equatorial_axis
 from wbell.states import damped_w_state, w_state
 
-from oracles import brute_force_distribution, full_correlators, nonlocal_content_lower_bound
+from oracles import (
+    brute_force_distribution,
+    cabello_loop_value,
+    full_correlators,
+    nonlocal_content_lower_bound,
+)
 
 CLOSED_FORM_ATOL = 1e-10
 LHV_GUARD = 1e-12
@@ -73,6 +78,18 @@ def test_cabello_nonpositive_on_every_deterministic_strategy():
             value = cabello_value(deterministic_distribution(n, strategy)).value
             worst = max(worst, value)
         assert worst <= LHV_GUARD
+
+
+def test_cabello_value_equals_the_entry_loop_bit_for_bit():
+    """The flat-index read adds the same terms in the same order as the
+    tuple-index loop, so the values agree exactly on any table."""
+    rng = np.random.default_rng(41)
+    for n in range(3, 9):
+        for _ in range(5):
+            p = JointDistribution(n, 2, rng.uniform(size=(2,) * (2 * n)))
+            assert cabello_value(p).value == cabello_loop_value(p), n
+        p = ideal_distribution(w_state(n), n)
+        assert cabello_value(p).value == cabello_loop_value(p), n
 
 
 def test_cabello_rejects_two_parties():

@@ -648,12 +648,14 @@ def test_console_script_matches_in_process_output():
 
 
 def fresh_dispatch(argv):
-    """Exit code, stdout and the loaded scipy modules of a fresh process that
-    imports wbell.cli and, when ``argv`` is not empty, dispatches it."""
+    """Exit code, stdout and the loaded scipy and process-pool modules of a
+    fresh process that imports wbell.cli and, when ``argv`` is not empty,
+    dispatches it."""
     env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
     code = ("import sys; from wbell.cli import dispatch; "
             "code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'), "
             "file=sys.stderr); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -661,8 +663,9 @@ def fresh_dispatch(argv):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy loads on the first search or LP, not with the CLI, so commands
-    that do neither start in numpy time; those that do still run."""
+    """scipy loads on the first search or LP, and the process pool only for
+    region --jobs above 1, not with the CLI, so commands that do neither
+    start in numpy time; those that do still run."""
     for argv in ([], ["negativity", "--theta", "-0.7", "--n", "3"],
                  ["bell", "--inequality", "cabello", "--n", "3", "--ideal"],
                  ["bell", "--preset", "fig2", "--dump-spec"]):

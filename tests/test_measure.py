@@ -5,7 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import amplitude_damping_kraus, assert_valid_povm, dephasing_kraus, fock_noclick_block
+import wbell.measure as measure
+from oracles import (
+    amplitude_damping_kraus,
+    assert_valid_povm,
+    dephasing_kraus,
+    eigenvector_down,
+    eigenvector_up,
+    fock_noclick_block,
+    outer_efficiency_elements,
+    outer_projectors,
+)
 from wbell.measure import (
     POVM,
     BlochAxis,
@@ -19,19 +29,20 @@ from wbell.measure import (
 
 FOCK_ATOL = 1e-10
 OPERATOR_ATOL = 1e-12
+FAMILY_ATOL = 1e-15
 N_RANDOM = 40
 
 
 def test_z_axis_eigenvectors():
-    np.testing.assert_allclose(Z_AXIS.eigenvector_down(), [1.0, 0.0], atol=OPERATOR_ATOL)
+    np.testing.assert_allclose(eigenvector_down(Z_AXIS), [1.0, 0.0], atol=OPERATOR_ATOL)
     # Global phase is irrelevant; compare through the overlap.
-    up = Z_AXIS.eigenvector_up()
+    up = eigenvector_up(Z_AXIS)
     assert abs(up @ np.array([0.0, 1.0])) == pytest.approx(1.0, abs=OPERATOR_ATOL)
 
 
 def test_x_axis_eigenvectors():
     s = 1.0 / math.sqrt(2.0)
-    np.testing.assert_allclose(X_AXIS.eigenvector_down(), [s, s], atol=OPERATOR_ATOL)
+    np.testing.assert_allclose(eigenvector_down(X_AXIS), [s, s], atol=OPERATOR_ATOL)
 
 
 def test_axis_projectors_are_orthogonal_resolution():
@@ -42,6 +53,48 @@ def test_axis_projectors_are_orthogonal_resolution():
         np.testing.assert_allclose(p_down + p_up, np.eye(2), atol=OPERATOR_ATOL)
         np.testing.assert_allclose(p_down @ p_up, np.zeros((2, 2)), atol=OPERATOR_ATOL)
         np.testing.assert_allclose(p_down @ p_down, p_down, atol=OPERATOR_ATOL)
+
+
+def random_axes(rng):
+    """Random axes over the whole sphere, azimuth nonzero, and the poles and
+    equator at azimuth 0."""
+    axes = [BlochAxis(rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 2 * math.pi))
+            for _ in range(N_RANDOM)]
+    return axes + [Z_AXIS, X_AXIS, BlochAxis(math.pi, 0.0), equatorial_axis(1.3)]
+
+
+def test_closed_form_projectors_and_elements_equal_the_outer_product_oracle():
+    """The closed-form entries agree with outer products of the eigenvectors
+    to FAMILY_ATOL, and form valid POVMs."""
+    rng = np.random.default_rng(31)
+    for axis in random_axes(rng):
+        for got, ref in zip(axis.projectors(), outer_projectors(axis)):
+            np.testing.assert_allclose(got, ref, atol=FAMILY_ATOL, rtol=0.0, err_msg=str(axis))
+        assert_valid_povm(axis.projectors())
+        eta_up, eta_down = rng.uniform(), rng.uniform()
+        got = measure._efficiency_elements(axis, eta_up, eta_down)
+        for a, b in zip(got, outer_efficiency_elements(axis, eta_up, eta_down)):
+            np.testing.assert_allclose(a, b, atol=FAMILY_ATOL, rtol=0.0, err_msg=str(axis))
+        assert_valid_povm(got)
+
+
+def test_every_family_element_equals_the_outer_product_oracle(monkeypatch):
+    """Every FAMILIES entry, built once as it is and once with the axis
+    elements swapped for the outer-product oracle, agrees to FAMILY_ATOL."""
+    rng = np.random.default_rng(37)
+    draws = [(family, float(rng.uniform()), float(rng.uniform(-3.0, 3.0)))
+             for family in FAMILIES for _ in range(25)]
+    draws += [(family, eff, 0.0) for family in FAMILIES for eff in (0.0, 1.0)]
+    got = [FAMILIES[family][1](eff, aux) for family, eff, aux in draws]
+    monkeypatch.setattr(measure, "_efficiency_elements", outer_efficiency_elements)
+    monkeypatch.setattr(BlochAxis, "projectors", outer_projectors)
+    for (family, eff, aux), elements in zip(draws, got):
+        ref = FAMILIES[family][1](eff, aux)
+        assert len(elements) == len(ref) == FAMILIES[family][0]
+        for a, b in zip(elements, ref):
+            np.testing.assert_allclose(a, b, atol=FAMILY_ATOL, rtol=0.0,
+                                       err_msg=f"{family} {eff} {aux}")
+        assert_valid_povm(elements)
 
 
 def test_equatorial_axis_direction():

@@ -1,5 +1,6 @@
 """Scenario specs, the margin optimizer, and threshold bisection."""
 
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import wbell.search as search
-from wbell.bell import VIOLATION_GUARD, BellResult
+from wbell.bell import VIOLATION_GUARD, BellResult, is_violation
 from wbell.cli import PRESETS
 import wbell.dist as dist
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
@@ -43,7 +44,14 @@ from wbell.search import (
 )
 from wbell.states import ExcitationState, atom_photon_state, damped_w_state, w_state
 
-from oracles import assert_valid_povm, brute_force_correlators, damping_threshold, full_correlators
+from oracles import (
+    assert_valid_povm,
+    brute_force_correlators,
+    damping_threshold,
+    eigenvector_down,
+    eigenvector_up,
+    full_correlators,
+)
 
 OPERATOR_ATOL = 1e-12
 MARGIN_ATOL = 1e-9
@@ -287,8 +295,8 @@ class TestBuildPhotonPovm:
                                    atol=OPERATOR_ATOL)
 
     def test_displaced_response_keeps_eigenstate_statistics(self):
-        plus = X_AXIS.eigenvector_down()
-        minus = X_AXIS.eigenvector_up()
+        plus = eigenvector_down(X_AXIS)
+        minus = eigenvector_up(X_AXIS)
         for alpha in (-1.7, -0.3, 0.4, 0.9, 2.0):
             for eta in (0.4, 0.85, 1.0):
                 r_down, r_up = photon_elements(
@@ -431,6 +439,63 @@ def test_has_violation_needs_margin_above_guard(monkeypatch, free):
         assert BellResult.make(1.0 + margin, 1.0, 2.0).violated is verdict
 
 
+def pinned_preset(name, n, **pins):
+    spec = PRESETS[name].build(n)
+    for param, value in pins.items():
+        spec = fix_parameter(spec, param, value)
+    return spec
+
+
+# Presets pinned about 0.05 below and above their thresholds, which at
+# atol 0.02 read the same at 2 and 4 starts but for fig3: fig4-homodyne 0.961
+# and fig4-displacement 0.914 at eta_c = 0.65, cabello-displacement 0.867,
+# fig3 N=3 0.592 at 2 starts and 0.577 at 4.
+VERDICT_CASES = [
+    pinned_preset("fig4-homodyne", 2, eta_c=0.65, eta_spd=0.91),
+    pinned_preset("fig4-homodyne", 2, eta_c=0.65, eta_spd=1.0),
+    pinned_preset("fig4-displacement", 2, eta_c=0.65, eta_spd=0.86),
+    pinned_preset("fig4-displacement", 2, eta_c=0.65, eta_spd=0.96),
+    pinned_preset("cabello-displacement", 3, eta_spd=0.82),
+    pinned_preset("cabello-displacement", 3, eta_spd=0.92),
+    pinned_preset("fig3", 3, eta_spd=0.53),
+    pinned_preset("fig3", 3, eta_spd=0.65),
+]
+
+
+@pytest.mark.parametrize("n_starts", [2, 4])
+def test_a_verdict_that_stops_at_its_first_witness_matches_the_full_runs(n_starts):
+    verdicts = []
+    for spec in VERDICT_CASES:
+        verdict = has_violation(spec, n_starts)
+        assert verdict == is_violation(optimize_free_parameters(spec, n_starts).margin), spec.name
+        verdicts.append(verdict)
+    assert verdicts == [False, True] * 4
+
+
+def test_a_simplex_run_of_a_verdict_stops_at_its_first_witness(monkeypatch):
+    """No raw start of this violated point is a violation, so the verdict
+    comes from a simplex run, and it takes fewer margins than the raw scan
+    plus the same runs carried to their ends."""
+    spec, n_starts = VERDICT_CASES[1], 2
+    calls, margin = [], search.violation_margin
+
+    def counting_margin(spec, values):
+        calls.append(values)
+        return margin(spec, values)
+
+    monkeypatch.setattr(search, "violation_margin", counting_margin)
+    names, starts = search._start_points(spec, n_starts)
+    raw = [margin(spec, resolve_values(spec, dict(zip(names, x0)))) for x0 in starts]
+    assert not any(is_violation(m) for m in raw)
+    assert has_violation(spec, n_starts)
+    stopped = len(calls)
+    calls.clear()
+    for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
+        if is_violation(search._minimize_from(spec, names, starts[idx])[0]):
+            break
+    assert stopped < n_starts + len(calls)
+
+
 def test_rounding_noise_does_not_decide_the_bisection():
     # The shared-loss threshold at N=3 is exactly 3/4, where the margin is
     # zero up to rounding; that point must count as not violated.
@@ -529,7 +594,7 @@ def test_region_boundary_starts_no_more_workers_than_rows(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     curves = []
     for jobs, expected in ((1, []), (10 ** 6, [3]), (4, [3]), (2, [2])):
         requested.clear()
