@@ -1,5 +1,5 @@
-"""Joint outcome distributions and full correlators for N parties with two
-settings each.
+"""Joint outcome distributions, and the transfer algebra of single-excitation
+states, for N parties with two settings each.
 
 A scenario assigns each party a pair of POVMs (setting 0, setting 1; for the
 photonic presets setting 0 is the z-type and setting 1 the x-type device).
@@ -8,15 +8,19 @@ of an :class:`ExcitationState` as a dense array indexed by the settings bits
 then the outcome digits, by contracting the dense density matrix as a (4,)^N
 site tensor.
 
-A two-outcome scenario needs no table: its 2^N full correlators
-xi(s) = Tr[rho (x)_k A_k(s_k)], with A = M_0 - M_1, come from
-``_excitation_correlators`` in O(2^N N) time, without the 2^N x 2^N matrix.
+The closed-form criteria need no table. In the single-excitation subspace
+Tr[rho (x)_k O_k] is a product of one commuting transfer per party, four
+scalars each (see ``times``), so when every party but the first shares one
+device pair and one amplitude (:class:`Symmetric`) an entry or correlator
+depends only on the first party's operator and on how many of the others
+hold each of theirs, and costs O(1) scalar work through ``power``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,7 +138,7 @@ def _contract(state: ExcitationState, parties) -> JointDistribution:
         g = np.empty((2, k, 4), dtype=complex)
         for s in (0, 1):
             for o, el in enumerate(pair[s]):
-                g[s, o] = el.T.reshape(4)
+                g[s, o] = np.asarray(el).T.reshape(4)
         t = np.tensordot(t, g, axes=([0], [2]))
     order = [2 * k_ for k_ in range(n)] + [2 * k_ + 1 for k_ in range(n)]
     return JointDistribution(n, k, np.ascontiguousarray(t.transpose(order).real))
@@ -150,39 +154,79 @@ def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment
     return dist
 
 
-def _excitation_correlators(state: ExcitationState, parties) -> np.ndarray:
-    """The full correlators xi(s) of ``state`` under two-outcome devices, as
-    an unchecked array of shape (2,)*N indexed by the settings bits.
+# The transfer algebra. Expanding rho = w_psi |psi><psi| + w_vac |vac><vac|
+# over psi's components, Tr[rho (x)_k O_k] is a product of per-party 4x4
+# transfer matrices over four channels: 0 nothing placed, 1 the bra's
+# excitation placed (a factor beta_k^* O_k[1, 0]), 2 the ket's (a factor
+# beta_k O_k[0, 1]), 3 both. A party where neither is placed contributes
+# O_k[0, 0], and one that takes both |beta_k|^2 O_k[1, 1]; the boundary
+# vector closes each channel with the vacuum amplitudes it still lacks. Each
+# matrix is aI + bX + cY + dXY with X = E01 + E23 and Y = E02 + E13, so
+# X^2 = Y^2 = 0 and XY = YX = E03: the matrices commute, a 4-tuple
+# (a, b, c, d) stands for one, and the row (1, 0, 0, 0) times it is the tuple.
 
-    ``parties[k][s]`` holds party k's POVM elements for setting s, as for
-    ``_contract``. Expanding rho = w_psi |psi><psi| + w_vac |vac><vac| over
-    psi's components, xi(s) is a product of per-party 4x4 transfer matrices,
-    one per setting, over four channels: 0 nothing placed, 1 the bra's
-    excitation placed (a factor beta_k^* A_k[1, 0]), 2 the ket's (a factor
-    beta_k A_k[0, 1]), 3 both. A party where neither is placed contributes
-    A_k[0, 0], and one that takes both |beta_k|^2 A_k[1, 1]. The boundary
-    vector closes each channel with the vacuum amplitudes it still lacks.
-    """
-    n = state.n_parties
-    obs = np.array([[el[0] - el[1] for el in pair] for pair in parties])
-    beta = np.asarray(state.beta)[:, None]
-    transfer = np.zeros((n, 2, 4, 4), dtype=complex)
-    diagonal = np.arange(4)
-    transfer[..., diagonal, diagonal] = obs[..., 0, 0, None]
-    transfer[..., 0, 1] = transfer[..., 2, 3] = beta.conj() * obs[..., 1, 0]
-    transfer[..., 0, 2] = transfer[..., 1, 3] = beta * obs[..., 0, 1]
-    transfer[..., 0, 3] = (beta.conj() * beta) * obs[..., 1, 1]
-    # Row r holds the channel amplitudes of one settings string of the
-    # parties placed so far, party by party from the last; the newest party's
-    # setting is the most significant bit. The whole output is requested at
-    # once, so a size beyond memory fails before any work.
-    rows = np.empty((2 ** n, 4), dtype=complex)
-    rows[0] = (1.0, 0.0, 0.0, 0.0)
-    m = 1
-    for k in range(n - 1, -1, -1):
-        rows[m:2 * m] = rows[:m] @ transfer[k, 1]
-        rows[:m] = rows[:m] @ transfer[k, 0]
-        m *= 2
+ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def times(*factors) -> tuple:
+    """Product of transfers: four multiply-adds per factor but ONE, which
+    changes no entry and is skipped."""
+    a, b, c, d = factors[0]
+    for factor in factors[1:]:
+        if factor is not ONE:
+            e, f, g, h = factor
+            a, b, c, d = a * e, a * f + b * e, a * g + c * e, a * h + d * e + b * g + c * f
+    return a, b, c, d
+
+
+def power(t, m: int) -> tuple:
+    """t^m = (a^m, m a^(m-1) b, m a^(m-1) c, m a^(m-1) d + m (m-1) a^(m-2) b c)."""
+    if m < 2:
+        return t if m else ONE
+    a, b, c, d = t
+    lower = a ** (m - 2)
+    upper = lower * a
+    top = m * upper
+    return upper * a, top * b, top * c, top * d + m * (m - 1) * lower * b * c
+
+
+class Symmetric(NamedTuple):
+    """A single-excitation state under two-setting devices, every party but
+    the first sharing one device pair and one amplitude: ``first[s][o]`` and
+    ``other[s][o]`` are the transfers of the element of outcome o under
+    setting s, of party 0 and of each of the ``n`` others, and ``boundary``
+    closes a product of transfers."""
+
+    first: list
+    other: list
+    n: int
+    boundary: tuple
+
+    def expectation(self, first, others) -> float:
+        """Tr[rho (x)_k O_k] when party 0's operator has the transfer
+        ``first`` and the others' operators multiply to ``others``."""
+        a, b, c, d = first
+        e, f, g, h = others
+        w0, w1, w2, w3 = self.boundary
+        return (a * e * w0 + (a * f + b * e) * w1 + (a * g + c * e) * w2
+                + (a * h + d * e + b * g + c * f) * w3).real
+
+
+def _transfers(pair, beta) -> list:
+    """The transfers [s][o] of the elements ``pair[s][o]`` at a party of
+    amplitude ``beta``."""
+    conj = beta.conjugate()
+    both = (conj * beta).real
+    return [[(m00, conj * m10, beta * m01, both * m11) for (m00, m01), (m10, m11) in elements]
+            for elements in pair]
+
+
+def symmetric(state: ExcitationState, first, other) -> Symmetric:
+    """The :class:`Symmetric` form of ``state`` when party 0 measures the
+    (setting 0, setting 1) elements ``first`` and every other party, each of
+    amplitude ``state.beta[-1]``, the elements ``other``; unchecked."""
+    beta = state.beta
     a, w = state.alpha, state.w_psi
-    boundary = np.array([w * abs(a) ** 2 + state.w_vac, w * a, w * np.conj(a), w])
-    return (rows @ boundary).real.reshape((2,) * n)
+    boundary = (w * abs(a) ** 2 + state.w_vac, w * a, w * a.conjugate(), w)
+    return Symmetric(_transfers(first, beta.item(0)), _transfers(other, beta.item(-1)),
+                     len(beta) - 1, boundary)

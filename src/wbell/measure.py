@@ -7,10 +7,12 @@ outcome order, (down, up) for a binary device on an axis: the "up" element
 weights the -1 eigenstate, which for the z axis is the excited / one-photon
 state |1> (the state a photon counter fires on).
 
-``FAMILIES`` is the one table of photonic devices. ``family_povm`` and
-``efficiency_povm`` check their scalar inputs and the elements they build;
-the scenario path in ``wbell.search``, whose inputs ``ScenarioSpec`` already
-checked, reads the table's element functions directly.
+``FAMILIES`` is the one table of photonic devices. Its element functions
+give each element as a 2x2 nested tuple of Python scalars, which the
+scenario path in ``wbell.search``, whose inputs ``ScenarioSpec`` already
+checked, reads directly. ``family_povm`` and ``efficiency_povm`` check their
+scalar inputs, and :class:`POVM` converts the elements to arrays and checks
+them.
 """
 
 from __future__ import annotations
@@ -33,18 +35,20 @@ class BlochAxis:
     azimuth: float = 0.0
 
     def projectors(self) -> tuple:
-        """(down, up) projectors onto the +1 / -1 eigenstates: a perfect
-        detector's elements."""
-        return _efficiency_elements(self, 1.0, 1.0)
+        """(down, up) projectors onto the +1 / -1 eigenstates, as arrays: a
+        perfect detector's elements."""
+        elements = _efficiency_elements(self.polar, self.azimuth, 1.0, 1.0)
+        return tuple(np.array(m) for m in elements)
 
 
+EQUATOR = math.pi / 2.0
 Z_AXIS = BlochAxis(0.0, 0.0)
-X_AXIS = BlochAxis(math.pi / 2.0, 0.0)
+X_AXIS = BlochAxis(EQUATOR, 0.0)
 
 
 def equatorial_axis(phi: float) -> BlochAxis:
     """Equatorial axis cos(phi) sigma_x + sin(phi) sigma_y."""
-    return BlochAxis(math.pi / 2.0, phi)
+    return BlochAxis(EQUATOR, phi)
 
 
 def _check_elements(label: str, *elements: np.ndarray) -> None:
@@ -66,38 +70,39 @@ def _check_probability(**values: float) -> None:
 @dataclass(frozen=True)
 class POVM:
     """Checked measurement: 2x2 elements, one per outcome in Bell outcome
-    order, Hermitian and positive and summing to the identity."""
+    order, Hermitian and positive and summing to the identity. Elements given
+    as nested sequences are stored as complex arrays."""
 
     elements: tuple
     label: str = ""
 
     def __post_init__(self):
-        _check_elements(self.label or "POVM", *self.elements)
+        elements = tuple(np.asarray(m, dtype=complex) for m in self.elements)
+        object.__setattr__(self, "elements", elements)
+        _check_elements(self.label or "POVM", *elements)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
 
 
-def _efficiency_elements(axis: BlochAxis, eta_up: float, eta_down: float) -> tuple:
-    """(eta_down P_down + (1 - eta_up) P_up, eta_up P_up + (1 - eta_down) P_down),
-    written out entry by entry in one array.
+def _efficiency_elements(polar: float, azimuth: float, eta_up: float, eta_down: float) -> tuple:
+    """(M_down, M_up) with M_down = eta_down P_down + (1 - eta_up) P_up and its
+    complement M_up = I - M_down = eta_up P_up + (1 - eta_down) P_down, on the
+    axis BlochAxis(polar, azimuth), written out entry by entry.
 
     With c = cos(polar/2), s = sin(polar/2) and o = c s e^(-i azimuth), the
     projectors are P_down = [[c^2, o], [o*, s^2]] and P_up = [[s^2, -o], [-o*, c^2]].
     """
-    half = axis.polar / 2.0
+    half = polar / 2.0
     c, s = math.cos(half), math.sin(half)
-    cs = c * s
-    o = complex(cs * math.cos(axis.azimuth), -cs * math.sin(axis.azimuth))
-    oc = o.conjugate()
+    miss_up = 1.0 - eta_up
+    scale = (eta_down - miss_up) * c * s  # M_down[0, 1] = (eta_down - miss_up) o
+    off = complex(scale * math.cos(azimuth), -scale * math.sin(azimuth))
+    off_c = off.conjugate()
     c2, s2 = c * c, s * s
-    miss_up, miss_down = 1.0 - eta_up, 1.0 - eta_down
-    m = np.array((((eta_down * c2 + miss_up * s2, eta_down * o + miss_up * -o),
-                   (eta_down * oc + miss_up * -oc, eta_down * s2 + miss_up * c2)),
-                  ((eta_up * s2 + miss_down * c2, eta_up * -o + miss_down * o),
-                   (eta_up * -oc + miss_down * oc, eta_up * c2 + miss_down * s2))))
-    return m[0], m[1]
+    down0, down1 = eta_down * c2 + miss_up * s2, eta_down * s2 + miss_up * c2
+    return ((down0, off), (off_c, down1)), ((1.0 - down0, -off), (-off_c, 1.0 - down1))
 
 
 def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str = "") -> POVM:
@@ -110,7 +115,8 @@ def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str 
     this is a photon counter of efficiency eta_up: vacuum never clicks.
     """
     _check_probability(eta_up=eta_up, eta_down=eta_down)
-    return POVM(_efficiency_elements(axis, eta_up, eta_down), label or "efficiency")
+    return POVM(_efficiency_elements(axis.polar, axis.azimuth, eta_up, eta_down),
+                label or "efficiency")
 
 
 def _homodyne_elements(eff: float, aux: float) -> tuple:
@@ -121,7 +127,7 @@ def _homodyne_elements(eff: float, aux: float) -> tuple:
     homodyne detection efficiency.
     """
     e = 0.5 * (1.0 + math.sqrt(2.0 * eff / math.pi))
-    return _efficiency_elements(equatorial_axis(aux), e, e)
+    return _efficiency_elements(EQUATOR, aux, e, e)
 
 
 def _displaced_elements(eff: float, aux: float) -> tuple:
@@ -138,11 +144,11 @@ def _displaced_elements(eff: float, aux: float) -> tuple:
     """
     a, eta = float(aux), float(eff)
     pref = math.exp(-eta * a * a)
-    # Scaled in Python floats: where eta^2 a^2 overflows, pref is 0 and the
-    # entry becomes NaN, for the finite check to reject, with no warning.
+    # In Python floats: where eta^2 a^2 overflows, pref is 0 and the entry
+    # becomes NaN, for the finite check to reject, with no warning.
     off = pref * (eta * a)
-    e0 = np.array([[pref, off], [off, pref * (eta * eta * a * a + 1.0 - eta)]], dtype=complex)
-    return np.eye(2) - e0, e0
+    last = pref * (eta * eta * a * a + 1.0 - eta)
+    return ((1.0 - pref, -off), (-off, 1.0 - last)), ((pref, off), (off, last))
 
 
 def _displaced_response_elements(eff: float, aux: float) -> tuple:
@@ -161,41 +167,43 @@ def _displaced_response_elements(eff: float, aux: float) -> tuple:
     except OverflowError:
         # (eff aux)^2 beyond float range: NaN elements, which the finite
         # check on the criterion value rejects.
-        nan = np.full((2, 2), math.nan, dtype=complex)
+        nan = ((math.nan, math.nan), (math.nan, math.nan))
         return nan, nan
     up = min(max(up, 0.0), 1.0)
     down = min(max(down, 0.0), 1.0)
-    return _efficiency_elements(X_AXIS, up, down)
+    return _efficiency_elements(EQUATOR, 0.0, up, down)
 
 
 def _ad_x_elements(eff: float, aux: float) -> tuple:
     """Equatorial measurement after amplitude damping of transmission ``eff``:
     the symmetric model at (1 + sqrt(eff)) / 2."""
     sym_eff = 0.5 * (1.0 + math.sqrt(eff))
-    return _efficiency_elements(equatorial_axis(aux), sym_eff, sym_eff)
+    return _efficiency_elements(EQUATOR, aux, sym_eff, sym_eff)
 
 
-def _lossy3_elements(axis: BlochAxis, eta: float) -> tuple:
-    """Projective measurement along ``axis`` that fails to fire with prob
-    1 - eta; outcomes +1 eigenstate, -1 eigenstate, no click."""
-    p_down, p_up = axis.projectors()
-    return eta * p_down, eta * p_up, (1.0 - eta) * np.eye(2)
+def _lossy3_elements(polar: float, azimuth: float, eta: float) -> tuple:
+    """Projective measurement along BlochAxis(polar, azimuth) that fails to
+    fire with prob 1 - eta; outcomes +1 eigenstate, -1 eigenstate, no click."""
+    miss = 1.0 - eta
+    down, up = (tuple(tuple(eta * v for v in row) for row in p)
+                for p in _efficiency_elements(polar, azimuth, 1.0, 1.0))
+    return down, up, ((miss, 0.0), (0.0, miss))
 
 
 # The one table of photonic devices: family -> (outcome count, its elements
-# in outcome order from the efficiency ``eff`` and the knob ``aux``), built
-# unchecked. ``aux`` is the azimuth of "sym", "homodyne", "ad_x" and
-# "lossy3_x", the displacement amplitude of "displaced" and
-# "displaced_response", and unused by "spd" and "lossy3_z".
+# in outcome order, as nested tuples, from the efficiency ``eff`` and the
+# knob ``aux``), built unchecked. ``aux`` is the azimuth of "sym",
+# "homodyne", "ad_x" and "lossy3_x", the displacement amplitude of
+# "displaced" and "displaced_response", and unused by "spd" and "lossy3_z".
 FAMILIES = {
-    "spd": (2, lambda eff, aux: _efficiency_elements(Z_AXIS, eff, 1.0)),
-    "sym": (2, lambda eff, aux: _efficiency_elements(equatorial_axis(aux), eff, eff)),
+    "spd": (2, lambda eff, aux: _efficiency_elements(0.0, 0.0, eff, 1.0)),
+    "sym": (2, lambda eff, aux: _efficiency_elements(EQUATOR, aux, eff, eff)),
     "homodyne": (2, _homodyne_elements),
     "displaced": (2, _displaced_elements),
     "displaced_response": (2, _displaced_response_elements),
     "ad_x": (2, _ad_x_elements),
-    "lossy3_z": (3, lambda eff, aux: _lossy3_elements(Z_AXIS, eff)),
-    "lossy3_x": (3, lambda eff, aux: _lossy3_elements(equatorial_axis(aux), eff)),
+    "lossy3_z": (3, lambda eff, aux: _lossy3_elements(0.0, 0.0, eff)),
+    "lossy3_x": (3, lambda eff, aux: _lossy3_elements(EQUATOR, aux, eff)),
 }
 
 

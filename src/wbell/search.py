@@ -17,9 +17,17 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .bell import BellResult, cabello_value, chsh_value, is_violation, mermin3_value, wwwzb_value
-from .dist import JointDistribution, _contract, _excitation_correlators
-from .measure import FAMILIES, BlochAxis, _efficiency_elements
+from .bell import (
+    WWWZB_MAX_PARTIES,
+    BellResult,
+    cabello_symmetric,
+    chsh_symmetric,
+    is_violation,
+    mermin3_symmetric,
+    wwwzb_symmetric,
+)
+from .dist import JointDistribution, Symmetric, _contract, symmetric
+from .measure import FAMILIES, _efficiency_elements
 from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from .states import ExcitationState, atom_photon_state, w_state
 
@@ -33,26 +41,25 @@ _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
 
 class Criterion(NamedTuple):
     """A criterion's outcome count and party range (``max_parties`` None: no
-    cap), and ``evaluate``, which maps a JointDistribution (the (2,)*N array
-    of full correlators when ``correlators`` is set) to a BellResult, or to a
-    ContentResult when ``lp`` is set."""
+    cap), and ``evaluate``, which maps a :class:`~wbell.dist.Symmetric`
+    scenario to a BellResult, or a JointDistribution to a ContentResult when
+    ``lp`` is set."""
 
     n_outcomes: int
     min_parties: int
     max_parties: Optional[int]
     evaluate: Callable
     lp: bool = False
-    correlators: bool = False
 
 
 # Every rule about a criterion lives in this table. The LP evaluators look
 # up nonlocal_content in this module's globals when called, so that wrapping
 # it here wraps every evaluation.
 CRITERIA = {
-    "cabello": Criterion(2, 3, None, cabello_value),
-    "wwwzb": Criterion(2, 1, None, wwwzb_value, correlators=True),
-    "mermin3": Criterion(2, 3, 3, mermin3_value, correlators=True),
-    "chsh": Criterion(2, 2, 2, chsh_value, correlators=True),
+    "cabello": Criterion(2, 3, None, cabello_symmetric),
+    "wwwzb": Criterion(2, 1, WWWZB_MAX_PARTIES, wwwzb_symmetric),
+    "mermin3": Criterion(2, 3, 3, mermin3_symmetric),
+    "chsh": Criterion(2, 2, 2, chsh_symmetric),
     "lp2": Criterion(2, 1, LP_MAX_PARTIES[2], lambda p: nonlocal_content(p), lp=True),
     "lp3": Criterion(3, 1, LP_MAX_PARTIES[3], lambda p: nonlocal_content(p), lp=True),
 }
@@ -265,8 +272,9 @@ def photon_elements(ms: MeasSpec, values: dict) -> tuple:
 
 def atom_elements(values: dict) -> tuple:
     """The atom's (setting 0, setting 1) POVM elements, in outcome order."""
-    return tuple(_efficiency_elements(BlochAxis(values[f"a_polar_{s}"], 0.0),
-                                      values["eta_atom"], 1.0) for s in range(2))
+    eta = values["eta_atom"]
+    return (_efficiency_elements(values["a_polar_0"], 0.0, eta, 1.0),
+            _efficiency_elements(values["a_polar_1"], 0.0, eta, 1.0))
 
 
 def scenario_state(spec: ScenarioSpec, values: dict) -> ExcitationState:
@@ -289,9 +297,9 @@ def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution
     return _contract(scenario_state(spec, values), _scenario_parties(spec, values))
 
 
-def criterion_result(criterion: str, data: Union[JointDistribution, np.ndarray]):
-    """Apply one named criterion to what it reads: a full-correlator
-    criterion to the (2,)*N correlator array, any other to a JointDistribution."""
+def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
+    """Apply one named criterion to what it reads: a closed form to a
+    Symmetric scenario, an LP criterion to a JointDistribution."""
     rule = CRITERIA.get(criterion)
     if rule is None:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -302,16 +310,28 @@ def scenario_result(spec: ScenarioSpec, values: dict,
                     state: Optional[ExcitationState] = None):
     """Evaluate the scenario's criterion: a BellResult or a ContentResult.
 
-    A full-correlator criterion reads the correlators of the single-excitation
-    state from their transfer-matrix contraction; the others read the dense
-    table. ``state`` replaces the scenario's source state. A device that
-    overflows gives NaN elements: an LP criterion rejects the table, and the
-    finite check below, the one guard of the unchecked path, rejects a
-    closed form.
+    A closed form reads the transfers of the single-excitation state, whose
+    photonic parties share one device pair and one amplitude; an LP criterion
+    reads the dense table. ``state`` replaces the scenario's source state,
+    and must have the scenario's party count and one amplitude on its
+    photonic parties. A device that overflows gives NaN elements: an LP
+    criterion rejects the table, and the finite check below, the one guard of
+    the unchecked path, rejects a closed form.
     """
-    contract = _excitation_correlators if CRITERIA[spec.criterion].correlators else _contract
+    if state is None:
+        state = scenario_state(spec, values)
+    else:
+        photonic = np.asarray(state.beta)[1 if spec.atom else 0:]
+        if state.n_parties != spec.n_parties:
+            raise ValueError(f"the state has {state.n_parties} parties, "
+                             f"{spec.name} has {spec.n_parties}")
+        if np.any(photonic != photonic[0]):
+            raise ValueError("the photonic parties of the state have unequal amplitudes")
     parties = _scenario_parties(spec, values)
-    data = contract(scenario_state(spec, values) if state is None else state, parties)
+    if CRITERIA[spec.criterion].lp:
+        data = _contract(state, parties)
+    else:
+        data = symmetric(state, parties[0], parties[-1])
     r = criterion_result(spec.criterion, data)
     if isinstance(r, BellResult) and not math.isfinite(r.value):
         raise ValueError(f"{spec.name}: {spec.criterion} value {r.value} is not finite at {values}")
@@ -380,11 +400,12 @@ def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray,
             raise _Witness
         return -m
 
+    # Nelder-Mead clips every point into the box before evaluating it, so
+    # its best vertex res.x lies in the box and -res.fun is its margin.
     res = minimize(negative_margin, x0, method="Nelder-Mead",
                    bounds=Bounds(lo, hi),
                    options={"xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
-    x = np.clip(res.x, lo, hi)
-    return -float(negative_margin(x)), x
+    return -float(res.fun), res.x
 
 
 def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> SearchResult:

@@ -36,7 +36,7 @@ def tensor_product(factors) -> np.ndarray:
 def assert_valid_povm(elements):
     """Hermitian, positive semidefinite 2x2 elements that sum to the identity."""
     total = np.zeros((2, 2), dtype=complex)
-    for m in elements:
+    for m in map(np.asarray, elements):
         np.testing.assert_allclose(m, m.conj().T, atol=OPERATOR_ATOL)
         assert np.linalg.eigvalsh(m).min() > -1e-10
         total = total + m
@@ -236,6 +236,44 @@ def brute_force_correlators(rho: np.ndarray, party_settings) -> np.ndarray:
     table = brute_force_distribution(rho, party_settings).reshape(2 ** n, 2 ** n)
     parity = np.array([(-1.0) ** bin(o).count("1") for o in range(2 ** n)])
     return (table @ parity).reshape((2,) * n)
+
+
+def excitation_correlators(state, parties) -> np.ndarray:
+    """The full correlators xi(s) of an ExcitationState under two-outcome
+    devices, shape (2,)*N, from a product of per-party 4x4 transfer matrices.
+
+    ``parties[k][s]`` holds party k's POVM elements for setting s. Each
+    party may have its own devices and amplitude. Expanding
+    rho = w_psi |psi><psi| + w_vac |vac><vac| over psi's components, xi(s) is
+    a product over parties of transfer matrices over four channels: 0 nothing
+    placed, 1 the bra's excitation placed (a factor beta_k^* A_k[1, 0]), 2 the
+    ket's (a factor beta_k A_k[0, 1]), 3 both. A party where neither is
+    placed contributes A_k[0, 0], and one that takes both |beta_k|^2 A_k[1, 1].
+    The boundary vector closes each channel with the vacuum amplitudes it
+    still lacks.
+    """
+    n = state.n_parties
+    obs = np.array([[np.subtract(el[0], el[1]) for el in pair] for pair in parties])
+    beta = np.asarray(state.beta)[:, None]
+    transfer = np.zeros((n, 2, 4, 4), dtype=complex)
+    diagonal = np.arange(4)
+    transfer[..., diagonal, diagonal] = obs[..., 0, 0, None]
+    transfer[..., 0, 1] = transfer[..., 2, 3] = beta.conj() * obs[..., 1, 0]
+    transfer[..., 0, 2] = transfer[..., 1, 3] = beta * obs[..., 0, 1]
+    transfer[..., 0, 3] = (beta.conj() * beta) * obs[..., 1, 1]
+    # Row r holds the channel amplitudes of one settings string of the
+    # parties placed so far, party by party from the last; the newest
+    # party's setting is the most significant bit.
+    rows = np.empty((2 ** n, 4), dtype=complex)
+    rows[0] = (1.0, 0.0, 0.0, 0.0)
+    m = 1
+    for k in range(n - 1, -1, -1):
+        rows[m:2 * m] = rows[:m] @ transfer[k, 1]
+        rows[:m] = rows[:m] @ transfer[k, 0]
+        m *= 2
+    a, w = state.alpha, state.w_psi
+    boundary = np.array([w * abs(a) ** 2 + state.w_vac, w * a, w * np.conj(a), w])
+    return (rows @ boundary).real.reshape((2,) * n)
 
 
 def full_correlators(p) -> np.ndarray:

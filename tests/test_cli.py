@@ -1,5 +1,6 @@
 """Command-line interface: presets, config files, output formats, exit codes."""
 
+import difflib
 import io
 import json
 import math
@@ -545,22 +546,51 @@ class TestFlagValidation:
             assert len(err.splitlines()) == 1 and calls == [], argv
 
     def test_memory_error_is_one_line(self):
-        """numpy refuses the 16 TiB state vector of N = 40 at once. Each run
-        gets a 4 GiB address-space cap all the same, so that no platform
-        that grants the allocation lazily starts filling memory."""
-        resource = pytest.importorskip("resource")
-        cap = 4 << 30
-        env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
-        for argv in (["bell", "--inequality", "cabello", "--n", "40"],
-                     ["bell", "--preset", "fig2", "--n", "40", "--starts", "1"],
-                     ["negativity", "--theta", "0.3", "--n", "40"]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "wbell.cli", *argv], env=env,
-                capture_output=True, text=True, timeout=120,
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
-            assert proc.returncode == 1 and proc.stdout == "", argv
-            assert proc.stderr.startswith("wbell: error:"), (argv, proc.stderr)
-            assert len(proc.stderr.splitlines()) == 1, argv
+        """numpy refuses the 16 TiB density matrix of N = 40 at once. No
+        content or --dump-dist run gets that far: the LP criteria cap N at 5
+        before any table is built."""
+        proc = capped_run(["negativity", "--theta", "0.3", "--n", "40"])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("wbell: error:"), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_closed_forms_run_at_forty_parties(self):
+        """The closed forms read the transfers of identical photons, so no
+        2^N array is built and N = 40 runs in the address-space cap."""
+        for state, expected in (("w", 1.0 - 40 / 2.0 ** 39),
+                                ("vacuum", 1.0 - 390.0 - 2.0 ** -39)):
+            proc = capped_run(["bell", "--inequality", "cabello", "--n", "40", "--ideal",
+                               "--state", state])
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["value"] == pytest.approx(expected, abs=1e-12), state
+        proc = capped_run(["bell", "--preset", "fig2", "--n", "40", "--starts", "1"])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_wwwzb_beyond_float_multiplicities_fails_before_evaluating(self, monkeypatch):
+        """wwwzb weighs its terms by C(N - 1, w), a float only up to
+        N - 1 = 1029, so a larger N is refused with one line before any
+        margin is evaluated."""
+        assert math.isfinite(float(math.comb(1029, 514)))
+        with pytest.raises(OverflowError):
+            float(math.comb(1030, 515))
+        import wbell.search as search
+
+        calls, margin = [], search.violation_margin
+
+        def counting_margin(*args):
+            calls.append(args)
+            return margin(*args)
+
+        monkeypatch.setattr(search, "violation_margin", counting_margin)
+        for argv in (["bell", "--preset", "fig2", "--n", "1031", "--starts", "1"],
+                     ["threshold", "--preset", "fig3", "--n", "5000"],
+                     ["bell", "--inequality", "wwwzb", "--n", "1031", "--ideal"]):
+            code, out, err = run(argv)
+            assert code == 1 and out == "" and calls == [], argv
+            assert err.startswith("wbell: error: wwwzb takes 1 to 1030 parties"), err
+            assert len(err.splitlines()) == 1, argv
+        code, out, err = run(["bell", "--inequality", "wwwzb", "--n", "1030", "--ideal"])
+        assert code == 0 and math.isfinite(json.loads(out)["value"]), err
 
     def test_inequality_choices_are_the_table_rows_without_lp(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -584,6 +614,19 @@ class TestFlagValidation:
             assert out == text, (name, n)
 
 
+def capped_run(argv):
+    """Run the CLI in a child process under a 4 GiB address-space cap, so
+    that no platform that grants a large allocation lazily starts filling
+    memory."""
+    resource = pytest.importorskip("resource")
+    cap = 4 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "wbell.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
 def test_every_exported_name_resolves():
     assert len(set(wbell.__all__)) == len(wbell.__all__)
     for name in wbell.__all__:
@@ -598,7 +641,9 @@ def test_golden_outputs_are_byte_identical():
     for argv, expected in blocks.items():
         code, out, err = run(argv.split())
         assert code == 0, (argv, err)
-        assert out == expected, argv
+        assert out == expected, f"{argv}\n" + "".join(difflib.unified_diff(
+            expected.splitlines(keepends=True), out.splitlines(keepends=True),
+            "golden", "now"))
 
 
 def console_script_target(name):

@@ -1,17 +1,26 @@
 """Joint outcome distributions, correlators, and their serialization."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_correlators, brute_force_distribution, full_correlators
+from oracles import (
+    brute_force_correlators,
+    brute_force_distribution,
+    excitation_correlators,
+    full_correlators,
+)
 from wbell.dist import (
+    ONE,
     JointDistribution,
     MeasurementAssignment,
     _contract,
-    _excitation_correlators,
     joint_distribution,
+    power,
+    symmetric,
+    times,
 )
 from wbell.measure import (
     BlochAxis,
@@ -198,10 +207,71 @@ def test_excitation_correlators_match_the_dense_contraction():
             state = ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
             parties = [(random_two_outcome_elements(rng), random_two_outcome_elements(rng))
                        for _ in range(n)]
-            got = _excitation_correlators(state, parties)
+            got = excitation_correlators(state, parties)
             assert got.shape == (2,) * n
             dense = full_correlators(_contract(state, parties))
             np.testing.assert_allclose(got, dense, atol=BRUTE_ATOL, rtol=0.0)
             if n <= 4:
                 brute = brute_force_correlators(state.rho, parties)
                 np.testing.assert_allclose(got, brute, atol=BRUTE_ATOL, rtol=0.0)
+
+
+def transfer_matrix(t):
+    """The 4x4 matrix aI + bX + cY + dXY of a transfer (a, b, c, d)."""
+    x, y = np.zeros((4, 4)), np.zeros((4, 4))
+    x[0, 1] = x[2, 3] = y[0, 2] = y[1, 3] = 1.0
+    a, b, c, d = t
+    return a * np.eye(4) + b * x + c * y + d * (x @ y)
+
+
+def test_transfer_products_and_powers_equal_the_matrices():
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        p, q, r = (tuple(complex(*rng.normal(size=2) * 0.6) for _ in range(4)) for _ in range(3))
+        np.testing.assert_allclose(transfer_matrix(times(p, q, r)),
+                                   transfer_matrix(p) @ transfer_matrix(q) @ transfer_matrix(r),
+                                   atol=1e-12, rtol=0.0)
+        np.testing.assert_allclose(transfer_matrix(times(p, q)), transfer_matrix(times(q, p)),
+                                   atol=1e-12, rtol=0.0)
+        for base in (p, (0.0,) + p[1:]):
+            for m in range(12):
+                np.testing.assert_allclose(transfer_matrix(power(base, m)),
+                                           np.linalg.matrix_power(transfer_matrix(base), m),
+                                           atol=1e-12, rtol=0.0)
+    assert power(p, 0) == ONE
+
+
+def test_symmetric_entries_and_correlators_equal_the_general_contractions():
+    """Complex alpha and amplitudes, a vacuum admixture, and unstructured
+    devices, party 0 with its own amplitude and devices: every correlator
+    and table entry read from the Symmetric form, by party 0's setting and
+    outcome and by how many of the others hold each element, equals the
+    oracle's correlators and the dense table."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        alpha = complex(rng.normal(), rng.normal())
+        beta = np.array([complex(rng.normal(), rng.normal())] +
+                        [complex(rng.normal(), rng.normal())] * (n - 1))
+        norm = math.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(beta) ** 2)))
+        w_vac = float(rng.uniform(0.0, 1.0))
+        state = ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
+        first, other = ((random_two_outcome_elements(rng), random_two_outcome_elements(rng))
+                        for _ in range(2))
+        parties = [first] + [other] * (n - 1)
+        sym = symmetric(state, first, other)
+        assert sym.n == n - 1
+        xi = excitation_correlators(state, parties)
+        table = _contract(state, parties).table
+        observable = [[tuple(np.subtract(*outcomes)) for outcomes in pair]
+                      for pair in (sym.first, sym.other)]
+        for s in product((0, 1), repeat=n):
+            ones = sum(s[1:])
+            others = times(power(observable[1][0], n - 1 - ones), power(observable[1][1], ones))
+            assert abs(sym.expectation(observable[0][s[0]], others) - xi[s]) < BRUTE_ATOL
+            for o in product((0, 1), repeat=n):
+                held = [(k, j) for k in (0, 1) for j in (0, 1)]
+                counts = [sum(1 for sk, ok in zip(s[1:], o[1:]) if (sk, ok) == kj) for kj in held]
+                others = times(ONE, *(power(sym.other[k][j], c)
+                                      for (k, j), c in zip(held, counts)))
+                got = sym.expectation(sym.first[s[0]][o[0]], others)
+                assert abs(got - table[s + o]) < BRUTE_ATOL, (n, s, o)

@@ -72,7 +72,7 @@ def test_closed_form_projectors_and_elements_equal_the_outer_product_oracle():
             np.testing.assert_allclose(got, ref, atol=FAMILY_ATOL, rtol=0.0, err_msg=str(axis))
         assert_valid_povm(axis.projectors())
         eta_up, eta_down = rng.uniform(), rng.uniform()
-        got = measure._efficiency_elements(axis, eta_up, eta_down)
+        got = measure._efficiency_elements(axis.polar, axis.azimuth, eta_up, eta_down)
         for a, b in zip(got, outer_efficiency_elements(axis, eta_up, eta_down)):
             np.testing.assert_allclose(a, b, atol=FAMILY_ATOL, rtol=0.0, err_msg=str(axis))
         assert_valid_povm(got)
@@ -86,8 +86,9 @@ def test_every_family_element_equals_the_outer_product_oracle(monkeypatch):
              for family in FAMILIES for _ in range(25)]
     draws += [(family, eff, 0.0) for family in FAMILIES for eff in (0.0, 1.0)]
     got = [FAMILIES[family][1](eff, aux) for family, eff, aux in draws]
-    monkeypatch.setattr(measure, "_efficiency_elements", outer_efficiency_elements)
-    monkeypatch.setattr(BlochAxis, "projectors", outer_projectors)
+    monkeypatch.setattr(measure, "_efficiency_elements",
+                        lambda polar, azimuth, eta_up, eta_down: outer_efficiency_elements(
+                            BlochAxis(polar, azimuth), eta_up, eta_down))
     for (family, eff, aux), elements in zip(draws, got):
         ref = FAMILIES[family][1](eff, aux)
         assert len(elements) == len(ref) == FAMILIES[family][0]

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import wbell.search as search
-from wbell.bell import VIOLATION_GUARD, BellResult, is_violation
+from wbell.bell import (
+    VIOLATION_GUARD,
+    BellResult,
+    cabello_value,
+    chsh_value,
+    is_violation,
+    mermin3_value,
+    wwwzb_value,
+)
 from wbell.cli import PRESETS
 import wbell.dist as dist
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
@@ -48,6 +56,7 @@ from oracles import (
     assert_valid_povm,
     brute_force_correlators,
     damping_threshold,
+    excitation_correlators,
     eigenvector_down,
     eigenvector_up,
     full_correlators,
@@ -341,8 +350,10 @@ def test_scenario_distribution_places_atom_first():
 def test_criterion_result_dispatch():
     spec = cabello_spd_spec(eta_z=1.0)
     p = scenario_distribution(spec, {})
-    assert isinstance(criterion_result("cabello", p), BellResult)
-    assert isinstance(criterion_result("wwwzb", full_correlators(p)), BellResult)
+    photon = search._scenario_parties(spec, {})[0]
+    sym = dist.symmetric(w_state(3), photon, photon)
+    for criterion in ("cabello", "wwwzb", "mermin3"):
+        assert isinstance(criterion_result(criterion, sym), BellResult)
     assert isinstance(criterion_result("lp2", p), ContentResult)
     with pytest.raises(ValueError):
         criterion_result("steering", p)
@@ -494,6 +505,44 @@ def test_a_simplex_run_of_a_verdict_stops_at_its_first_witness(monkeypatch):
         if is_violation(search._minimize_from(spec, names, starts[idx])[0]):
             break
     assert stopped < n_starts + len(calls)
+
+
+def test_a_simplex_run_evaluates_each_margin_once(monkeypatch):
+    """A run's margin calls equal its nfev: it returns its best vertex res.x,
+    which lies in the box, with -res.fun as its margin, and evaluates no
+    margin again."""
+    import scipy.optimize
+
+    runs, calls = [], []
+    minimize, margin = scipy.optimize.minimize, search.violation_margin
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    def counting_margin(spec, values):
+        calls.append(values)
+        return margin(spec, values)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    monkeypatch.setattr(search, "violation_margin", counting_margin)
+    for spec in (VERDICT_CASES[0], VERDICT_CASES[4], PRESETS["fig3"].build(3)):
+        names, starts = search._start_points(spec, 4)
+        lo = np.array([spec.params[n].lo for n in names])
+        hi = np.array([spec.params[n].hi for n in names])
+        for x0 in starts:
+            calls.clear()
+            best, x = search._minimize_from(spec, names, x0)
+            res = runs[-1]
+            assert len(calls) == res.nfev, spec.name
+            assert best == -res.fun and np.array_equal(x, res.x)
+            assert np.all(lo <= x) and np.all(x <= hi)
+            assert best == margin(spec, resolve_values(spec, dict(zip(names, x))))
+        calls.clear()
+        runs.clear()
+        optimize_free_parameters(spec, n_starts=4)
+        assert len(calls) == sum(res.nfev for res in runs) and len(runs) == 4
 
 
 def test_rounding_noise_does_not_decide_the_bisection():
@@ -780,12 +829,20 @@ def test_a_margin_evaluation_runs_no_device_or_table_check(monkeypatch):
     assert counts == {"elements": 2, "probabilities": 2, "validate": 1}
 
 
-# Full-correlator criteria read the correlators of the single-excitation
-# state from the transfer-matrix contraction. These tests pin it to the
-# checked dense path and to the Kronecker brute force, and pin that a margin
-# evaluation builds no dense state.
+# Closed-form criteria read the transfers of the single-excitation state,
+# every photonic party on one device pair and one amplitude. These tests pin
+# each symmetric evaluator to the general forms, the oracle's transfer-matrix
+# correlators and the dense table read by the public functionals; pin the
+# oracle to the checked dense path and to the Kronecker brute force; and pin
+# that a margin evaluation builds no dense state.
 
 CORRELATOR_ATOL = 1e-12
+SYMMETRIC_ATOL = 1e-12
+
+# The public functional that gives each closed form in general, and whether
+# it reads the (2,)*N full correlators rather than the table.
+GENERAL_FORMS = {"cabello": (cabello_value, False), "wwwzb": (wwwzb_value, True),
+                 "mermin3": (mermin3_value, True), "chsh": (chsh_value, True)}
 
 
 def checked_assignment(spec, values):
@@ -799,14 +856,15 @@ def checked_assignment(spec, values):
     return MeasurementAssignment((atom,) + (photon,) * (spec.n_parties - 1))
 
 
-def correlator_cases(rng):
-    """(label, spec, values, state override) over every full-correlator preset
+def closed_form_cases(rng):
+    """(label, spec, values, state override) over every closed-form preset
     from its fewest parties to 8, and fig3 at 10, with random in-box values,
-    a coupling below 1 and a flipped device in some draws; then the explicit
-    spd/sym scenarios on W, vacuum and damped W states."""
+    a coupling below 1 and a flipped device in some draws; then explicit
+    spd/sym scenarios of every closed-form criterion on W, vacuum and damped
+    W states."""
     for name, preset in PRESETS.items():
         rule = CRITERIA[preset.spec.criterion]
-        if not rule.correlators:
+        if rule.lp:
             continue
         fewest = max(rule.min_parties, 2 if preset.spec.atom else 1)
         sizes = list(range(fewest, min(rule.max_parties or 8, 8) + 1))
@@ -820,8 +878,9 @@ def correlator_cases(rng):
                 if draw == 2:
                     spec = replace(spec, photon_x=replace(spec.photon_x, flip=True))
                 yield f"{name} N={n} draw {draw}", spec, random_in_box_values(spec, rng), None
-    for criterion in ("wwwzb", "mermin3", "chsh"):
-        rule = CRITERIA[criterion]
+    for criterion, rule in CRITERIA.items():
+        if rule.lp:
+            continue
         for n in range(rule.min_parties, min(rule.max_parties or 8, 8) + 1):
             for eta in (1.0, 0.0, float(rng.uniform(0.0, 1.0))):
                 x = MeasSpec("sym", float(rng.uniform(0.0, 1.0)),
@@ -832,23 +891,69 @@ def correlator_cases(rng):
 
 
 def test_correlators_equal_the_checked_dense_path():
+    """The oracle's transfer-matrix correlators of every full-correlator case
+    equal the checked dense path, and the Kronecker brute force at small N."""
     rng = np.random.default_rng(14)
-    for label, spec, values, state in correlator_cases(rng):
-        n = spec.n_parties
+    for label, spec, values, state in closed_form_cases(rng):
+        if not GENERAL_FORMS[spec.criterion][1]:
+            continue
         source = search.scenario_state(spec, values) if state is None else state
-        got = dist._excitation_correlators(source, search._scenario_parties(spec, values))
+        got = excitation_correlators(source, search._scenario_parties(spec, values))
         assignment = checked_assignment(spec, values)
         checked = full_correlators(joint_distribution(source, assignment))
         np.testing.assert_allclose(got, checked, atol=CORRELATOR_ATOL, rtol=0.0,
                                    err_msg=label)
-        if n <= 4:
+        if spec.n_parties <= 4:
             brute = brute_force_correlators(
                 source.rho, [[p.elements for p in pair] for pair in assignment.parties])
             np.testing.assert_allclose(got, brute, atol=CORRELATOR_ATOL, rtol=0.0,
                                        err_msg=label)
-        # The criterion value is read from exactly these correlators.
-        value = search.scenario_result(spec, values, state).value
-        assert value == CRITERIA[spec.criterion].evaluate(got).value
+
+
+def test_symmetric_evaluators_equal_the_general_forms():
+    """Every closed-form value equals, within SYMMETRIC_ATOL, its public
+    functional on the dense table and, for a full-correlator criterion, on
+    the oracle's correlators."""
+    rng = np.random.default_rng(16)
+    for label, spec, values, state in closed_form_cases(rng):
+        functional, correlators = GENERAL_FORMS[spec.criterion]
+        source = search.scenario_state(spec, values) if state is None else state
+        parties = search._scenario_parties(spec, values)
+        table = dist._contract(source, parties)
+        if correlators:
+            general = [full_correlators(table), excitation_correlators(source, parties)]
+        else:
+            general = [table]
+        got = search.scenario_result(spec, values, state)
+        for data in general:
+            want = functional(data)
+            assert abs(got.value - want.value) <= SYMMETRIC_ATOL, (label, got, want)
+            assert (got.local_bound, got.algebraic_max) == (want.local_bound, want.algebraic_max)
+
+
+def test_unequal_photon_amplitudes_are_refused():
+    """scenario_result reads one amplitude for every photonic party and
+    refuses a state that has more; the dense table and the public
+    functionals still evaluate it."""
+    beta = np.array([0.6, 0.5, 0.3])
+    state = ExcitationState(0.0, beta / np.linalg.norm(beta))
+    spd, sym = efficiency_povm(Z_AXIS, 0.9, 1.0), efficiency_povm(X_AXIS, 0.8, 0.8)
+    table = joint_distribution(state, MeasurementAssignment.uniform(spd, sym, 3))
+    for criterion in ("cabello", "wwwzb", "mermin3"):
+        spec = ScenarioSpec("custom", 3, criterion, MeasSpec("spd", 0.9), MeasSpec("sym", 0.8))
+        with pytest.raises(ValueError, match="unequal amplitudes"):
+            search.scenario_result(spec, {}, state)
+        functional, correlators = GENERAL_FORMS[criterion]
+        assert math.isfinite(functional(full_correlators(table) if correlators else table).value)
+        with pytest.raises(ValueError, match="parties"):
+            search.scenario_result(spec, {}, w_state(4))
+    # With an atom, party 0's amplitude is its own.
+    spec = PRESETS["fig3"].build(3)
+    values = random_in_box_values(spec, rng=np.random.default_rng(17))
+    atom = search.scenario_state(spec, values)
+    assert search.scenario_result(spec, values, atom) == search.scenario_result(spec, values)
+    with pytest.raises(ValueError, match="unequal amplitudes"):
+        search.scenario_result(spec, values, ExcitationState(0.0, np.array([0.6, 0.64, 0.48])))
 
 
 def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
@@ -862,9 +967,13 @@ def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
     rng = np.random.default_rng(15)
     for name, preset in PRESETS.items():
         rule = CRITERIA[preset.spec.criterion]
-        if rule.correlators:
-            spec = preset.build(8 if rule.max_parties is None else preset.spec.n_parties)
-            assert math.isfinite(violation_margin(spec, random_in_box_values(spec, rng))), name
+        if rule.lp:
+            continue
+        for n in ((8, 40) if rule.max_parties is None or rule.max_parties >= 40
+                  else (preset.spec.n_parties,)):
+            spec = preset.build(n)
+            margin = violation_margin(spec, random_in_box_values(spec, rng))
+            assert math.isfinite(margin), (name, n)
     # The refusals are real: the table path trips them.
     with pytest.raises(AssertionError):
         scenario_distribution(PRESETS["fig1"].spec, {"eta_z": 0.9, "eta_x": 0.9})
