@@ -3,17 +3,15 @@ states, for N parties with two settings each.
 
 A scenario assigns each party a pair of POVMs (setting 0, setting 1; for the
 photonic presets setting 0 is the z-type and setting 1 the x-type device).
-``joint_distribution`` produces the full table P(o|s) = Tr[rho (x)_k M_{o_k|s_k}]
-of an :class:`ExcitationState` as a dense array indexed by the settings bits
-then the outcome digits, by contracting the dense density matrix as a (4,)^N
-site tensor.
-
-The closed-form criteria need no table. In the single-excitation subspace
-Tr[rho (x)_k O_k] is a product of one commuting transfer per party, four
-scalars each (see ``times``), so when every party but the first shares one
-device pair and one amplitude (:class:`Symmetric`) an entry or correlator
-depends only on the first party's operator and on how many of the others
-hold each of theirs, and costs O(1) scalar work through ``power``.
+In the single-excitation subspace Tr[rho (x)_k O_k] is a product of one
+commuting transfer per party, four scalars each (see ``times``), closed by
+the state's boundary vector. ``joint_distribution`` and ``table`` broadcast
+that product into the full table P(o|s) = Tr[rho (x)_k M_{o_k|s_k}] of an
+:class:`ExcitationState`, indexed by the settings bits then the outcome
+digits. The closed-form criteria need no table: when every party but the
+first shares one device pair and one amplitude (:class:`Symmetric`) an entry
+or correlator depends only on the first party's operator and on how many of
+the others hold each of theirs, and costs O(1) scalar work through ``power``.
 """
 
 from __future__ import annotations
@@ -104,6 +102,8 @@ class JointDistribution:
                 raise ValueError(f"malformed distribution line: {raw!r}")
             if set(parts[0]) - {"0", "1"}:
                 raise ValueError(f"settings digits must be 0 or 1: {raw!r}")
+            if (parts[0], parts[1]) in entries:
+                raise ValueError(f"distribution text lists {parts[0]} {parts[1]} twice")
             entries[(parts[0], parts[1])] = float(parts[2])
         if not entries:
             raise ValueError("empty distribution text")
@@ -111,37 +111,14 @@ class JointDistribution:
         k = max(int(d) for _, o in entries for d in o) + 1
         if len(entries) != 2 ** n * k ** n:
             raise ValueError("distribution text does not list every (settings, outcomes) pair")
-        table = np.empty((2,) * n + (k,) * n, dtype=float)
+        probabilities = np.empty((2,) * n + (k,) * n, dtype=float)
         for (ss, oo), p in entries.items():
             if len(ss) != n or len(oo) != n:
                 raise ValueError("inconsistent string lengths in distribution text")
-            table[tuple(int(c) for c in ss + oo)] = p
-        dist = cls(n, k, table)
+            probabilities[tuple(int(c) for c in ss + oo)] = p
+        dist = cls(n, k, probabilities)
         dist.validate()
         return dist
-
-
-def _site_tensor(rho: np.ndarray, n: int) -> np.ndarray:
-    """Reshape rho[i_vec, j_vec] into a (4,)*n tensor with axis order (i_k, j_k)."""
-    t = rho.reshape((2,) * (2 * n))
-    order = [ax for k in range(n) for ax in (k, n + k)]
-    return t.transpose(order).reshape((4,) * n)
-
-
-def _contract(state: ExcitationState, parties) -> JointDistribution:
-    """The table of ``joint_distribution``, unchecked. ``parties[k][s]`` holds
-    party k's POVM elements for setting s, in outcome order."""
-    n = state.n_parties
-    k = len(parties[0][0])
-    t = _site_tensor(state.rho, n)
-    for pair in parties:
-        g = np.empty((2, k, 4), dtype=complex)
-        for s in (0, 1):
-            for o, el in enumerate(pair[s]):
-                g[s, o] = np.asarray(el).T.reshape(4)
-        t = np.tensordot(t, g, axes=([0], [2]))
-    order = [2 * k_ for k_ in range(n)] + [2 * k_ + 1 for k_ in range(n)]
-    return JointDistribution(n, k, np.ascontiguousarray(t.transpose(order).real))
 
 
 def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment) -> JointDistribution:
@@ -149,7 +126,7 @@ def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment
     n = state.n_parties
     if assignment.n_parties != n:
         raise ValueError(f"assignment has {assignment.n_parties} parties, state has {n}")
-    dist = _contract(state, [[povm.elements for povm in pair] for pair in assignment.parties])
+    dist = table(state, [[povm.elements for povm in pair] for pair in assignment.parties])
     dist.validate()
     return dist
 
@@ -226,7 +203,30 @@ def symmetric(state: ExcitationState, first, other) -> Symmetric:
     (setting 0, setting 1) elements ``first`` and every other party, each of
     amplitude ``state.beta[-1]``, the elements ``other``; unchecked."""
     beta = state.beta
-    a, w = state.alpha, state.w_psi
-    boundary = (w * abs(a) ** 2 + state.w_vac, w * a, w * a.conjugate(), w)
     return Symmetric(_transfers(first, beta.item(0)), _transfers(other, beta.item(-1)),
-                     len(beta) - 1, boundary)
+                     len(beta) - 1, _boundary(state))
+
+
+def _boundary(state: ExcitationState) -> tuple:
+    """The vector that closes a product of transfers (see the note on ``ONE``)."""
+    a, w = state.alpha, state.w_psi
+    return w * abs(a) ** 2 + state.w_vac, w * a, w * a.conjugate(), w
+
+
+def table(state: ExcitationState, parties) -> JointDistribution:
+    """The table of ``joint_distribution``, unchecked; ``parties[j][s]`` holds party
+    j's POVM elements for setting s. Its transfers lie along axes j and N + j, so
+    ``times`` broadcasts them; the last party's act on the boundary first."""
+    n, k = len(parties), len(parties[0][0])
+    placed = []
+    for j, pair in enumerate(parties):
+        shape = [4] + [1] * (2 * n)
+        shape[1 + j], shape[1 + n + j] = 2, k
+        placed.append(np.moveaxis(np.array(_transfers(pair, state.beta.item(j))), -1, 0)
+                      .reshape(shape))
+    *rest, (a, b, c, d) = placed
+    e, f, g, h = times(*rest) if rest else ONE
+    w0, w1, w2, w3 = _boundary(state)
+    entries = (e * (a * w0 + b * w1 + c * w2 + d * w3) + f * (a * w1 + c * w3)
+               + g * (a * w2 + b * w3) + h * (a * w3))
+    return JointDistribution(n, k, np.ascontiguousarray(entries.real))

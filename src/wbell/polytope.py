@@ -183,9 +183,9 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     import scipy.sparse as sp
     p.validate()
     n, k = p.n_parties, p.n_outcomes
-    if k > 3:
+    if k not in LP_MAX_PARTIES:
         raise ValueError("content is implemented for 2 or 3 outcomes")
-    if n > LP_MAX_PARTIES.get(k, n):
+    if n > LP_MAX_PARTIES[k]:
         raise ValueError(f"{k}-outcome content is capped at {LP_MAX_PARTIES[k]} parties")
     classes = _party_classes(p.table, n)
     a, row_of = None, np.zeros((), dtype=np.int64)

@@ -26,7 +26,7 @@ from .bell import (
     mermin3_symmetric,
     wwwzb_symmetric,
 )
-from .dist import JointDistribution, Symmetric, _contract, symmetric
+from .dist import JointDistribution, Symmetric, symmetric, table
 from .measure import FAMILIES, _efficiency_elements
 from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
 from .states import ExcitationState, atom_photon_state, w_state
@@ -294,7 +294,7 @@ def _scenario_parties(spec: ScenarioSpec, values: dict) -> list:
 
 def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
     """The scenario's table, unchecked (ScenarioSpec checked its inputs)."""
-    return _contract(scenario_state(spec, values), _scenario_parties(spec, values))
+    return table(scenario_state(spec, values), _scenario_parties(spec, values))
 
 
 def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
@@ -312,11 +312,11 @@ def scenario_result(spec: ScenarioSpec, values: dict,
 
     A closed form reads the transfers of the single-excitation state, whose
     photonic parties share one device pair and one amplitude; an LP criterion
-    reads the dense table. ``state`` replaces the scenario's source state,
-    and must have the scenario's party count and one amplitude on its
-    photonic parties. A device that overflows gives NaN elements: an LP
-    criterion rejects the table, and the finite check below, the one guard of
-    the unchecked path, rejects a closed form.
+    reads the table ``dist.table`` builds from the same transfers. ``state``
+    replaces the scenario's source state, and must have the scenario's party
+    count and one amplitude on its photonic parties. A device that overflows
+    gives NaN elements: an LP criterion rejects the table, and the finite
+    check below, the one guard of the unchecked path, rejects a closed form.
     """
     if state is None:
         state = scenario_state(spec, values)
@@ -328,11 +328,9 @@ def scenario_result(spec: ScenarioSpec, values: dict,
         if np.any(photonic != photonic[0]):
             raise ValueError("the photonic parties of the state have unequal amplitudes")
     parties = _scenario_parties(spec, values)
-    if CRITERIA[spec.criterion].lp:
-        data = _contract(state, parties)
-    else:
-        data = symmetric(state, parties[0], parties[-1])
-    r = criterion_result(spec.criterion, data)
+    lp = CRITERIA[spec.criterion].lp
+    r = criterion_result(spec.criterion, table(state, parties) if lp
+                         else symmetric(state, parties[0], parties[-1]))
     if isinstance(r, BellResult) and not math.isfinite(r.value):
         raise ValueError(f"{spec.name}: {spec.criterion} value {r.value} is not finite at {values}")
     return r

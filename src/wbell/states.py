@@ -7,7 +7,7 @@ convention: party 0 owns the most significant bit of the register index.
 Every state built here lies in the span of the vacuum and the N states
 |e_k> in which party k alone is excited, and :class:`ExcitationState`
 describes it on that span. Its ``rho`` is the dense 2^N x 2^N matrix, which
-only the dense paths build.
+only ``negativity`` reads.
 """
 
 from __future__ import annotations

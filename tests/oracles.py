@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written the slow, obvious way on purpose: dense Kronecker
-loops, scipy matrix exponentials, explicit Kraus sums. Agreement between
+loops, the dense density matrix contracted as a site tensor, scipy matrix
+exponentials, explicit Kraus sums. Agreement between
 these and the fast package routines is what the oracle tests assert.
 """
 
@@ -12,6 +13,8 @@ from itertools import product
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
+
+from wbell.dist import JointDistribution
 
 FOCK_CUTOFF = 40
 VERTEX_CAP = 10 ** 6
@@ -227,6 +230,33 @@ def brute_force_distribution(rho: np.ndarray, party_settings) -> np.ndarray:
                                  for k in range(n)])
             table[tuple(settings) + tuple(outcomes)] = np.trace(rho @ op).real
     return table
+
+
+def site_tensor(rho: np.ndarray, n: int) -> np.ndarray:
+    """Reshape rho[i_vec, j_vec] into a (4,)*n tensor with axis order (i_k, j_k)."""
+    t = rho.reshape((2,) * (2 * n))
+    order = [ax for k in range(n) for ax in (k, n + k)]
+    return t.transpose(order).reshape((4,) * n)
+
+
+def dense_distribution(state, parties):
+    """The JointDistribution of an ExcitationState from its dense
+    2^N x 2^N ``rho``, contracted party by party as a (4,)^N site tensor.
+
+    ``parties[k][s]`` holds party k's POVM elements for setting s, in
+    outcome order. Any state and any devices; unchecked.
+    """
+    n = state.n_parties
+    k = len(parties[0][0])
+    t = site_tensor(state.rho, n)
+    for pair in parties:
+        g = np.empty((2, k, 4), dtype=complex)
+        for s in (0, 1):
+            for o, el in enumerate(pair[s]):
+                g[s, o] = np.asarray(el).T.reshape(4)
+        t = np.tensordot(t, g, axes=([0], [2]))
+    order = [2 * k_ for k_ in range(n)] + [2 * k_ + 1 for k_ in range(n)]
+    return JointDistribution(n, k, np.ascontiguousarray(t.transpose(order).real))
 
 
 def brute_force_correlators(rho: np.ndarray, party_settings) -> np.ndarray:

@@ -11,11 +11,13 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import wbell
+import wbell.polytope as polytope
 from wbell.cli import PRESETS, build_parser, dispatch, dump_scenario, parse_config
 from wbell.polytope import nonlocal_content
 from wbell.search import CRITERIA, scenario_distribution
@@ -281,6 +283,29 @@ class TestContent:
             code, out, err = run(["content", "--dist-file", str(path), *flags])
             assert code == 1 and out == "", flags
             assert err == "wbell: error: --dist-file replaces the scenario flags\n", flags
+
+    def test_a_one_outcome_dist_file_is_refused_before_the_lp(self, tmp_path, monkeypatch):
+        """A table whose outcome digits are all 0 has one outcome, for which
+        no LP exists and no party cap applies: refused before any orbit
+        matrix or LP is built, whatever its size."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP was built")
+
+        for name in ("_orbit_matrix", "solve_lp"):
+            monkeypatch.setattr(polytope, name, refuse)
+        path = tmp_path / "one-outcome.dist"
+        path.write_text("".join(f"{''.join(s)} {'0' * 9} 1\n" for s in product("01", repeat=9)))
+        code, out, err = run(["content", "--dist-file", str(path)])
+        assert code == 1 and out == ""
+        assert err == "wbell: error: content is implemented for 2 or 3 outcomes\n"
+
+    def test_a_dist_file_with_a_repeated_pair_is_refused(self, tmp_path):
+        path = tmp_path / "repeated.dist"
+        path.write_text("0 0 0.9\n0 1 0.5\n1 0 0.5\n1 1 0.5\n0 0 0.5\n")
+        code, out, err = run(["content", "--dist-file", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("wbell: error:") and len(err.splitlines()) == 1, err
+        assert "0 0" in err
 
     def test_matches_library_call(self):
         d = run_json(self.IDEAL)

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     brute_force_correlators,
     brute_force_distribution,
+    dense_distribution,
     excitation_correlators,
     full_correlators,
 )
@@ -16,10 +17,10 @@ from wbell.dist import (
     ONE,
     JointDistribution,
     MeasurementAssignment,
-    _contract,
     joint_distribution,
     power,
     symmetric,
+    table,
     times,
 )
 from wbell.measure import (
@@ -32,6 +33,7 @@ from wbell.measure import (
 from wbell.states import ExcitationState, damped_w_state, w_state
 
 BRUTE_ATOL = 1e-12
+TABLE_ATOL = 1e-15
 AD_EQUIV_ATOL = 1e-11
 
 
@@ -166,6 +168,17 @@ def test_from_text_rejects_malformed_input():
         JointDistribution.from_text("0 0 0.5\n0 1 0.5\n2 0 0.5\n2 1 0.5\n")
 
 
+def test_from_text_refuses_a_repeated_pair():
+    """A second line for one (settings, outcomes) pair is refused, not
+    silently kept in place of the first, even when the count still fits."""
+    with pytest.raises(ValueError, match="twice"):
+        JointDistribution.from_text("0 0 0.9\n0 1 0.5\n1 0 0.5\n1 1 0.5\n0 0 0.5\n")
+    text = joint_distribution(w_state(2), ideal_assignment(2)).to_text()
+    first = text.splitlines()[0]
+    with pytest.raises(ValueError, match="twice"):
+        JointDistribution.from_text(text + first + "\n")
+
+
 def test_povm_error_model_equals_channel_on_state():
     """Detector inefficiency commutes between the state and the POVM.
 
@@ -193,6 +206,48 @@ def random_two_outcome_elements(rng):
     return m0, np.eye(2) - m0
 
 
+def random_elements(rng, n_outcomes):
+    """Elements of a random qubit POVM with ``n_outcomes`` outcomes."""
+    if n_outcomes == 2:
+        return random_two_outcome_elements(rng)
+    hs = [a @ a.conj().T for a in (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                                   for _ in range(n_outcomes - 1))]
+    scale = np.linalg.eigvalsh(sum(hs)).max()
+    ms = [h / scale for h in hs]
+    return tuple(ms) + (np.eye(2) - sum(ms),)
+
+
+def random_excitation_state(rng, n):
+    """Complex alpha != 0 and unequal complex beta, with a vacuum admixture."""
+    alpha = complex(rng.normal(), rng.normal())
+    beta = rng.normal(size=n) + 1j * rng.normal(size=n)
+    norm = math.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(beta) ** 2)))
+    w_vac = float(rng.uniform(0.05, 0.95))
+    return ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
+
+
+def test_table_equals_the_dense_oracle_and_the_brute_force():
+    """Random complex states and a different random POVM pair per party, at
+    two and three outcomes: the transfer-product table equals the dense
+    site-tensor contraction to TABLE_ATOL, and so does the Kronecker brute
+    force up to five parties."""
+    rng = np.random.default_rng(24)
+    for n_outcomes, sizes in ((2, range(1, 7)), (3, range(1, 5))):
+        for n in sizes:
+            for _ in range(2):
+                state = random_excitation_state(rng, n)
+                parties = [(random_elements(rng, n_outcomes), random_elements(rng, n_outcomes))
+                           for _ in range(n)]
+                got = table(state, parties)
+                assert (got.n_parties, got.n_outcomes) == (n, n_outcomes)
+                assert got.table.shape == (2,) * n + (n_outcomes,) * n
+                dense = dense_distribution(state, parties).table
+                np.testing.assert_allclose(got.table, dense, atol=TABLE_ATOL, rtol=0.0)
+                if n <= 5:
+                    brute = brute_force_distribution(state.rho, parties)
+                    np.testing.assert_allclose(got.table, brute, atol=TABLE_ATOL, rtol=0.0)
+
+
 def test_excitation_correlators_match_the_dense_contraction():
     """Complex alpha and beta, a vacuum admixture, and unstructured devices:
     the transfer-matrix contraction agrees with the (4,)^N site tensor, and
@@ -209,7 +264,7 @@ def test_excitation_correlators_match_the_dense_contraction():
                        for _ in range(n)]
             got = excitation_correlators(state, parties)
             assert got.shape == (2,) * n
-            dense = full_correlators(_contract(state, parties))
+            dense = full_correlators(dense_distribution(state, parties))
             np.testing.assert_allclose(got, dense, atol=BRUTE_ATOL, rtol=0.0)
             if n <= 4:
                 brute = brute_force_correlators(state.rho, parties)
@@ -261,7 +316,7 @@ def test_symmetric_entries_and_correlators_equal_the_general_contractions():
         sym = symmetric(state, first, other)
         assert sym.n == n - 1
         xi = excitation_correlators(state, parties)
-        table = _contract(state, parties).table
+        dense = dense_distribution(state, parties).table
         observable = [[tuple(np.subtract(*outcomes)) for outcomes in pair]
                       for pair in (sym.first, sym.other)]
         for s in product((0, 1), repeat=n):
@@ -274,4 +329,4 @@ def test_symmetric_entries_and_correlators_equal_the_general_contractions():
                 others = times(ONE, *(power(sym.other[k][j], c)
                                       for (k, j), c in zip(held, counts)))
                 got = sym.expectation(sym.first[s[0]][o[0]], others)
-                assert abs(got - table[s + o]) < BRUTE_ATOL, (n, s, o)
+                assert abs(got - dense[s + o]) < BRUTE_ATOL, (n, s, o)

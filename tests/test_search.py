@@ -17,7 +17,7 @@ from wbell.bell import (
     mermin3_value,
     wwwzb_value,
 )
-from wbell.cli import PRESETS
+from wbell.cli import PRESETS, dispatch
 import wbell.dist as dist
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import (
@@ -55,7 +55,9 @@ from wbell.states import ExcitationState, atom_photon_state, damped_w_state, w_s
 from oracles import (
     assert_valid_povm,
     brute_force_correlators,
+    brute_force_distribution,
     damping_threshold,
+    dense_distribution,
     excitation_correlators,
     eigenvector_down,
     eigenvector_up,
@@ -793,6 +795,30 @@ def test_scenario_tables_equal_the_checked_path_bit_for_bit():
                 trusted.validate()
 
 
+def test_scenario_tables_equal_the_dense_oracle_and_the_brute_force():
+    """Every preset at every size from 1 to 6 it builds, the atom presets
+    with a coupling below 1: the transfer-product table equals the dense
+    site-tensor contraction to 1e-15, and so does the Kronecker brute force
+    up to four parties."""
+    rng = np.random.default_rng(18)
+    for name, preset in PRESETS.items():
+        rule = CRITERIA[preset.spec.criterion]
+        fewest = max(rule.min_parties, 2 if preset.spec.atom else 1)
+        for n in range(fewest, min(rule.max_parties or 6, 6) + 1):
+            spec = preset.build(n)
+            if spec.atom:
+                spec = fix_parameter(spec, "eta_c", float(rng.uniform(0.0, 1.0)))
+            values = random_in_box_values(spec, rng)
+            state = search.scenario_state(spec, values)
+            parties = search._scenario_parties(spec, values)
+            got = scenario_distribution(spec, values).table
+            np.testing.assert_allclose(got, dense_distribution(state, parties).table,
+                                       atol=1e-15, rtol=0.0, err_msg=f"{name} N={n}")
+            if n <= 4:
+                np.testing.assert_allclose(got, brute_force_distribution(state.rho, parties),
+                                           atol=1e-15, rtol=0.0, err_msg=f"{name} N={n}")
+
+
 def test_a_margin_evaluation_runs_no_device_or_table_check(monkeypatch):
     import wbell.measure as measure
 
@@ -832,9 +858,10 @@ def test_a_margin_evaluation_runs_no_device_or_table_check(monkeypatch):
 # Closed-form criteria read the transfers of the single-excitation state,
 # every photonic party on one device pair and one amplitude. These tests pin
 # each symmetric evaluator to the general forms, the oracle's transfer-matrix
-# correlators and the dense table read by the public functionals; pin the
-# oracle to the checked dense path and to the Kronecker brute force; and pin
-# that a margin evaluation builds no dense state.
+# correlators and the oracle's dense table read by the public functionals;
+# pin the oracle's correlators to the checked table, the dense oracle and the
+# Kronecker brute force; and pin that a margin evaluation builds no dense
+# state.
 
 CORRELATOR_ATOL = 1e-12
 SYMMETRIC_ATOL = 1e-12
@@ -892,7 +919,8 @@ def closed_form_cases(rng):
 
 def test_correlators_equal_the_checked_dense_path():
     """The oracle's transfer-matrix correlators of every full-correlator case
-    equal the checked dense path, and the Kronecker brute force at small N."""
+    equal those of the checked table and of the dense oracle under the
+    checked devices, and the Kronecker brute force at small N."""
     rng = np.random.default_rng(14)
     for label, spec, values, state in closed_form_cases(rng):
         if not GENERAL_FORMS[spec.criterion][1]:
@@ -900,26 +928,27 @@ def test_correlators_equal_the_checked_dense_path():
         source = search.scenario_state(spec, values) if state is None else state
         got = excitation_correlators(source, search._scenario_parties(spec, values))
         assignment = checked_assignment(spec, values)
-        checked = full_correlators(joint_distribution(source, assignment))
-        np.testing.assert_allclose(got, checked, atol=CORRELATOR_ATOL, rtol=0.0,
-                                   err_msg=label)
+        elements = [[p.elements for p in pair] for pair in assignment.parties]
+        for checked in (joint_distribution(source, assignment),
+                        dense_distribution(source, elements)):
+            np.testing.assert_allclose(got, full_correlators(checked), atol=CORRELATOR_ATOL,
+                                       rtol=0.0, err_msg=label)
         if spec.n_parties <= 4:
-            brute = brute_force_correlators(
-                source.rho, [[p.elements for p in pair] for pair in assignment.parties])
+            brute = brute_force_correlators(source.rho, elements)
             np.testing.assert_allclose(got, brute, atol=CORRELATOR_ATOL, rtol=0.0,
                                        err_msg=label)
 
 
 def test_symmetric_evaluators_equal_the_general_forms():
     """Every closed-form value equals, within SYMMETRIC_ATOL, its public
-    functional on the dense table and, for a full-correlator criterion, on
-    the oracle's correlators."""
+    functional on the oracle's dense table and, for a full-correlator
+    criterion, on the oracle's correlators."""
     rng = np.random.default_rng(16)
     for label, spec, values, state in closed_form_cases(rng):
         functional, correlators = GENERAL_FORMS[spec.criterion]
         source = search.scenario_state(spec, values) if state is None else state
         parties = search._scenario_parties(spec, values)
-        table = dist._contract(source, parties)
+        table = dense_distribution(source, parties)
         if correlators:
             general = [full_correlators(table), excitation_correlators(source, parties)]
         else:
@@ -957,23 +986,28 @@ def test_unequal_photon_amplitudes_are_refused():
 
 
 def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
+    """No margin, closed form or LP, and no scenario table reads the dense
+    ``ExcitationState.rho``."""
     def refuse(*args, **kwargs):
         raise AssertionError("a dense path was taken")
 
     monkeypatch.setattr(ExcitationState, "rho", property(refuse))
-    for module in (dist, search):
-        monkeypatch.setattr(module, "_contract", refuse)
-    monkeypatch.setattr(dist, "_site_tensor", refuse)
     rng = np.random.default_rng(15)
     for name, preset in PRESETS.items():
         rule = CRITERIA[preset.spec.criterion]
         if rule.lp:
-            continue
-        for n in ((8, 40) if rule.max_parties is None or rule.max_parties >= 40
-                  else (preset.spec.n_parties,)):
+            sizes = (preset.spec.n_parties, rule.max_parties)
+        elif rule.max_parties is None or rule.max_parties >= 40:
+            sizes = (8, 40)
+        else:
+            sizes = (preset.spec.n_parties,)
+        for n in sizes:
             spec = preset.build(n)
-            margin = violation_margin(spec, random_in_box_values(spec, rng))
+            values = random_in_box_values(spec, rng)
+            margin = violation_margin(spec, values)
             assert math.isfinite(margin), (name, n)
-    # The refusals are real: the table path trips them.
+            if n <= 8:
+                scenario_distribution(spec, values).validate()
+    # The refusals are real: negativity, the one reader of rho, trips them.
     with pytest.raises(AssertionError):
-        scenario_distribution(PRESETS["fig1"].spec, {"eta_z": 0.9, "eta_x": 0.9})
+        dispatch(["negativity", "--theta", "-0.7", "--n", "3"])
