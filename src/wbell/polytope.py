@@ -17,10 +17,17 @@ spreading each orbit's weight evenly over its vertices is a local
 decomposition of the table as given, however slightly asymmetric it is; the
 optimum moves from the full LP's only by that asymmetry. With singleton
 classes the LP is the full one, its rows reordered.
+
+Inside ``reusing_faces`` an LP is first re-solved on the last optimal faces
+of its matrix: the NNLS fit of an earlier optimum's tight rows over its
+support. Those duals stay feasible for any bounds b, so the fit is optimal
+once it passes a HiGHS solve's certificate (``_certify``); else HiGHS runs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -33,6 +40,9 @@ from .dist import JointDistribution
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
+FACE_TOL = 1e-12   # support weight, dual and slack that put a column or row on a face
+FACES_TRIED = 2
+_faces: ContextVar = ContextVar("faces", default=None)  # newest faces per LP matrix
 
 # Most parties the LP takes, by outcome count: its size grows as (k^2)^N.
 LP_MAX_PARTIES = {2: 5, 3: 4}
@@ -130,18 +140,31 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray):
-    """Maximize objective . x subject to a_ub x <= b_ub and x >= 0.
+def _certify(a_ub, b_ub: np.ndarray, x: np.ndarray, value: float, y) -> None:
+    """Raise LPError unless x is feasible within FEASIBILITY_TOL and the dual
+    value b_ub . y of duals y is within OPTIMALITY_TOL of ``value``."""
+    worst = float((a_ub @ x - b_ub).max(initial=0.0))
+    lowest = float(x.min(initial=0.0))
+    if worst > FEASIBILITY_TOL or lowest < -FEASIBILITY_TOL:
+        raise LPError(f"solution violates feasibility (residual {worst:g}, "
+                      f"lowest variable {lowest:g})")
+    dual_value = float(b_ub @ y)
+    if abs(dual_value - value) > OPTIMALITY_TOL * (1.0 + abs(value)):
+        raise LPError(f"duality gap {dual_value - value:g} exceeds tolerance")
 
-    Returns (value, x). The solution is certified: primal feasibility within
-    FEASIBILITY_TOL and, when the solver reports duals, a weak-duality gap
-    within OPTIMALITY_TOL (relative to the value's scale).
+
+def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray):
+    """Maximize objective . x subject to a_ub x <= b_ub and x >= 0 with HiGHS.
+
+    Returns (value, x, y), y the row duals, certified by ``_certify``, as is
+    a face re-solve: primal feasibility within FEASIBILITY_TOL and a
+    weak-duality gap within OPTIMALITY_TOL (relative to the value's scale).
     """
     c = -np.asarray(objective, dtype=float)
-    # The certificate below is stricter than the HiGHS defaults (1e-7), so
-    # the solver is asked for more accuracy than it would normally deliver.
-    res = linprog(c, A_ub=a_ub, b_ub=np.asarray(b_ub, dtype=float),
-                  bounds=(0.0, None), method="highs",
+    b_ub = np.asarray(b_ub, dtype=float)
+    # The certificate is stricter than the HiGHS defaults (1e-7), so the
+    # solver is asked for more accuracy than it would normally deliver.
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status == 2:
@@ -151,19 +174,35 @@ def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray):
     if not res.success:
         raise LPError(res.message)
     x = np.asarray(res.x, dtype=float)
-    residual = a_ub @ x - b_ub
-    worst = float(np.max(residual)) if residual.size else 0.0
-    lowest = float(x.min(initial=0.0))
-    if worst > FEASIBILITY_TOL or lowest < -FEASIBILITY_TOL:
-        raise LPError(f"solution violates feasibility (residual {worst:g}, "
-                      f"lowest variable {lowest:g})")
     value = float(-res.fun)
-    marginals = getattr(getattr(res, "ineqlin", None), "marginals", None)
-    if marginals is not None:
-        dual_value = float(np.asarray(b_ub) @ -np.asarray(marginals))
-        if abs(dual_value - value) > OPTIMALITY_TOL * (1.0 + abs(value)):
-            raise LPError(f"duality gap {dual_value - value:g} exceeds tolerance")
-    return value, x
+    y = -np.asarray(res.ineqlin.marginals, dtype=float)
+    _certify(a_ub, b_ub, x, value, y)
+    return value, x, y
+
+
+@contextmanager
+def reusing_faces():
+    """Within the block, LPs are first re-solved on earlier optimal faces."""
+    token = _faces.set({})
+    try:
+        yield
+    finally:
+        _faces.reset(token)
+
+
+def _solve_on_faces(faces: tuple, a, b: np.ndarray):
+    """(value, q) of the first face, newest first, whose NNLS point passes
+    ``_certify`` with the face's duals; None when none does."""
+    from scipy.optimize import nnls
+    for rows, cols, block, y in reversed(faces):
+        q = np.zeros(a.shape[1])
+        try:
+            q[cols] = nnls(block, b[rows])[0]
+            _certify(a, b, q, float(q.sum()), y)
+        except (RuntimeError, ValueError):
+            continue    # a refused certificate, nnls at its iteration cap, a y of another shape
+        return float(q.sum()), q
+    return None
 
 
 def nonlocal_content(p: JointDistribution) -> ContentResult:
@@ -197,6 +236,16 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     entries = p.table.transpose([axis for i in order for axis in (i, n + i)])
     b = np.full(a.shape[0], np.inf)
     np.minimum.at(b, row_of.reshape(-1), np.clip(entries.reshape(-1), 0.0, None))
-    value, q = solve_lp(np.ones(a.shape[1]), a, b)
+    faces = _faces.get()
+    found = None if faces is None else _solve_on_faces(faces.get((classes, k), ()), a, b)
+    if found is None:
+        value, q, y = solve_lp(np.ones(a.shape[1]), a, b)
+        if faces is not None:
+            cols = np.flatnonzero(q > FACE_TOL)
+            rows = np.flatnonzero((y > FACE_TOL) | (b - a @ q <= FACE_TOL))
+            face = (rows, cols, a[:, cols].toarray()[rows], y)
+            faces[classes, k] = (faces.get((classes, k), ()) + (face,))[-FACES_TRIED:]
+    else:
+        value, q = found
     local_weight = float(min(1.0, max(0.0, value)))
     return ContentResult(local_weight, 1.0 - local_weight, q)

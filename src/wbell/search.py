@@ -28,7 +28,7 @@ from .bell import (
 )
 from .dist import JointDistribution, Symmetric, symmetric, table
 from .measure import FAMILIES, _efficiency_elements
-from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
+from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content, reusing_faces
 from .states import ExcitationState, atom_photon_state, w_state
 
 DEFAULT_STARTS = 32
@@ -455,6 +455,7 @@ def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
     return False
 
 
+@reusing_faces()
 def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
                         atol: float = BISECTION_ATOL,
                         n_starts: int = DEFAULT_STARTS) -> float:

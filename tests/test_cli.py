@@ -232,6 +232,14 @@ class TestRegion:
         _, parallel, _ = run(self.BASE + ["--jobs", "2"])
         assert parallel == base
 
+    def test_jobs_do_not_change_lp_rows(self):
+        """Each LP row's bisection reuses only its own optimal faces, so a
+        row is the same in a worker as after other rows in one process."""
+        argv = ["region", "--preset", "garbarino3", "--n", "3", "--grid", "3"]
+        code, base, err = run(argv + ["--jobs", "1"])
+        assert code == 0, err
+        assert run(argv + ["--jobs", "2"]) == (0, base, "")
+
     def test_jobs_env_fallback(self, monkeypatch):
         _, base, _ = run(self.BASE)
         monkeypatch.setenv("WBELL_JOBS", "2")

@@ -1,14 +1,17 @@
 """LHV polytope membership and the EPR2 decomposition LP."""
 
+import io
 import itertools
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import wbell.polytope
 from oracles import enumerate_vertices, enumerated_local_weight, nonlocal_content_lower_bound
 from wbell.bell import cabello_value
-from wbell.cli import PRESETS
+from wbell.cli import PRESETS, dispatch
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, family_povm
 from wbell.polytope import (
@@ -18,9 +21,10 @@ from wbell.polytope import (
     _orbit_matrix,
     _party_classes,
     nonlocal_content,
+    reusing_faces,
     solve_lp,
 )
-from wbell.search import scenario_distribution
+from wbell.search import critical_efficiency, fix_parameter, scenario_distribution
 from wbell.states import damped_w_state, w_state
 
 LP_ATOL = 1e-8
@@ -141,9 +145,10 @@ def test_solve_lp_calls_linprog_through_the_module_global(monkeypatch):
 
 def test_solve_lp_simple_problem():
     # max x + y subject to x + y <= 1 and x, y >= 0.
-    value, x = solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    value, x, y = solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
     assert value == pytest.approx(1.0, abs=1e-12)
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert y == pytest.approx([1.0], abs=1e-12)   # the row's dual, with sign y >= 0
 
 
 def test_solve_lp_infeasible():
@@ -292,3 +297,169 @@ def test_orbit_cache_does_not_change_results():
         assert res.local_weight == cold.local_weight
         assert res.nonlocal_content == cold.nonlocal_content
         assert res.certificate.tobytes() == cold.certificate.tobytes()
+
+
+# The bisections whose LPs the face tests cover: (preset, N, pinned
+# parameter and its value, bisected parameter), each over the bracket (0.01, 1).
+BISECTIONS = [("fig5", n, "eta_x", 1.0, "eta_z") for n in (3, 4, 5)] + [
+    ("garbarino3", n, "eta_z", 0.8, "eta_x") for n in (3, 4)]
+
+
+def bisection_threshold(preset, n, pinned, value, param):
+    spec = fix_parameter(PRESETS[preset].build(n), pinned, value)
+    return critical_efficiency(spec, param, (0.01, 1.0))
+
+
+def recording_face_solves(monkeypatch):
+    """Wrap ``_solve_on_faces``; returns the list of (faces, a, b, found) it
+    records, one per LP inside a reusing_faces block."""
+    seen, resolve = [], wbell.polytope._solve_on_faces
+
+    def recording(faces, a, b):
+        found = resolve(faces, a, b)
+        seen.append((faces, a, b, found))
+        return found
+
+    monkeypatch.setattr(wbell.polytope, "_solve_on_faces", recording)
+    return seen
+
+
+@pytest.mark.parametrize("preset, n, pinned, value, param", BISECTIONS)
+def test_a_face_resolve_equals_a_fresh_lp(monkeypatch, preset, n, pinned, value, param):
+    seen = recording_face_solves(monkeypatch)
+    threshold = bisection_threshold(preset, n, pinned, value, param)
+    hits = [(a, b, found) for _, a, b, found in seen if found is not None]
+    for a, b, (value_on_face, q) in hits:
+        fresh, _, _ = solve_lp(np.ones(a.shape[1]), a, b)
+        assert abs(min(1.0, max(0.0, value_on_face)) - min(1.0, max(0.0, fresh))) <= 1e-12
+        assert q.min() >= 0.0 and q.sum() == value_on_face
+    if (preset, n) == ("garbarino3", 3):
+        assert 3 * len(hits) >= len(seen) > 0
+    monkeypatch.setattr(wbell.polytope, "_solve_on_faces", lambda faces, a, b: None)
+    assert bisection_threshold(preset, n, pinned, value, param) == threshold
+
+
+def counting_highs(monkeypatch):
+    """Count the HiGHS solves of ``solve_lp``."""
+    calls, solve = [], wbell.polytope.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wbell.polytope, "solve_lp", counting)
+    return calls
+
+
+def drop_every_other_row(face, other):
+    rows, cols, block, y = face
+    return rows[::2], cols, block[::2], y
+
+
+def y_of_another_structure(face, other):
+    rows, cols, block, _ = face
+    return rows, cols, block, other[3]
+
+
+@pytest.mark.parametrize("spoil, other_table", [
+    (drop_every_other_row, None),
+    (y_of_another_structure, lambda: w_with_devices((0.8, 0.95, 0.95), 3)),
+    (y_of_another_structure, lambda: preset_table("garbarino3", 4, 0.8, 0.5)),
+    ("nnls at its iteration cap", None),
+], ids=["rows-dropped", "y-of-two-classes", "y-of-four-parties", "nnls-raises"])
+def test_a_bad_face_is_a_miss_never_a_wrong_answer(monkeypatch, spoil, other_table):
+    """The face of eta_x = 0.45 is optimal again at 0.41 (a hit when left
+    alone); spoiled, it falls back to HiGHS with HiGHS's value."""
+    first = preset_table("garbarino3", 3, 0.8, 0.45)
+    second = preset_table("garbarino3", 3, 0.8, 0.41)
+    fresh = nonlocal_content(second)
+    key = (_party_classes(second.table, 3), 3)
+    other_faces = ()
+    if other_table is not None:
+        with reusing_faces():
+            nonlocal_content(other_table())
+            (other_faces,) = wbell.polytope._faces.get().values()
+    if spoil == "nnls at its iteration cap":
+        def capped(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    highs = counting_highs(monkeypatch)
+    with reusing_faces():
+        nonlocal_content(first)
+        faces = wbell.polytope._faces.get()
+        if callable(spoil):
+            faces[key] = tuple(spoil(face, other_faces[-1] if other_faces else None)
+                               for face in faces[key])
+        res = nonlocal_content(second)
+    assert len(highs) == 2
+    assert abs(res.local_weight - fresh.local_weight) <= 1e-12
+    assert res.certificate.tobytes() == fresh.certificate.tobytes()
+
+
+def test_the_unspoiled_face_of_the_bad_face_cases_is_a_hit(monkeypatch):
+    highs = counting_highs(monkeypatch)
+    with reusing_faces():
+        nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.45))
+        res = nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.41))
+    assert len(highs) == 1
+    fresh = nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.41))
+    assert abs(res.local_weight - fresh.local_weight) <= 1e-12
+
+
+def test_a_dist_file_of_other_classes_never_reads_a_one_class_face(monkeypatch, tmp_path):
+    """Party 0 differs, so the file's classes are {0}, {1, 2}: a one-class
+    face solved just before it in the same block is not offered to it."""
+    path = tmp_path / "party0.dist"
+    path.write_text(w_with_devices((0.8, 0.95, 0.95), 3).to_text())
+
+    def content():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = dispatch(["content", "--dist-file", str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    alone = content()
+    seen = recording_face_solves(monkeypatch)
+    with reusing_faces():
+        nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.45))
+        assert content() == alone
+    (_, one_class, _, _), (faces, a, _, found) = seen
+    assert one_class.shape[0] != a.shape[0]
+    assert faces == () and found is None
+
+
+def test_faces_do_not_leak_across_threshold_calls(monkeypatch):
+    """Faces live for one critical_efficiency call: a threshold is the same
+    called twice, and after an unrelated LP threshold, and no call starts
+    with a face."""
+    seen = recording_face_solves(monkeypatch)
+    case = ("garbarino3", 3, "eta_z", 0.8, "eta_x")
+    first = bisection_threshold(*case)
+    assert seen[0][0] == () and wbell.polytope._faces.get() is None
+    del seen[:]
+    assert bisection_threshold(*case) == first
+    assert seen[0][0] == ()
+    bisection_threshold("fig5", 3, "eta_x", 1.0, "eta_z")
+    del seen[:]
+    assert bisection_threshold(*case) == first
+    assert seen[0][0] == ()
+
+
+def test_a_face_resolve_calls_no_linprog_and_highs_feeds_the_tracer(monkeypatch):
+    """Within a bisection every HiGHS solve is one ``solve_lp`` call and one
+    ``linprog`` call whose result carries ``nit``; a face hit calls neither."""
+    calls, forward = [], wbell.polytope.linprog
+
+    def recording(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(wbell.polytope, "linprog", recording)
+    highs = counting_highs(monkeypatch)
+    seen = recording_face_solves(monkeypatch)
+    bisection_threshold("garbarino3", 3, "eta_z", 0.8, "eta_x")
+    hits = sum(found is not None for *_, found in seen)
+    assert hits > 0
+    assert len(calls) == len(highs) == len(seen) - hits
+    assert all(isinstance(result.nit, int) and result.nit >= 0 for result in calls)
