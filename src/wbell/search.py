@@ -344,52 +344,151 @@ def violation_margin(spec: ScenarioSpec, values: dict) -> float:
     return r.value - r.local_bound
 
 
+_SOBOL_BITS = 30
+# Joe and Kuo's primitive polynomials and initial direction numbers for
+# dimensions 2 to 9 (SIAM J. Sci. Comput. 30, 2635, 2008): a ScenarioSpec has
+# at most nine free parameters, four device references and five atom ones.
+_SOBOL_INIT = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+               (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+               (41, (1, 1, 5, 5, 5)))
+
+
+def _sobol(d: int, n: int) -> list:
+    """The first ``n`` unscrambled Sobol points of [0, 1)^d in Gray-code
+    order, the points of ``scipy.stats.qmc.Sobol(d, scramble=False)``."""
+    if n > 1 << _SOBOL_BITS:  # checked before any point is built, as scipy does
+        raise ValueError(f"at most 2**{_SOBOL_BITS} distinct start points, got {n}")
+    directions = [[1 << (_SOBOL_BITS - 1 - j) for j in range(_SOBOL_BITS)]]
+    for poly, init in _SOBOL_INIT[:d - 1]:
+        s, m = len(init), list(init)
+        for j in range(s, _SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        directions.append([mj << (_SOBOL_BITS - 1 - j) for j, mj in enumerate(m)])
+    q, points = [0] * d, [[0.0] * d]
+    for i in range(n - 1):
+        bit = (~i & (i + 1)).bit_length() - 1  # the lowest zero bit of i
+        q = [qj ^ v[bit] for qj, v in zip(q, directions)]
+        points.append([qj / (1 << _SOBOL_BITS) for qj in q])
+    return points[:n]
+
+
 def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
     """Deterministic low-discrepancy starts inside the free-parameter box."""
     names = free_parameters(spec)
     if not names:
-        return names, np.zeros((1, 0))
-    lo = np.array([spec.params[n].lo for n in names])
-    hi = np.array([spec.params[n].hi for n in names])
-    from scipy.stats import qmc  # scipy loads on first use, so the CLI starts in numpy time
-    unit = qmc.Sobol(d=len(names), scramble=False).random(n_starts)
-    return names, lo + unit * (hi - lo)
+        return names, [[]]
+    box = [(spec.params[n].lo, spec.params[n].hi) for n in names]
+    return names, [[lo + u * (hi - lo) for u, (lo, hi) in zip(p, box)]
+                   for p in _sobol(len(names), n_starts)]
 
 
 class _Witness(Exception):
     """Raised by a simplex run of ``has_violation`` at its first margin above
     the guard.
 
-    SciPy's Nelder-Mead never drops its best vertex: every point better than
-    the current best enters the simplex, and the run returns its best vertex.
+    ``_simplex`` never drops its best vertex: every point better than the
+    current best enters the simplex, and the run returns its best vertex.
     So a run's final margin is the largest margin it evaluated, and the run
     ends "violated" exactly when one of its evaluations is a violation.
     Stopping there leaves the verdict as it was.
     """
 
 
+class _Spent(Exception):
+    """A simplex run asked for more than its evaluation cap."""
+
+
+def _sorted_simplex(sim: list, fsim: list) -> tuple:
+    """Vertices in ``np.argsort(fsim)`` order: any sort agrees on distinct
+    values, and numpy's own, not stable from four elements up, orders ties."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _simplex(func: Callable, x0: list, box: list) -> tuple:
+    """The best value and vertex of a bounded Nelder-Mead run minimizing
+    ``func`` over the box of (lo, hi) pairs, lo < hi: scipy 1.17's
+    ``minimize(method="Nelder-Mead", bounds=...)`` step for step."""
+    n = len(x0)
+    nfev, maxfev = 0, 200 * n  # scipy's iteration cap, also 200 n, never binds first
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return func(x)
+
+    def clip(x):  # np.clip, signed zeros included
+        return [(v if v < hi else hi) if v > lo else lo for v, (lo, hi) in zip(x, box)]
+
+    sim = [clip(x0)]
+    for k, c in enumerate(sim[0]):  # steps of 5%, or 0.00025 from 0, reflected into the box
+        y = sim[0][:k] + [(1 + 0.05) * c if c != 0 else 0.00025] + sim[0][k + 1:]
+        sim.append(clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]))
+    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, [f(x) for x in sim]))  # twice, as scipy does
+    try:
+        while nfev < maxfev:
+            # fsim is sorted, NaN last, so fsim[-1] - fsim[0] is its largest |fsim[0] - v|
+            if fsim[-1] - fsim[0] <= SIMPLEX_FATOL and all(
+                    abs(a - b) <= SIMPLEX_XATOL for x in sim[1:] for a, b in zip(x, sim[0])):
+                break
+            xbar = sim[0]
+            for x in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            xr = clip([2 * a - b for a, b in zip(xbar, sim[-1])])
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = clip([3 * a - 2 * b for a, b in zip(xbar, sim[-1])])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = clip([1.5 * a - 0.5 * b if outside else 0.5 * a + 0.5 * b
+                           for a, b in zip(xbar, sim[-1])])
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex; the cap may cut it short
+                    for j in range(1, n + 1):
+                        sim[j] = clip([a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])])
+                        fsim[j] = f(sim[j])
+            sim, fsim = _sorted_simplex(sim, fsim)
+    except _Spent:
+        sim, fsim = _sorted_simplex(sim, fsim)
+    # scipy reports np.min(fsim): NaN if any value is, and NaN sorts last
+    return fsim[0] if fsim[-1] == fsim[-1] else fsim[-1], sim[0]
+
+
 def _values_merger(spec: ScenarioSpec, names: tuple) -> Callable:
-    """The map from an array of free values in ``names`` order to the full
+    """The map from a list of free values in ``names`` order to the full
     value dict: a copy of one template that ``resolve_values`` checked, as
     ``names`` is ``free_parameters(spec)``, so no evaluation checks keys."""
     template = resolve_values(spec, dict.fromkeys(names, 0.0))
 
     def values(x) -> dict:
         out = dict(template)
-        out.update(zip(names, x.tolist()))
+        out.update(zip(names, x))
         return out
 
     return values
 
 
-def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray,
+def _minimize_from(spec: ScenarioSpec, names: tuple, x0: list,
                    stop_at_witness: bool = False) -> tuple:
     """One bounded Nelder-Mead run from ``x0``: its best margin and point.
     With ``stop_at_witness`` it raises :class:`_Witness` at the first margin
     above the guard instead."""
-    from scipy.optimize import Bounds, minimize  # see _start_points
-    lo = [spec.params[n].lo for n in names]
-    hi = [spec.params[n].hi for n in names]
+    box = [(spec.params[n].lo, spec.params[n].hi) for n in names]
     values = _values_merger(spec, names)
 
     def negative_margin(x):
@@ -398,12 +497,9 @@ def _minimize_from(spec: ScenarioSpec, names: tuple, x0: np.ndarray,
             raise _Witness
         return -m
 
-    # Nelder-Mead clips every point into the box before evaluating it, so
-    # its best vertex res.x lies in the box and -res.fun is its margin.
-    res = minimize(negative_margin, x0, method="Nelder-Mead",
-                   bounds=Bounds(lo, hi),
-                   options={"xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
-    return -float(res.fun), res.x
+    # The best vertex lies in the box, and minus its value is its margin.
+    fun, x = _simplex(negative_margin, x0, box)
+    return -fun, x
 
 
 def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> SearchResult:

@@ -2,17 +2,20 @@
 
 Everything here is written the slow, obvious way on purpose: dense Kronecker
 loops, the dense density matrix contracted as a site tensor, scipy matrix
-exponentials, explicit Kraus sums. Agreement between
-these and the fast package routines is what the oracle tests assert.
+exponentials, explicit Kraus sums, scipy's own Nelder-Mead and Sobol points.
+Agreement between these and the fast package routines is what the oracle
+tests assert.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, linprog, minimize
+from scipy.stats import qmc
 
 from wbell.dist import JointDistribution
 
@@ -338,3 +341,20 @@ def enumerated_local_weight(table: np.ndarray, n: int, k: int):
     if not res.success:
         raise RuntimeError(res.message)
     return -res.fun, a
+
+
+def scipy_simplex(func, x0, box, xatol: float, fatol: float):
+    """scipy's bounded Nelder-Mead minimizing ``func``, which takes a list of
+    floats, over the box of (lo, hi) pairs: its OptimizeResult."""
+    lo, hi = zip(*box)
+    return minimize(lambda x: func(x.tolist()), np.array(x0, dtype=float),
+                    method="Nelder-Mead", bounds=Bounds(lo, hi),
+                    options={"xatol": xatol, "fatol": fatol})
+
+
+def scipy_sobol(d: int, n: int) -> np.ndarray:
+    """The first ``n`` unscrambled Sobol points of [0, 1)^d, as scipy draws
+    them; its warning that ``n`` is not a power of two is silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return qmc.Sobol(d, scramble=False).random(n)

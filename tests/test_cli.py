@@ -726,9 +726,9 @@ def test_console_script_matches_in_process_output():
 
 
 def fresh_dispatch(argv):
-    """Exit code, stdout and the loaded scipy and process-pool modules of a
-    fresh process that imports wbell.cli and, when ``argv`` is not empty,
-    dispatches it."""
+    """Exit code, stdout, the rest of stderr, and the loaded scipy and
+    process-pool modules of a fresh process that imports wbell.cli and, when
+    ``argv`` is not empty, dispatches it."""
     env = dict(os.environ, PYTHONPATH=str(Path(wbell.__file__).resolve().parents[1]))
     code = ("import sys; from wbell.cli import dispatch; "
             "code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -737,18 +737,45 @@ def fresh_dispatch(argv):
             "file=sys.stderr); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+    *stderr, loaded = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, "\n".join(stderr), loaded
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy loads on the first search or LP, and the process pool only for
-    region --jobs above 1, not with the CLI, so commands that do neither
-    start in numpy time; those that do still run."""
+    """scipy loads on the first LP, and the process pool only for region
+    --jobs above 1, not with the CLI, so commands that do neither, closed-form
+    searches and thresholds included, start and run in numpy time; those
+    that do still run."""
     for argv in ([], ["negativity", "--theta", "-0.7", "--n", "3"],
                  ["bell", "--inequality", "cabello", "--n", "3", "--ideal"],
-                 ["bell", "--preset", "fig2", "--dump-spec"]):
-        assert fresh_dispatch(argv) == (0, run(argv)[1] if argv else "", "[]"), argv
+                 ["bell", "--preset", "fig2", "--dump-spec"],
+                 ["bell", "--preset", "chsh-homodyne", "--starts", "4"],
+                 ["threshold", "--preset", "fig4-homodyne", "--set", "eta_c=0.8",
+                  "--starts", "2", "--bracket", "0.5", "1.0", "--atol", "0.02"]):
+        assert fresh_dispatch(argv) == (0, run(argv)[1] if argv else "", "", "[]"), argv
     argv = ["content", "--preset", "fig5", "--n", "3", "--set", "eta_z=1", "--set", "eta_x=1"]
-    code, out, loaded = fresh_dispatch(argv)
+    code, out, _, loaded = fresh_dispatch(argv)
     assert (code, out) == run(argv)[:2] and code == 0
     assert "'scipy.optimize'" in loaded and "'scipy.sparse'" in loaded
+
+
+def test_more_starts_than_sobol_points_is_one_line():
+    """A 30-bit Sobol sequence has 2**30 distinct points; more starts exit 1
+    with one line before any point is built."""
+    code, out, err = run(["bell", "--preset", "chsh-homodyne", "--starts", str(2 ** 30 + 1)])
+    assert (code, out) == (1, "")
+    assert err == "wbell: error: at most 2**30 distinct start points, got 1073741825\n"
+
+
+def test_starts_off_a_power_of_two_print_no_warning():
+    """Three Sobol starts used to print scipy's two-line UserWarning on
+    stderr; the output is the one they always gave."""
+    argv = ["bell", "--preset", "chsh-homodyne", "--starts", "3"]
+    code, out, stderr, _ = fresh_dispatch(argv)
+    assert (code, out, stderr) == (0, run(argv)[1], "")
+    result = json.loads(out)
+    assert result["margin"] == 0.558608819157294 and result["value"] == 2.558608819157294
+    assert result["params"] == {
+        "a_polar_0": 3.815042315480679, "a_polar_1": 2.468142656676302,
+        "eta_atom": 1.0, "eta_c": 1.0, "eta_hom": 1.0, "eta_spd": 1.0,
+        "phi_x": 3.1415923703483504, "theta": -0.7853983512775559}

@@ -62,6 +62,8 @@ from oracles import (
     eigenvector_down,
     eigenvector_up,
     full_correlators,
+    scipy_simplex,
+    scipy_sobol,
 )
 
 OPERATOR_ATOL = 1e-12
@@ -509,42 +511,166 @@ def test_a_simplex_run_of_a_verdict_stops_at_its_first_witness(monkeypatch):
     assert stopped < n_starts + len(calls)
 
 
+def negative_margin(spec, names):
+    """A search's objective on the free values in ``names`` order."""
+    values = search._values_merger(spec, names)
+    return lambda x: -violation_margin(spec, values(x))
+
+
+def free_box(spec, names):
+    return [(spec.params[n].lo, spec.params[n].hi) for n in names]
+
+
 def test_a_simplex_run_evaluates_each_margin_once(monkeypatch):
-    """A run's margin calls equal its nfev: it returns its best vertex res.x,
-    which lies in the box, with -res.fun as its margin, and evaluates no
-    margin again."""
-    import scipy.optimize
-
-    runs, calls = [], []
-    minimize, margin = scipy.optimize.minimize, search.violation_margin
-
-    def recording_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        runs.append(res)
-        return res
+    """A run's margin calls equal scipy's nfev on the same run: it returns its
+    best vertex, which lies in the box, with minus scipy's fun as its margin,
+    and evaluates no margin again."""
+    calls, margin = [], search.violation_margin
 
     def counting_margin(spec, values):
         calls.append(values)
         return margin(spec, values)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
-    monkeypatch.setattr(search, "violation_margin", counting_margin)
     for spec in (VERDICT_CASES[0], VERDICT_CASES[4], PRESETS["fig3"].build(3)):
         names, starts = search._start_points(spec, 4)
-        lo = np.array([spec.params[n].lo for n in names])
-        hi = np.array([spec.params[n].hi for n in names])
+        box = free_box(spec, names)
+        nfevs = []
         for x0 in starts:
-            calls.clear()
-            best, x = search._minimize_from(spec, names, x0)
-            res = runs[-1]
+            res = scipy_simplex(negative_margin(spec, names), x0, box,
+                                search.SIMPLEX_XATOL, search.SIMPLEX_FATOL)
+            nfevs.append(res.nfev)
+            with monkeypatch.context() as m:
+                m.setattr(search, "violation_margin", counting_margin)
+                calls.clear()
+                best, x = search._minimize_from(spec, names, x0)
             assert len(calls) == res.nfev, spec.name
-            assert best == -res.fun and np.array_equal(x, res.x)
-            assert np.all(lo <= x) and np.all(x <= hi)
+            assert best == -res.fun and x == res.x.tolist()
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(x, box))
             assert best == margin(spec, resolve_values(spec, dict(zip(names, x))))
         calls.clear()
-        runs.clear()
-        optimize_free_parameters(spec, n_starts=4)
-        assert len(calls) == sum(res.nfev for res in runs) and len(runs) == 4
+        with monkeypatch.context() as m:
+            m.setattr(search, "violation_margin", counting_margin)
+            optimize_free_parameters(spec, n_starts=4)
+        assert len(calls) == sum(nfevs)
+
+
+def bits(points):
+    return [[float(v).hex() for v in p] for p in points]
+
+
+def assert_simplex_is_scipys(func, x0, box):
+    """The simplex evaluates scipy's points bit for bit and in scipy's order,
+    and returns scipy's fun and x, or raises the same _Witness after the same
+    points. Returns scipy's result, or None after a witness."""
+    runs = []
+    for minimize in (lambda f: search._simplex(f, list(x0), box),
+                     lambda f: scipy_simplex(f, x0, box, search.SIMPLEX_XATOL,
+                                             search.SIMPLEX_FATOL)):
+        seen = []
+
+        def recorded(x):
+            seen.append(list(x))
+            return func(list(x))
+
+        try:
+            runs.append((seen, minimize(recorded)))
+        except search._Witness:
+            runs.append((seen, None))
+    (ours, result), (theirs, res) = runs
+    assert bits(ours) == bits(theirs)
+    assert (result is None) == (res is None)
+    if res is not None:
+        assert len(theirs) == res.nfev
+        assert bits([[result[0]], result[1]]) == bits([[res.fun], res.x])
+    return res
+
+
+SIMPLEX_SPECS = VERDICT_CASES + [
+    PRESETS["fig3"].build(3), PRESETS["fig4-homodyne"].build(2),
+    PRESETS["fig4-displacement"].build(2), PRESETS["chsh-homodyne"].build(2),
+    PRESETS["chsh-displacement"].build(2), PRESETS["fig2"].build(3),
+    PRESETS["cabello-displacement"].build(3),
+]
+
+
+@pytest.mark.parametrize("spec", SIMPLEX_SPECS, ids=lambda s: f"{s.name}-{s.n_parties}")
+def test_the_simplex_takes_scipys_steps_on_the_margins(spec):
+    names, starts = search._start_points(spec, 4)
+    for x0 in starts[:3]:
+        assert_simplex_is_scipys(negative_margin(spec, names), x0, free_box(spec, names))
+
+
+def test_the_simplex_takes_scipys_steps_to_a_witness():
+    """has_violation's objective raises _Witness at its first violation:
+    both simplexes raise it after the same points, from two of these four
+    starts; the other two end without one."""
+    spec = VERDICT_CASES[1]
+    names, starts = search._start_points(spec, 4)
+    objective = negative_margin(spec, names)
+
+    def witnessing(x):
+        f = objective(x)
+        if is_violation(-f):
+            raise search._Witness
+        return f
+
+    results = [assert_simplex_is_scipys(witnessing, x0, free_box(spec, names))
+               for x0 in starts]
+    assert [res is None for res in results] == [False, True, False, True]
+
+
+def rosenbrock(x):
+    return sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(x, x[1:]))
+
+
+@pytest.mark.parametrize("func, x0, box", [
+    (lambda x: 1.0, [0.3] * 5, [(0.0, 1.0)] * 5),  # every vertex ties
+    (lambda x: float(math.floor(3 * x[0]) + math.floor(2 * x[1])), [0.2, 0.7, 0.1],
+     [(0.0, 1.0)] * 3),  # flat steps
+    (lambda x: sum((v - 0.3) ** 2 for v in x), [1.0, 0.5, 1.0],
+     [(0.0, 1.0)] * 3),  # on the upper bound: the first simplex is reflected
+    (lambda x: sum((v - 0.3) ** 2 for v in x), [0.0, 0.5, 0.0],
+     [(-1.0, 1.0)] * 3),  # zero coordinates take the absolute step
+    (sum, [0.0, 0.5, -0.0],
+     [(-0.0, 1.0), (0.0, 1.0), (-0.0, 1.0)]),  # clipped onto signed zeros
+    (lambda x: (x[0] - 0.2) ** 2, [0.9], [(0.0, 1.0)]),
+], ids=["constant-5d", "step", "upper-bound", "zero-coordinate", "signed-zero", "1d"])
+def test_the_simplex_takes_scipys_steps_on_edge_cases(func, x0, box):
+    assert_simplex_is_scipys(func, x0, box)
+
+
+def test_the_simplex_stops_at_its_cap_inside_a_shrink(monkeypatch):
+    """With tolerances no run meets, a run spends its 200 N evaluations and
+    the cap falls inside a shrink, which leaves a moved vertex unevaluated.
+    In 5-D Rosenbrock scipy's final simplex keeps such a vertex with the
+    value of the vertex it replaced. A constant in 4-D shrinks at every step,
+    which takes N + 2 evaluations after the N + 1 of the first simplex:
+    800 = 5 + 6 * 132 + 3 ends inside a shrink of tied vertices."""
+    monkeypatch.setattr(search, "SIMPLEX_XATOL", 1e-300)
+    monkeypatch.setattr(search, "SIMPLEX_FATOL", 1e-300)
+    res = assert_simplex_is_scipys(rosenbrock, [-0.8, 0.9, 0.2, -0.8, -0.8], [(-2.0, 2.0)] * 5)
+    assert res.nfev == 1000
+    assert any(rosenbrock(x.tolist()) != f for x, f in zip(*res.final_simplex))
+    assert assert_simplex_is_scipys(lambda x: 1.0, [0.3] * 4, [(0.0, 1.0)] * 4).nfev == 800
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_start_points_are_scipys_sobol_points(d):
+    for n in [*range(1, 65), 1024]:
+        assert search._sobol(d, n) == scipy_sobol(d, n).tolist(), (d, n)
+
+
+def test_the_sobol_table_covers_the_most_free_parameters_a_spec_can_have():
+    """Four device references and the five atom parameters, all free."""
+    spec = ScenarioSpec(
+        name="most-free", n_parties=2, criterion="chsh", atom=True,
+        photon_z=MeasSpec("homodyne", "eta_z", "phase_z"),
+        photon_x=MeasSpec("homodyne", "eta_x", "phase_x"),
+        params={p: ParamSpec.free(0.0, 1.0) for p in
+                ("eta_z", "eta_x", "phase_z", "phase_x", *search._ATOM_PARAMS)})
+    names, starts = search._start_points(spec, 8)
+    assert len(names) == len(search._SOBOL_INIT) + 1 == 9
+    assert starts == scipy_sobol(9, 8).tolist()
 
 
 def test_rounding_noise_does_not_decide_the_bisection():
