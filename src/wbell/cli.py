@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ from .dist import JointDistribution
 from .polytope import ContentResult, LPError, nonlocal_content
 from .qmat import negativity
 from .search import (
+    BISECTION_ATOL,
     CRITERIA,
     BracketError,
     DEFAULT_STARTS,
@@ -41,7 +42,6 @@ from .search import (
 from .states import atom_photon_state, damped_w_state, w_state
 
 DEFAULT_GRID = 21
-DEFAULT_ATOL = 1e-4
 
 TWO_PI = 2.0 * math.pi
 THETA_LO = -math.pi / 2.0
@@ -192,7 +192,7 @@ PRESETS = {
 
 # Every run key but ``command`` is kept as text and parsed as the flag of the
 # same name, ahead of the command line's flags; bracket_lo and bracket_hi
-# together stand for --bracket.
+# together stand for --bracket. A ``set.name`` pin is parsed as --set.
 _RUN_KEYS = {"command", "preset", "n", "grid", "jobs", "starts", "out", "param",
              "atol", "bracket_lo", "bracket_hi"}
 
@@ -202,20 +202,6 @@ _SCENARIO_KEYS = {
     "photon_z.family", "photon_z.eff", "photon_z.aux", "photon_z.flip",
     "photon_x.family", "photon_x.eff", "photon_x.aux", "photon_x.flip",
 }
-
-
-@dataclass
-class RunConfig:
-    """Validated contents of one config file."""
-
-    options: dict = field(default_factory=dict)
-    scenario_keys: dict = field(default_factory=dict)
-    sets: dict = field(default_factory=dict)
-
-    def scenario(self) -> Optional[ScenarioSpec]:
-        if not self.scenario_keys:
-            return None
-        return _scenario_from_keys(self.scenario_keys)
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -233,8 +219,10 @@ def _parse_float(raw: str, key: str) -> float:
         raise UsageError(f"{key} expects a number, got {raw!r}") from None
 
 
-def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+def parse_config(text: str) -> tuple:
+    """A config's run keys and scenario keys, each as {key: text}, and its
+    pins as ``--set`` flags, each value read as a number here."""
+    options, pins, scenario_keys = {}, [], {}
     seen = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -248,14 +236,14 @@ def parse_config(text: str) -> RunConfig:
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         seen.add(key)
         if key in _RUN_KEYS:
-            cfg.options[key] = raw
+            options[key] = raw
         elif key in _SCENARIO_KEYS or key.startswith("param."):
-            cfg.scenario_keys[key] = raw
-        elif key.startswith("set."):
-            cfg.sets[key[len("set."):]] = _parse_float(raw, key)
+            scenario_keys[key] = raw
+        elif key.startswith("set.") and key != "set.":
+            pins.append(f"--set={key[len('set.'):]}={_parse_float(raw, key)!r}")
         else:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-    return cfg
+    return options, pins, scenario_keys
 
 
 def _parse_meas_ref(raw: str):
@@ -388,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parameter to bisect (preset default otherwise)")
     p_thr.add_argument("--bracket", type=float, nargs=2, default=None,
                        metavar=("LO", "HI"))
-    p_thr.add_argument("--atol", type=float, default=DEFAULT_ATOL,
+    p_thr.add_argument("--atol", type=float, default=BISECTION_ATOL,
                        help="bisection width tolerance")
 
     p_reg = sub.add_parser("region", help="threshold curve over a grid (CSV)")
@@ -404,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("LO", "HI"))
     p_reg.add_argument("--grid", type=int, default=DEFAULT_GRID,
                        help="number of grid points")
-    p_reg.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+    p_reg.add_argument("--atol", type=float, default=BISECTION_ATOL)
     p_reg.add_argument("--jobs", type=int, default=None,
                        help="worker processes (or WBELL_JOBS)")
 
@@ -436,21 +424,21 @@ def build_parser() -> argparse.ArgumentParser:
 # Scenario resolution
 
 
-def _parse_args(argv: list) -> tuple:
-    """The flags, and the config file they name. Argparse reads every run
-    option: a config's run keys are parsed as their flags, ahead of the
-    command line's, so a flag the command lacks is refused and a flag given
-    on the command line beats its config key."""
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The flags, with the scenario keys of the config file they name.
+    Argparse reads every run option and pin: a config's run keys and pins
+    are parsed as their flags, ahead of the command line's, so a flag the
+    command lacks is refused and a flag given on the command line beats its
+    config key."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig()
+    scenario_keys = {}
     if getattr(args, "config", None) is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                cfg = parse_config(handle.read())
+                options, pins, scenario_keys = parse_config(handle.read())
         except OSError as err:
             raise UsageError(f"cannot read config file: {err}") from None
-        options = dict(cfg.options)
         declared = options.pop("command", None)
         if declared is not None and declared != args.command:
             raise UsageError(
@@ -462,11 +450,12 @@ def _parse_args(argv: list) -> tuple:
         if "bracket_lo" in options:
             flags += ["--bracket", options["bracket_lo"], options["bracket_hi"]]
         try:
-            args = parser.parse_args([argv[0], *flags, *argv[1:]])
+            args = parser.parse_args([argv[0], *flags, *pins, *argv[1:]])
         except UsageError as err:
             raise UsageError(f"config run keys: {err}") from None
+    args.scenario_keys = scenario_keys
     _check_run_options(args)
-    return args, cfg
+    return args
 
 
 def _check_run_options(args) -> None:
@@ -488,22 +477,6 @@ def _check_run_options(args) -> None:
             raise UsageError("worker count must be at least 1")
 
 
-def _apply_sets(spec: ScenarioSpec, sets: dict) -> ScenarioSpec:
-    """Pin parameters; a free one only within its declared range.
-
-    ScenarioSpec checks every pin that a device reads as an efficiency, first.
-    """
-    for name, value in sets.items():
-        declared = spec.params.get(name)
-        if declared is None:
-            raise UsageError(f"scenario has no parameter {name!r}")
-        spec = fix_parameter(spec, name, value)
-        if declared.is_free and not declared.lo <= value <= declared.hi:
-            raise UsageError(f"{name} = {value:g} lies outside its declared range "
-                             f"[{declared.lo:g}, {declared.hi:g}]")
-    return spec
-
-
 def _parse_set_flags(pairs) -> dict:
     sets = {}
     for pair in pairs:
@@ -523,10 +496,10 @@ def _explicit_bell_scenario(args) -> ScenarioSpec:
                         MeasSpec("spd", eta_z), MeasSpec("sym", eta_x), params={})
 
 
-def _resolve_scenario(args, cfg: RunConfig) -> tuple:
+def _resolve_scenario(args) -> tuple:
     """The scenario to run, and the preset it came from (or None)."""
     preset = None
-    config_spec = cfg.scenario()
+    config_spec = _scenario_from_keys(args.scenario_keys) if args.scenario_keys else None
     explicit = getattr(args, "inequality", None) is not None
     if (args.preset is not None) + (config_spec is not None) + explicit > 1:
         raise UsageError("give one scenario: a preset, config scenario keys, or --inequality")
@@ -544,9 +517,9 @@ def _resolve_scenario(args, cfg: RunConfig) -> tuple:
         spec = replace(spec, n_parties=args.n)
     if args.lp_tol is not None:
         spec = replace(spec, lp_tol=float(args.lp_tol))
-    sets = dict(cfg.sets)
-    sets.update(_parse_set_flags(args.set))
-    return _apply_sets(spec, sets), preset
+    for name, value in _parse_set_flags(args.set).items():
+        spec = fix_parameter(spec, name, value)
+    return spec, preset
 
 
 def _run_target(spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
@@ -558,8 +531,6 @@ def _run_target(spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
     declared = spec.params.get(name)
     if declared is not None and declared.is_free:
         fallback = (declared.lo, declared.hi)
-        for end in span or ():  # a flag's range stays within the declared one
-            _apply_sets(spec, {name: end})
     if span is None:
         span = own_span if name == own else fallback
     return name, None if span is None else tuple(span)
@@ -573,13 +544,13 @@ def _json_text(payload: dict) -> str:
 # Commands
 
 
-def _cmd_bell(args, cfg: RunConfig) -> str:
+def _cmd_bell(args) -> str:
     if args.inequality is None:
         if args.state == "vacuum":
             raise UsageError("--state vacuum needs an explicit --inequality scenario")
         if args.ideal or args.eta_z is not None or args.eta_x is not None:
             raise UsageError("--ideal, --eta-z and --eta-x need an explicit --inequality scenario")
-    spec, _ = _resolve_scenario(args, cfg)
+    spec, _ = _resolve_scenario(args)
     if args.dump_spec:
         return dump_scenario(spec)
     if CRITERIA[spec.criterion].lp:
@@ -609,8 +580,8 @@ def _cmd_bell(args, cfg: RunConfig) -> str:
     })
 
 
-def _cmd_threshold(args, cfg: RunConfig) -> str:
-    spec, preset = _resolve_scenario(args, cfg)
+def _cmd_threshold(args) -> str:
+    spec, preset = _resolve_scenario(args)
     if args.dump_spec:
         return dump_scenario(spec)
     param, bracket = _run_target(spec, args.param, args.bracket, preset and preset.threshold)
@@ -634,8 +605,8 @@ def _cmd_threshold(args, cfg: RunConfig) -> str:
     })
 
 
-def _cmd_region(args, cfg: RunConfig) -> str:
-    spec, preset = _resolve_scenario(args, cfg)
+def _cmd_region(args) -> str:
+    spec, preset = _resolve_scenario(args)
     if args.dump_spec:
         return dump_scenario(spec)
     x_name, x_range = _run_target(spec, args.x_name, args.x_range, preset and preset.region_x, None)
@@ -651,7 +622,7 @@ def _cmd_region(args, cfg: RunConfig) -> str:
     return curve.to_csv()
 
 
-def _cmd_content(args, cfg: RunConfig) -> str:
+def _cmd_content(args) -> str:
     if args.dist_file is not None:
         if (args.preset or args.config or args.set or args.dump_spec
                 or args.n is not None or args.lp_tol is not None):
@@ -672,7 +643,7 @@ def _cmd_content(args, cfg: RunConfig) -> str:
             "local_weight": r.local_weight,
             "nonlocal_content": r.nonlocal_content,
         })
-    spec, _ = _resolve_scenario(args, cfg)
+    spec, _ = _resolve_scenario(args)
     if args.dump_spec:
         return dump_scenario(spec)
     if not CRITERIA[spec.criterion].lp:
@@ -693,7 +664,7 @@ def _cmd_content(args, cfg: RunConfig) -> str:
     })
 
 
-def _cmd_negativity(args, cfg: RunConfig) -> str:
+def _cmd_negativity(args) -> str:
     if not math.isfinite(args.theta):
         raise UsageError(f"--theta must be finite, got {args.theta!r}")
     state = atom_photon_state(args.theta, args.eta_c, args.n - 1)
@@ -717,8 +688,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def dispatch(argv) -> int:
     try:
-        args, cfg = _parse_args(list(argv))
-        _emit(args.run(args, cfg), args.out)
+        args = _parse_args(list(argv))
+        _emit(args.run(args), args.out)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except UsageError as err:
@@ -728,7 +699,9 @@ def dispatch(argv) -> int:
         print(f"wbell: numerical failure: {err}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, TypeError, OSError, MemoryError) as err:
-        print(f"wbell: error: {err}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"wbell: error: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -233,11 +233,19 @@ def free_parameters(spec: ScenarioSpec) -> tuple:
 
 
 def fix_parameter(spec: ScenarioSpec, name: str, value: float) -> ScenarioSpec:
-    if name not in spec.params:
+    """Pin one parameter, a free one only within its declared range: the one
+    check of every pin, from a flag, a config, a bracket or grid end or a
+    library call. ScenarioSpec checks an efficiency pin first."""
+    declared = spec.params.get(name)
+    if declared is None:
         raise KeyError(f"scenario has no parameter {name!r}")
-    params = dict(spec.params)
-    params[name] = ParamSpec.fixed(float(value))
-    return replace(spec, params=params)
+    value, params = float(value), dict(spec.params)
+    params[name] = ParamSpec.fixed(value)
+    pinned = replace(spec, params=params)
+    if declared.is_free and not declared.lo <= value <= declared.hi:
+        raise ValueError(f"{name} = {value:g} lies outside its declared range "
+                         f"[{declared.lo:g}, {declared.hi:g}]")
+    return pinned
 
 
 def resolve_values(spec: ScenarioSpec, free_values: Optional[dict] = None) -> dict:
@@ -378,6 +386,8 @@ def _sobol(d: int, n: int) -> list:
 
 def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
     """Deterministic low-discrepancy starts inside the free-parameter box."""
+    if n_starts < 1:  # with no start, a search evaluates nothing and finds nothing
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     names = free_parameters(spec)
     if not names:
         return names, [[]]
@@ -562,12 +572,12 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     as close as floats allow when ``atol`` is below their spacing there.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    # Both ends are pinned, and so checked, before either is evaluated.
+    lo_spec, hi_spec = fix_parameter(spec, param, lo), fix_parameter(spec, param, hi)
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     if not (math.isfinite(atol) and atol > 0.0):
         raise ValueError("atol must be finite and positive")
-    # Both ends are pinned, and so checked, before either is evaluated.
-    lo_spec, hi_spec = fix_parameter(spec, param, lo), fix_parameter(spec, param, hi)
     lo_viol = has_violation(lo_spec, n_starts)
     hi_viol = has_violation(hi_spec, n_starts)
     if lo_viol == hi_viol:
@@ -605,11 +615,13 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
     Grid points are independent, so they parallelize across processes when
     ``jobs`` exceeds 1; the row order of the result never depends on it.
     """
-    for name in (x_name, y_name):
-        if name not in spec.params:
-            raise KeyError(f"scenario has no parameter {name!r}")
-    # Every grid value is pinned, and so checked, before any row is bisected.
-    tasks = [(fix_parameter(spec, x_name, float(x)), float(x), y_name, tuple(y_bracket),
+    # Every pin is checked before any row runs, the grid's ends first, so a
+    # grid that leaves the declared range is named by its end.
+    x_values = [float(x) for x in x_values]
+    ends = [(x_name, x) for x in x_values[:1] + x_values[-1:]]
+    for name, value in ends + [(y_name, y) for y in y_bracket]:
+        fix_parameter(spec, name, value)
+    tasks = [(fix_parameter(spec, x_name, x), x, y_name, tuple(y_bracket),
               atol, n_starts) for x in x_values]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: only a pool of more than one worker needs it. The

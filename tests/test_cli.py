@@ -18,7 +18,8 @@ import pytest
 
 import wbell
 import wbell.polytope as polytope
-from wbell.cli import PRESETS, build_parser, dispatch, dump_scenario, parse_config
+from wbell.cli import (PRESETS, _scenario_from_keys, build_parser, dispatch, dump_scenario,
+                       parse_config)
 from wbell.polytope import nonlocal_content
 from wbell.search import CRITERIA, scenario_distribution
 
@@ -350,23 +351,42 @@ class TestNegativity:
 
 class TestConfigFiles:
     def test_dump_spec_round_trip(self, tmp_path):
-        for preset in ("fig1", "fig3", "garbarino3", "cabello-displacement"):
-            code, text, _ = run(["threshold", "--preset", preset,
-                                 "--dump-spec"])
-            assert code == 0
-            path = tmp_path / f"{preset}.cfg"
+        """Every preset at both sizes of the golden specs reads back from its
+        dumped config as the same scenario."""
+        path = tmp_path / "spec.cfg"
+        for (name, n), text in golden_preset_specs().items():
             path.write_text(text)
-            code, again, _ = run(["threshold", "--config", str(path),
-                                  "--dump-spec"])
-            assert code == 0 and again == text
+            code, again, err = run(["threshold", "--config", str(path), "--dump-spec"])
+            assert code == 0 and again == text, (name, n, err)
 
     def test_parsed_config_equals_preset(self):
-        spec = PRESETS["fig3"].build(2)
-        assert parse_config(dump_scenario(spec)).scenario() == spec
+        for (name, n), text in golden_preset_specs().items():
+            spec = PRESETS[name].build(n)
+            assert dump_scenario(spec) == text, (name, n)
+            assert _scenario_from_keys(parse_config(text)[2]) == spec, (name, n)
+
+    def test_config_pins_are_set_flags(self, tmp_path):
+        """A config's set. pins give the bytes of the same --set flags, each
+        value read exactly, and a pin on the command line beats its config key."""
+        path = tmp_path / "pins.cfg"
+        for argv, pins in (
+                (["bell", "--preset", "fig4-homodyne", "--dump-spec"],
+                 {"eta_c": "0.65", "theta": "-0.7000000000000001", "phi_x": "1e-300"}),
+                (["threshold", "--preset", "fig2", "--starts", "2", "--atol", "0.05"],
+                 {"eta_x": "0.95"})):
+            flags = [f"--set={name}={value}" for name, value in pins.items()]
+            expected = run(argv + flags)
+            assert expected[0] == 0, expected
+            path.write_text("".join(f"set.{name} = {value}\n" for name, value in pins.items()))
+            assert run(argv + ["--config", str(path)]) == expected, argv
+        # On the threshold run, a pin on the command line beats the config's.
+        beaten = run(argv + ["--config", str(path), "--set", "eta_x=1"])
+        assert beaten == run(argv + ["--set", "eta_x=1"]) and beaten[0] == 0
+        assert beaten[1] != expected[1]
 
     def test_comments_and_blank_lines(self):
-        cfg = parse_config("# a comment\n\nn = 4  # trailing\n")
-        assert cfg.options == {"n": "4"}
+        options, _, _ = parse_config("# a comment\n\nn = 4  # trailing\n")
+        assert options == {"n": "4"}
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -446,6 +466,21 @@ def test_bad_run_options_give_one_line(tmp_path, argv, config):
     code, out, err = run(argv)
     assert (code, out) == (1, "")
     assert err.startswith("wbell: error:") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["threshold", "--preset", "cabello-ad", "--param", "bogus"], None),
+    (["region", "--preset", "fig1", "--x", "bogus", "--x-range", "0", "1", "--grid", "2"], None),
+    (["region", "--preset", "fig1", "--y", "bogus"], None),
+    (["bell", "--preset", "fig1", "--set", "bogus=1"], None),
+    (["bell"], "preset = fig1\nset.bogus = 1\n"),
+], ids=["threshold-param", "region-x", "region-y", "set-flag", "config-pin"])
+def test_an_unknown_parameter_reads_the_same_everywhere(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "pin.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert run(argv) == (1, "", "wbell: error: scenario has no parameter 'bogus'\n")
 
 
 class TestFlagValidation:

@@ -271,6 +271,82 @@ def test_fix_parameter():
         fix_parameter(spec, "nope", 0.5)
 
 
+@pytest.fixture
+def margin_calls(monkeypatch):
+    """The margin evaluations made while a test runs."""
+    calls, margin = [], search.violation_margin
+
+    def counting_margin(*args):
+        calls.append(args)
+        return margin(*args)
+
+    monkeypatch.setattr(search, "violation_margin", counting_margin)
+    return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools requested while a test runs.
+    The pool may start all of its workers at once; this fake one records
+    the request and maps in this process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return requested
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_pin_outside_the_declared_range_is_refused_before_any_evaluation(
+        margin_calls, pools, jobs):
+    """Every pin on a free parameter reaches one range check, with the
+    message the CLI prints: a library pin, a bracket end, and a region's
+    grid value or bracket end, whatever the job count."""
+    fig2 = PRESETS["fig2"].spec  # eta_z free on [0, 1], eta_x free on [0.5, 1]
+    refused = [
+        lambda: fix_parameter(fig2, "eta_x", 0.2),
+        lambda: critical_efficiency(fig2, "eta_x", (0.2, 1.0), n_starts=2),
+        lambda: critical_efficiency(fig2, "eta_x", (1.0, 0.2), n_starts=2),
+        lambda: region_boundary(fig2, "eta_x", "eta_z", [0.6, 0.2], (0.1, 1.0),
+                                n_starts=2, jobs=jobs),
+        lambda: region_boundary(fig2, "eta_z", "eta_x", [0.5, 0.6], (0.2, 1.0),
+                                n_starts=2, jobs=jobs),
+    ]
+    for case, call in enumerate(refused):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "eta_x = 0.2 lies outside its declared range [0.5, 1]", case
+    assert margin_calls == [] and pools == []
+    # A fixed parameter's pin is checked as an efficiency only.
+    atom = PRESETS["fig4-homodyne"].spec
+    assert fix_parameter(atom, "eta_c", 0.65).params["eta_c"].value == 0.65
+
+
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_fewer_than_one_start_is_refused_before_any_evaluation(margin_calls, n_starts):
+    """No start would evaluate nothing: has_violation would say "not
+    violated" and critical_efficiency "satisfied on the whole bracket"."""
+    spec = damping_spec()
+    for call in (lambda: has_violation(spec, n_starts),
+                 lambda: optimize_free_parameters(spec, n_starts),
+                 lambda: critical_efficiency(spec, "eta", (0.5, 1.0), n_starts=n_starts)):
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            call()
+    assert margin_calls == []
+
+
 def test_resolve_values():
     spec = cabello_spd_spec()
     assert resolve_values(spec, {"eta_z": 0.7}) == {"eta_z": 0.7}
@@ -752,32 +828,15 @@ def test_region_boundary_rows_do_not_depend_on_jobs():
     assert all(status == "ok" for _, _, status in serial.points)
 
 
-def test_region_boundary_starts_no_more_workers_than_rows(monkeypatch):
+def test_region_boundary_starts_no_more_workers_than_rows(pools):
     """The pool may start all of its workers at once, so a large job count
-    on a short grid asks for one worker per row. The fake pool records the
-    request and maps in this process."""
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    on a short grid asks for one worker per row."""
     curves = []
     for jobs, expected in ((1, []), (10 ** 6, [3]), (4, [3]), (2, [2])):
-        requested.clear()
+        pools.clear()
         curves.append(region_boundary(two_efficiency_spec(), "eta_x", "eta_z",
                                       [0.92, 0.96, 1.0], (0.3, 1.0), atol=0.01, jobs=jobs))
-        assert requested == expected, jobs
+        assert pools == expected, jobs
     assert all(curve.points == curves[0].points for curve in curves)
 
 
