@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,20 +46,6 @@ class BellResult:
                    is_violation(value - local_bound))
 
 
-@lru_cache(maxsize=None)
-def _cabello_indices(n: int) -> tuple:
-    """Flat table indices (settings bits, then outcome bits, party 0 first) of
-    cabello's terms in the order of its formula, read-only, and how many of
-    them come first with a plus sign."""
-    bit = [1 << (n - 1 - i) for i in range(n)]
-    ones = (1 << n) - 1
-    plus = [0] + bit
-    minus = [(bit[i] | bit[j]) << n | bit[i] for i in range(n) for j in range(n) if j != i]
-    indices = np.array(plus + minus + [ones << n, ones << n | ones])
-    indices.flags.writeable = False
-    return indices, len(plus)
-
-
 def cabello_value(p: JointDistribution) -> BellResult:
     """Single-excitation inequality with local bound 0 and algebraic max 1.
 
@@ -76,14 +61,19 @@ def cabello_value(p: JointDistribution) -> BellResult:
         raise ValueError("the inequality is defined for two-outcome scenarios")
     if n < 3:
         raise ValueError("the inequality needs at least three parties")
-    indices, n_plus = _cabello_indices(n)
-    terms = p.table.reshape(-1)[indices].tolist()
-    # Added one term at a time in the order of the formula above, so that
-    # the value does not depend on how numpy or sum() would group the terms.
+    # Flat table indices (settings bits, then outcome bits, party 0 first)
+    # of the terms in the order of the formula above.
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    ones = (1 << n) - 1
+    plus = [0] + bit
+    minus = [(bit[i] | bit[j]) << n | bit[i] for i in range(n) for j in range(n) if j != i]
+    terms = p.table.reshape(-1)[plus + minus + [ones << n, ones << n | ones]].tolist()
+    # Added one term at a time in that order, so that the value does not
+    # depend on how numpy or sum() would group the terms.
     value = terms[0]
-    for term in terms[1:n_plus]:
+    for term in terms[1:len(plus)]:
         value += term
-    for term in terms[n_plus:]:
+    for term in terms[len(plus):]:
         value -= term
     return BellResult.make(value, 0.0, 1.0)
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .dist import JointDistribution
-from .polytope import ContentResult, LPError, nonlocal_content
+from .polytope import LPError, nonlocal_content
 from .qmat import negativity
 from .search import (
     BISECTION_ATOL,
@@ -35,11 +35,10 @@ from .search import (
     fix_parameter,
     optimize_free_parameters,
     region_boundary,
-    resolve_values,
     scenario_distribution,
     scenario_result,
 )
-from .states import atom_photon_state, damped_w_state, w_state
+from .states import atom_photon_state, damped_w_state
 
 DEFAULT_GRID = 21
 
@@ -555,22 +554,18 @@ def _cmd_bell(args) -> str:
         return dump_scenario(spec)
     if CRITERIA[spec.criterion].lp:
         raise UsageError("LP criteria are served by the content command")
-    if args.inequality is not None:
-        params = resolve_values(spec)
-        state = (damped_w_state(spec.n_parties, 0.0) if args.state == "vacuum"
-                 else w_state(spec.n_parties))
-        state_kind = args.state
-    else:
-        params = optimize_free_parameters(spec, n_starts=args.starts).params
-        state, state_kind = None, "atom-photon" if spec.atom else "w"
-    # The optimizer's margin is this same evaluation at its best parameters.
+    # An --inequality scenario has no free parameter: one evaluation, no params.
+    params = optimize_free_parameters(spec, n_starts=args.starts).params
+    # The optimizer's margin is this same evaluation at its best parameters,
+    # on the scenario's own state unless --state swaps in the vacuum.
+    state = damped_w_state(spec.n_parties, 0.0) if args.state == "vacuum" else None
     result = scenario_result(spec, params, state)
     return _json_text({
         "command": "bell",
         "scenario": spec.name,
         "criterion": spec.criterion,
         "n_parties": spec.n_parties,
-        "state": state_kind,
+        "state": "atom-photon" if spec.atom else args.state,
         "value": result.value,
         "local_bound": result.local_bound,
         "algebraic_max": result.algebraic_max,
@@ -615,6 +610,8 @@ def _cmd_region(args) -> str:
         raise UsageError("region needs --x and --y (preset has no defaults)")
     if x_range is None:
         raise UsageError("region needs --x-range for this parameter")
+    for x in x_range:  # before np.linspace, which turns an infinite end into NaNs
+        fix_parameter(spec, x_name, x)
     curve = region_boundary(
         spec, x_name, y_name,
         np.linspace(x_range[0], x_range[1], args.grid), bracket,
@@ -652,7 +649,6 @@ def _cmd_content(args) -> str:
     if args.dump_dist:
         return scenario_distribution(spec, search.params).to_text()
     r = scenario_result(spec, search.params)
-    assert isinstance(r, ContentResult)
     return _json_text({
         "command": "content",
         "scenario": spec.name,

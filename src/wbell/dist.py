@@ -102,9 +102,14 @@ class JointDistribution:
                 raise ValueError(f"malformed distribution line: {raw!r}")
             if set(parts[0]) - {"0", "1"}:
                 raise ValueError(f"settings digits must be 0 or 1: {raw!r}")
+            if set(parts[1]) - set("0123456789"):
+                raise ValueError(f"outcome digits must be 0 to 9: {raw!r}")
             if (parts[0], parts[1]) in entries:
                 raise ValueError(f"distribution text lists {parts[0]} {parts[1]} twice")
-            entries[(parts[0], parts[1])] = float(parts[2])
+            try:
+                entries[(parts[0], parts[1])] = float(parts[2])
+            except ValueError:
+                raise ValueError(f"probability must be a number: {raw!r}") from None
         if not entries:
             raise ValueError("empty distribution text")
         n = len(next(iter(entries))[0])

@@ -105,7 +105,7 @@ def _efficiency_elements(polar: float, azimuth: float, eta_up: float, eta_down: 
     return ((down0, off), (off_c, down1)), ((1.0 - down0, -off), (-off_c, 1.0 - down1))
 
 
-def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str = "") -> POVM:
+def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float) -> POVM:
     """Two-efficiency error model for a binary measurement along ``axis``.
 
     M_up = eta_up P_up + (1 - eta_down) P_down and
@@ -115,8 +115,7 @@ def efficiency_povm(axis: BlochAxis, eta_up: float, eta_down: float, label: str 
     this is a photon counter of efficiency eta_up: vacuum never clicks.
     """
     _check_probability(eta_up=eta_up, eta_down=eta_down)
-    return POVM(_efficiency_elements(axis.polar, axis.azimuth, eta_up, eta_down),
-                label or "efficiency")
+    return POVM(_efficiency_elements(axis.polar, axis.azimuth, eta_up, eta_down), "efficiency")
 
 
 def _homodyne_elements(eff: float, aux: float) -> tuple:

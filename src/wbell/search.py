@@ -235,11 +235,14 @@ def free_parameters(spec: ScenarioSpec) -> tuple:
 def fix_parameter(spec: ScenarioSpec, name: str, value: float) -> ScenarioSpec:
     """Pin one parameter, a free one only within its declared range: the one
     check of every pin, from a flag, a config, a bracket or grid end or a
-    library call. ScenarioSpec checks an efficiency pin first."""
+    library call. A value must be finite, and ScenarioSpec checks an
+    efficiency pin before the range."""
     declared = spec.params.get(name)
     if declared is None:
         raise KeyError(f"scenario has no parameter {name!r}")
     value, params = float(value), dict(spec.params)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value:g} is not a finite number")
     params[name] = ParamSpec.fixed(value)
     pinned = replace(spec, params=params)
     if declared.is_free and not declared.lo <= value <= declared.hi:
@@ -615,6 +618,8 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
     Grid points are independent, so they parallelize across processes when
     ``jobs`` exceeds 1; the row order of the result never depends on it.
     """
+    if jobs < 1:
+        raise ValueError("worker count must be at least 1")
     # Every pin is checked before any row runs, the grid's ends first, so a
     # grid that leaves the declared range is named by its end.
     x_values = [float(x) for x in x_values]

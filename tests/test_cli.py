@@ -141,6 +141,23 @@ class TestBell:
         assert (d["criterion"], d["state"], d["scenario"]) == ("wwwzb", "vacuum", "custom")
         assert d["value"] == pytest.approx(1.0, abs=VALUE_ATOL)
 
+    def test_an_inequality_prints_what_its_dumped_config_prints(self, tmp_path):
+        """--inequality is one scenario source among three: each golden
+        --inequality block on the W state, run from its --dump-spec text as
+        a config, prints the same bytes."""
+        path = tmp_path / "s.cfg"
+        headers = [h for h in golden_blocks(GOLDEN_OUTPUTS)
+                   if h.startswith("bell --inequality") and "vacuum" not in h]
+        assert len(headers) == 4
+        for header in headers:
+            code, text, err = run(header.split() + ["--dump-spec"])
+            assert code == 0, err
+            path.write_text(text)
+            assert run(["bell", "--config", str(path)]) == run(header.split()), header
+        # The vacuum swaps the state of the same evaluation, at the party cap too.
+        d = run_json(["bell", "--inequality", "wwwzb", "--n", "1030", "--state", "vacuum"])
+        assert d["state"] == "vacuum" and math.isfinite(d["value"])
+
 
 class TestThreshold:
     def test_cabello_homodyne_matches_closed_form(self):
@@ -316,6 +333,17 @@ class TestContent:
         assert err.startswith("wbell: error:") and len(err.splitlines()) == 1, err
         assert "0 0" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("0 a 0.5", "outcome digits must be 0 to 9"),
+        ("0 -1 0", "outcome digits must be 0 to 9"),
+        ("0 0 x", "probability must be a number"),
+    ])
+    def test_a_dist_file_parse_error_quotes_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.dist"
+        path.write_text(f"1 1 0.5\n{line}\n")
+        assert run(["content", "--dist-file", str(path)]) == \
+            (1, "", f"wbell: error: {message}: {line!r}\n")
+
     def test_matches_library_call(self):
         d = run_json(self.IDEAL)
         spec = PRESETS["fig5"].build(3)
@@ -481,6 +509,26 @@ def test_an_unknown_parameter_reads_the_same_everywhere(tmp_path, argv, config):
         path.write_text(config)
         argv = argv + ["--config", str(path)]
     assert run(argv) == (1, "", "wbell: error: scenario has no parameter 'bogus'\n")
+
+
+@pytest.mark.parametrize("argv, config, pin", [
+    (["bell", "--preset", "fig1", "--set", "eta_z=nan"], None, "eta_z = nan"),
+    (["bell", "--preset", "fig1", "--set", "eta_z=inf"], None, "eta_z = inf"),
+    (["bell", "--preset", "fig4-homodyne", "--set", "eta_c=nan"], None, "eta_c = nan"),
+    (["bell"], "preset = fig1\nset.eta_z = nan\n", "eta_z = nan"),
+    (["threshold", "--preset", "fig1", "--bracket", "nan", "1"], None, "eta_z = nan"),
+    (["region", "--preset", "fig1", "--x-range", "nan", "1", "--grid", "2"], None, "eta_z = nan"),
+    (["region", "--preset", "fig1", "--x-range", "inf", "1", "--grid", "2"], None, "eta_z = inf"),
+], ids=["set-nan", "set-inf", "set-fixed-nan", "config-pin", "bracket-end", "x-range-nan",
+        "x-range-inf"])
+def test_a_non_finite_pin_names_its_parameter(tmp_path, argv, config, pin):
+    """Every pin path refuses NaN and inf with one line naming the parameter;
+    an infinite grid end is refused before numpy's linspace warns."""
+    if config is not None:
+        path = tmp_path / "pin.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert run(argv) == (1, "", f"wbell: error: {pin} is not a finite number\n")
 
 
 class TestFlagValidation:

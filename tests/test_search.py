@@ -334,6 +334,37 @@ def test_a_pin_outside_the_declared_range_is_refused_before_any_evaluation(
     assert fix_parameter(atom, "eta_c", 0.65).params["eta_c"].value == 0.65
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_pin_is_named_before_any_evaluation(margin_calls, pools, value):
+    """A NaN or infinite pin, bracket end or grid end is refused with the
+    parameter's name, not by ParamSpec's "parameter bounds must be finite"."""
+    fig2 = PRESETS["fig2"].spec
+    for name, call in (
+            ("eta_z", lambda: fix_parameter(fig2, "eta_z", value)),
+            ("eta_c", lambda: fix_parameter(PRESETS["fig4-homodyne"].spec, "eta_c", value)),
+            ("eta_z", lambda: critical_efficiency(fig2, "eta_z", (value, 1.0), n_starts=2)),
+            ("eta_z", lambda: critical_efficiency(fig2, "eta_z", (0.0, value), n_starts=2)),
+            ("eta_z", lambda: region_boundary(fig2, "eta_z", "eta_x", [value, 1.0], (0.5, 1.0),
+                                              n_starts=2, jobs=2)),
+            ("eta_z", lambda: region_boundary(fig2, "eta_x", "eta_z", [0.6, 1.0], (0.0, value),
+                                              n_starts=2))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} = {value:g} is not a finite number"
+    assert margin_calls == [] and pools == []
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_fewer_than_one_worker_is_refused_before_any_pin_or_row(margin_calls, pools, jobs):
+    """The CLI's worker-count rule holds for library calls too, and comes
+    before the pin checks: the grid value 0.2 lies outside eta_x's range."""
+    fig2 = PRESETS["fig2"].spec
+    for xs in ([0.6, 1.0], [0.2]):
+        with pytest.raises(ValueError, match="^worker count must be at least 1$"):
+            region_boundary(fig2, "eta_x", "eta_z", xs, (0.1, 1.0), n_starts=2, jobs=jobs)
+    assert margin_calls == [] and pools == []
+
+
 @pytest.mark.parametrize("n_starts", [0, -1])
 def test_fewer_than_one_start_is_refused_before_any_evaluation(margin_calls, n_starts):
     """No start would evaluate nothing: has_violation would say "not
