@@ -32,8 +32,6 @@ from .measure import (
 from .polytope import (
     ContentResult,
     LPError,
-    LPInfeasibleError,
-    LPUnboundedError,
     nonlocal_content,
     solve_lp,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "ExcitationState",
     "JointDistribution",
     "LPError",
-    "LPInfeasibleError",
-    "LPUnboundedError",
     "MeasSpec",
     "MeasurementAssignment",
     "POVM",

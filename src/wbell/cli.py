@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -33,8 +32,10 @@ from .search import (
     ScenarioSpec,
     critical_efficiency,
     fix_parameter,
+    free_parameters,
     optimize_free_parameters,
     region_boundary,
+    resolve_values,
     scenario_distribution,
     scenario_result,
 )
@@ -203,15 +204,15 @@ _SCENARIO_KEYS = {
 }
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    if raw == "true":
+def _parse_bool(raw, key: str) -> bool:
+    if raw in ("true", True):   # config text, or a field default as it is
         return True
-    if raw == "false":
+    if raw in ("false", False):
         return False
     raise UsageError(f"{key} expects true or false, got {raw!r}")
 
 
-def _parse_float(raw: str, key: str) -> float:
+def _parse_float(raw, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
@@ -265,7 +266,7 @@ def _scenario_from_keys(keys: dict) -> ScenarioSpec:
             keys[f"{prefix}.family"],
             _parse_meas_ref(keys[f"{prefix}.eff"]),
             None if aux_raw is None else _parse_meas_ref(aux_raw),
-            _parse_bool(keys.get(f"{prefix}.flip", "false"), f"{prefix}.flip"))
+            _parse_bool(keys.get(f"{prefix}.flip", MeasSpec.flip), f"{prefix}.flip"))
 
     params = {}
     for key, raw in keys.items():
@@ -290,9 +291,9 @@ def _scenario_from_keys(keys: dict) -> ScenarioSpec:
     return ScenarioSpec(
         keys["scenario.name"], n, keys["scenario.criterion"],
         meas("photon_z"), meas("photon_x"),
-        atom=_parse_bool(keys.get("scenario.atom", "false"), "scenario.atom"),
+        atom=_parse_bool(keys.get("scenario.atom", ScenarioSpec.atom), "scenario.atom"),
         params=params,
-        lp_tol=_parse_float(keys.get("scenario.lp_tol", "1e-8"), "scenario.lp_tol"))
+        lp_tol=_parse_float(keys.get("scenario.lp_tol", ScenarioSpec.lp_tol), "scenario.lp_tol"))
 
 
 def _dump_meas_ref(ref) -> str:
@@ -392,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--grid", type=int, default=DEFAULT_GRID,
                        help="number of grid points")
     p_reg.add_argument("--atol", type=float, default=BISECTION_ATOL)
-    p_reg.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (or WBELL_JOBS)")
+    p_reg.add_argument("--jobs", type=int, default=1,
+                       help="worker processes")
 
     p_con = sub.add_parser("content", help="EPR2 nonlocal content")
     p_con.set_defaults(run=_cmd_content)
@@ -465,15 +466,8 @@ def _check_run_options(args) -> None:
         raise UsageError("--grid must be at least 2")
     if hasattr(args, "atol") and not (math.isfinite(args.atol) and args.atol > 0.0):
         raise UsageError(f"--atol must be finite and greater than 0, got {args.atol!r}")
-    if hasattr(args, "jobs"):
-        if args.jobs is None:
-            raw = os.environ.get("WBELL_JOBS", "1")
-            try:
-                args.jobs = int(raw)
-            except ValueError:
-                raise UsageError(f"WBELL_JOBS must be an integer, got {raw!r}") from None
-        if args.jobs < 1:
-            raise UsageError("worker count must be at least 1")
+    if hasattr(args, "jobs") and args.jobs < 1:
+        raise UsageError("worker count must be at least 1")
 
 
 def _parse_set_flags(pairs) -> dict:
@@ -554,10 +548,10 @@ def _cmd_bell(args) -> str:
         return dump_scenario(spec)
     if CRITERIA[spec.criterion].lp:
         raise UsageError("LP criteria are served by the content command")
-    # An --inequality scenario has no free parameter: one evaluation, no params.
-    params = optimize_free_parameters(spec, n_starts=args.starts).params
-    # The optimizer's margin is this same evaluation at its best parameters,
-    # on the scenario's own state unless --state swaps in the vacuum.
+    # With no free parameter, as with --inequality, the one evaluation is
+    # scenario_result's, on the vacuum when --state swaps it in.
+    params = (optimize_free_parameters(spec, n_starts=args.starts).params
+              if free_parameters(spec) else resolve_values(spec))
     state = damped_w_state(spec.n_parties, 0.0) if args.state == "vacuum" else None
     result = scenario_result(spec, params, state)
     return _json_text({

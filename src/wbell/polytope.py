@@ -52,14 +52,6 @@ class LPError(RuntimeError):
     """The linear program failed to solve to the required certificates."""
 
 
-class LPInfeasibleError(LPError):
-    """No feasible point exists (signals a broken input distribution)."""
-
-
-class LPUnboundedError(LPError):
-    """The objective is unbounded above on the feasible set."""
-
-
 @dataclass(frozen=True)
 class ContentResult:
     """EPR2 split of a distribution into local weight and nonlocal content."""
@@ -153,24 +145,20 @@ def _certify(a_ub, b_ub: np.ndarray, x: np.ndarray, value: float, y) -> None:
         raise LPError(f"duality gap {dual_value - value:g} exceeds tolerance")
 
 
-def solve_lp(objective: np.ndarray, a_ub, b_ub: np.ndarray):
-    """Maximize objective . x subject to a_ub x <= b_ub and x >= 0 with HiGHS.
+def solve_lp(a_ub, b_ub: np.ndarray):
+    """Maximize sum(x) subject to a_ub x <= b_ub and x >= 0 with HiGHS.
 
     Returns (value, x, y), y the row duals, certified by ``_certify``, as is
     a face re-solve: primal feasibility within FEASIBILITY_TOL and a
     weak-duality gap within OPTIMALITY_TOL (relative to the value's scale).
+    Every HiGHS failure raises LPError.
     """
-    c = -np.asarray(objective, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
     # The certificate is stricter than the HiGHS defaults (1e-7), so the
     # solver is asked for more accuracy than it would normally deliver.
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status == 2:
-        raise LPInfeasibleError(res.message)
-    if res.status == 3:
-        raise LPUnboundedError(res.message)
+    res = linprog(-np.ones(a_ub.shape[1]), A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise LPError(res.message)
     x = np.asarray(res.x, dtype=float)
@@ -239,7 +227,7 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     faces = _faces.get()
     found = None if faces is None else _solve_on_faces(faces.get((classes, k), ()), a, b)
     if found is None:
-        value, q, y = solve_lp(np.ones(a.shape[1]), a, b)
+        value, q, y = solve_lp(a, b)
         if faces is not None:
             cols = np.flatnonzero(q > FACE_TOL)
             rows = np.flatnonzero((y > FACE_TOL) | (b - a @ q <= FACE_TOL))

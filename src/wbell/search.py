@@ -252,19 +252,10 @@ def fix_parameter(spec: ScenarioSpec, name: str, value: float) -> ScenarioSpec:
 
 
 def resolve_values(spec: ScenarioSpec, free_values: Optional[dict] = None) -> dict:
-    """Merge fixed parameter values with the supplied free ones."""
-    free_values = dict(free_values or {})
-    out = {}
-    for name, pspec in spec.params.items():
-        if pspec.is_free:
-            if name not in free_values:
-                raise KeyError(f"missing value for free parameter {name!r}")
-            out[name] = float(free_values.pop(name))
-        else:
-            out[name] = float(pspec.value)
-    if free_values:
-        raise KeyError(f"unknown parameters supplied: {sorted(free_values)}")
-    return out
+    """Fixed parameter values merged with the free ones of ``free_parameters(spec)``."""
+    free_values = free_values or {}
+    return {name: float(free_values[name] if pspec.is_free else pspec.value)
+            for name, pspec in spec.params.items()}
 
 
 def _lookup(ref, values: dict) -> float:
@@ -310,11 +301,9 @@ def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution
 
 def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
     """Apply one named criterion to what it reads: a closed form to a
-    Symmetric scenario, an LP criterion to a JointDistribution."""
-    rule = CRITERIA.get(criterion)
-    if rule is None:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    return rule.evaluate(data)
+    Symmetric scenario, an LP criterion to a JointDistribution; ScenarioSpec
+    checked the name."""
+    return CRITERIA[criterion].evaluate(data)
 
 
 def scenario_result(spec: ScenarioSpec, values: dict,
@@ -483,9 +472,8 @@ def _simplex(func: Callable, x0: list, box: list) -> tuple:
 
 
 def _values_merger(spec: ScenarioSpec, names: tuple) -> Callable:
-    """The map from a list of free values in ``names`` order to the full
-    value dict: a copy of one template that ``resolve_values`` checked, as
-    ``names`` is ``free_parameters(spec)``, so no evaluation checks keys."""
+    """The map from a list of free values in ``names`` order, the names of
+    ``free_parameters(spec)``, to the full value dict: a copy of one template."""
     template = resolve_values(spec, dict.fromkeys(names, 0.0))
 
     def values(x) -> dict:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,12 +22,13 @@ import wbell.polytope as polytope
 from wbell.cli import (PRESETS, _scenario_from_keys, build_parser, dispatch, dump_scenario,
                        parse_config)
 from wbell.polytope import nonlocal_content
-from wbell.search import CRITERIA, scenario_distribution
+from wbell.search import CRITERIA, MeasSpec, ScenarioSpec, scenario_distribution
 
 VALUE_ATOL = 1e-9
 THRESHOLD_ATOL = 5e-4
 GOLDEN_SPECS = Path(__file__).with_name("preset_specs.txt")
 GOLDEN_OUTPUTS = Path(__file__).with_name("golden_outputs.txt")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -158,6 +160,26 @@ class TestBell:
         d = run_json(["bell", "--inequality", "wwwzb", "--n", "1030", "--state", "vacuum"])
         assert d["state"] == "vacuum" and math.isfinite(d["value"])
 
+    def test_no_free_parameter_is_one_evaluation(self, monkeypatch):
+        """A scenario with no free parameter is evaluated once, on the state
+        it prints: no search runs first, on the W state or any other."""
+        import wbell.cli as cli
+        import wbell.search as search
+
+        calls, evaluate = [], search.scenario_result
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        for module in (cli, search):
+            monkeypatch.setattr(module, "scenario_result", counting)
+        for argv in (["bell", "--inequality", "wwwzb", "--n", "1030", "--state", "vacuum"],
+                     ["bell", "--inequality", "cabello", "--n", "8", "--ideal"]):
+            calls.clear()
+            run_json(argv)
+            assert len(calls) == 1, argv
+
 
 class TestThreshold:
     def test_cabello_homodyne_matches_closed_form(self):
@@ -258,13 +280,13 @@ class TestRegion:
         assert code == 0, err
         assert run(argv + ["--jobs", "2"]) == (0, base, "")
 
-    def test_jobs_env_fallback(self, monkeypatch):
-        _, base, _ = run(self.BASE)
-        monkeypatch.setenv("WBELL_JOBS", "2")
-        code, out, _ = run(self.BASE)
-        assert code == 0 and out == base
-        monkeypatch.setenv("WBELL_JOBS", "abc")
-        assert run(self.BASE)[0] == 1
+    def test_jobs_env_is_not_read(self, monkeypatch):
+        """--jobs and the config run key jobs set the worker count, 1 by
+        default; the environment has no say, not even a bad value."""
+        base = run(self.BASE)
+        for raw in ("2", "abc"):
+            monkeypatch.setenv("WBELL_JOBS", raw)
+            assert run(self.BASE) == base and base[0] == 0, raw
 
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "curve.csv"
@@ -459,6 +481,15 @@ class TestConfigFiles:
                               "--starts", "2", "--dump-spec"])
         assert code == 0 and "scenario.n_parties = 5\n" in out, err
 
+    def test_omitted_optional_keys_take_the_field_defaults(self):
+        """scenario.atom, scenario.lp_tol and <device>.flip default to what
+        ScenarioSpec and MeasSpec default to."""
+        text = ("scenario.name = t\nscenario.n_parties = 3\nscenario.criterion = cabello\n"
+                "photon_z.family = spd\nphoton_z.eff = 0.9\n"
+                "photon_x.family = sym\nphoton_x.eff = 0.8\n")
+        assert _scenario_from_keys(parse_config(text)[2]) == ScenarioSpec(
+            "t", 3, "cabello", MeasSpec("spd", 0.9), MeasSpec("sym", 0.8))
+
     def test_lp_tol_must_be_finite_and_non_negative(self, tmp_path):
         text = run(["content", "--preset", "fig5", "--n", "3", "--dump-spec"])[1]
         assert "scenario.lp_tol = 1e-08\n" in text
@@ -529,6 +560,92 @@ def test_a_non_finite_pin_names_its_parameter(tmp_path, argv, config, pin):
         path.write_text(config)
         argv = argv + ["--config", str(path)]
     assert run(argv) == (1, "", f"wbell: error: {pin} is not a finite number\n")
+
+
+_FIG1 = dump_scenario(PRESETS["fig1"].spec)
+_FIG3 = dump_scenario(PRESETS["fig3"].spec)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["bell", "--preset", "fig1", "--set", "eta_z=abc"], None, "--set eta_z expects a number"),
+    (["bell", "--config", "{file}"], "preset = fig1\nset.eta_z = abc\n",
+     "set.eta_z expects a number"),
+    (["bell", "--config", "{file}"], _FIG1.replace("atom = false", "atom = yes"),
+     "scenario.atom expects true or false"),
+    (["bell", "--config", "{file}"], "preset = fig1\nstarts 2\n",
+     "config line 2: expected key = value"),
+    (["bell", "--config", "{file}"], "scenario.name = t\n", "config scenario is missing keys"),
+    (["bell", "--config", "{file}"], _FIG1.replace("0.5 1.0 free", "0.5 1.0"),
+     "param.eta_x expects 'lo hi value'"),
+    (["bell", "--config", "{file}"], _FIG1.replace("0.5 1.0 free", "1.0 0.5 free"),
+     "param.eta_x: parameter bounds are reversed"),
+    (["bell", "--config", "{file}"], _FIG1.replace("n_parties = 3", "n_parties = three"),
+     "scenario.n_parties expects an integer"),
+    (["region", "--preset", "fig1", "--grid", "1"], None, "--grid must be at least 2"),
+    (["region", "--preset", "fig1", "--jobs", "0"], None, "worker count must be at least 1"),
+    (["threshold"], None, "no scenario given"),
+    (["threshold", "--config", "{file}"], _FIG1, "no parameter to bisect"),
+    (["region", "--config", "{file}"], _FIG1, "region needs --x and --y"),
+    (["region", "--preset", "fig4-homodyne", "--x", "eta_atom", "--y", "eta_spd"], None,
+     "region needs --x-range"),
+    (["content", "--preset", "fig1"], None, "content needs an LP criterion"),
+    (["bell", "--config", "{file}"], _FIG3.replace("n_parties = 2", "n_parties = 1"),
+     "an atom scenario needs at least one photon party"),
+    (["content", "--config", "{file}"],
+     _FIG3.replace("wwwzb", "lp3").replace("spd", "lossy3_z", 1).replace("homodyne", "lossy3_x"),
+     "atom scenarios use two-outcome photon devices"),
+    (["content", "--dist-file", "/nonexistent.dist"], None, "cannot read distribution file"),
+    (["content", "--dist-file", "{file}"], "0 0 0.5\n0 1 0.5\n1 0 1\n",
+     "does not list every (settings, outcomes) pair"),
+    (["content", "--dist-file", "{file}"], "0 0 0.5\n0 1 0.4\n1 0 0.5\n1 1 0.5\n",
+     "a settings block is not normalized"),
+    (["content", "--dist-file", "{file}"], "0 0 0.5\n0 1 0.5\n1 0 0.5\n1 11 0.5\n",
+     "inconsistent string lengths"),
+], ids=["set-flag-number", "config-pin-number", "config-bool", "config-no-equals",
+        "config-missing-keys", "config-param-tokens", "config-param-bounds",
+        "config-party-count", "region-grid", "region-jobs", "no-scenario",
+        "threshold-no-param", "region-no-axes", "region-no-x-range", "content-closed-form",
+        "atom-one-party", "atom-three-outcomes", "dist-file-missing", "dist-missing-pair",
+        "dist-unnormalized", "dist-outcome-length"])
+def test_an_input_error_is_one_line(tmp_path, argv, text, message):
+    """Each input error exits 1 with no stdout and one line naming it.
+    ``text``, a config or a table, is the file that {file} names."""
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    code, out, err = run(argv)
+    assert (code, out) == (1, ""), err
+    assert err.startswith("wbell: error: ") and len(err.splitlines()) == 1, err
+    assert message in err, err
+
+
+def test_dump_and_help_print_and_exit_zero(tmp_path):
+    """--dump-spec on region, --help, and --dump-dist on a dist file, which
+    prints the file's table back byte for byte."""
+    assert run(["region", "--preset", "fig1", "--dump-spec"]) == (0, _FIG1, "")
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: wbell")
+    code, table, err = run(["content", "--preset", "garbarino3", "--n", "3",
+                            "--set", "eta_z=0.9", "--set", "eta_x=0.8", "--dump-dist"])
+    assert code == 0, err
+    path = tmp_path / "garbarino3.dist"
+    path.write_text(table)
+    assert run(["content", "--dist-file", str(path), "--dump-dist"]) == (0, table, "")
+
+
+def test_readme_command_line_section_names_every_flag():
+    """The README's "Command line" section names every flag of every
+    subcommand, --help aside, and no flag the parser lacks. The parser reads
+    no environment variable, so the section names no WBELL_ one."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {o for parser in sub.choices.values() for a in parser._actions
+             for o in a.option_strings if o.startswith("--")} - {"--help"}
+    named = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section)) - {"--help"}
+    assert sorted(flags - named) == [], "flags the section never names"
+    assert sorted(named - flags) == [], "flags the parser does not read"
+    assert re.findall(r"WBELL_\w*", section) == []
 
 
 class TestFlagValidation:
