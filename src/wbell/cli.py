@@ -639,10 +639,12 @@ def _cmd_content(args) -> str:
         return dump_scenario(spec)
     if not CRITERIA[spec.criterion].lp:
         raise UsageError(f"content needs an LP criterion, not {spec.criterion!r}")
-    search = optimize_free_parameters(spec, n_starts=args.starts)
+    # As in _cmd_bell: with no free parameter no search runs, and --dump-dist solves no LP.
+    params = (optimize_free_parameters(spec, n_starts=args.starts).params
+              if free_parameters(spec) else resolve_values(spec))
     if args.dump_dist:
-        return scenario_distribution(spec, search.params).to_text()
-    r = scenario_result(spec, search.params)
+        return scenario_distribution(spec, params).to_text()
+    r = scenario_result(spec, params)
     return _json_text({
         "command": "content",
         "scenario": spec.name,
@@ -650,7 +652,7 @@ def _cmd_content(args) -> str:
         "n_parties": spec.n_parties,
         "local_weight": r.local_weight,
         "nonlocal_content": r.nonlocal_content,
-        "params": search.params,
+        "params": params,
     })
 
 

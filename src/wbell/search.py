@@ -34,6 +34,7 @@ from .states import ExcitationState, atom_photon_state, w_state
 DEFAULT_STARTS = 32
 SIMPLEX_XATOL = 1e-6
 SIMPLEX_FATOL = 1e-10
+WARM_EVALS_PER_PARAM = 20  # the cap of a bisection step's one simplex run
 BISECTION_ATOL = 1e-4
 
 _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
@@ -389,15 +390,13 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
 
 
 class _Witness(Exception):
-    """Raised by a simplex run of ``has_violation`` at its first margin above
-    the guard.
+    """Raised by a simplex run of a verdict at its first margin above the
+    guard, at the point ``x`` of free values. ``_simplex`` never drops its
+    best vertex, so a run ends "violated" exactly when one of its
+    evaluations is a violation: stopping there leaves the verdict as it was."""
 
-    ``_simplex`` never drops its best vertex: every point better than the
-    current best enters the simplex, and the run returns its best vertex.
-    So a run's final margin is the largest margin it evaluated, and the run
-    ends "violated" exactly when one of its evaluations is a violation.
-    Stopping there leaves the verdict as it was.
-    """
+    def __init__(self, x=None):
+        self.x = x
 
 
 class _Spent(Exception):
@@ -413,12 +412,13 @@ def _sorted_simplex(sim: list, fsim: list) -> tuple:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _simplex(func: Callable, x0: list, box: list) -> tuple:
+def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) -> tuple:
     """The best value and vertex of a bounded Nelder-Mead run minimizing
     ``func`` over the box of (lo, hi) pairs, lo < hi: scipy 1.17's
-    ``minimize(method="Nelder-Mead", bounds=...)`` step for step."""
+    ``minimize(method="Nelder-Mead", bounds=...)`` step for step, capped at
+    ``maxfev`` evaluations (more than n), by default scipy's 200 n."""
     n = len(x0)
-    nfev, maxfev = 0, 200 * n  # scipy's iteration cap, also 200 n, never binds first
+    nfev, maxfev = 0, maxfev or 200 * n  # scipy's iteration cap, also 200 n, never binds first
 
     def f(x):
         nonlocal nfev
@@ -485,21 +485,21 @@ def _values_merger(spec: ScenarioSpec, names: tuple) -> Callable:
 
 
 def _minimize_from(spec: ScenarioSpec, names: tuple, x0: list,
-                   stop_at_witness: bool = False) -> tuple:
-    """One bounded Nelder-Mead run from ``x0``: its best margin and point.
-    With ``stop_at_witness`` it raises :class:`_Witness` at the first margin
-    above the guard instead."""
+                   stop_at_witness: bool = False, maxfev: Optional[int] = None) -> tuple:
+    """One bounded Nelder-Mead run from ``x0`` (``maxfev``: see :func:`_simplex`):
+    its best margin and point. With ``stop_at_witness`` it raises
+    :class:`_Witness` at the first margin above the guard instead."""
     box = [(spec.params[n].lo, spec.params[n].hi) for n in names]
     values = _values_merger(spec, names)
 
     def negative_margin(x):
         m = violation_margin(spec, values(x))
         if stop_at_witness and is_violation(m):
-            raise _Witness
+            raise _Witness(x)
         return -m
 
     # The best vertex lies in the box, and minus its value is its margin.
-    fun, x = _simplex(negative_margin, x0, box)
+    fun, x = _simplex(negative_margin, x0, box, maxfev)
     return -fun, x
 
 
@@ -524,32 +524,42 @@ def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS)
                         resolve_values(spec, dict(zip(names, best_x))))
 
 
-def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
-    """Sign of the optimized margin, stopping at the first margin above the guard.
-
-    Raw margins at the start points are scanned before any simplex runs, and
-    the simplex runs begin from the most promising starts. Each run stops at
-    its first margin above the guard (see :class:`_Witness`), so the common
-    violated case returns quickly. The verdict matches
-    ``is_violation(optimize_free_parameters(...).margin)``.
-    """
+def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
+    """A point of free values whose margin is above the guard (``[]`` with
+    no free parameter), or None. The raw margins at the start points are
+    scanned first, then simplex runs from the most promising starts stop at
+    their first witness, so the common violated case returns quickly."""
     names, starts = _start_points(spec, n_starts)
     if not names:
-        return is_violation(violation_margin(spec, resolve_values(spec)))
+        return [] if is_violation(violation_margin(spec, resolve_values(spec))) else None
     values = _values_merger(spec, names)
     raw = []
     for x0 in starts:
         m = violation_margin(spec, values(x0))
         if is_violation(m):
-            return True
+            return x0
         raw.append(m)
-    order = np.argsort(np.array(raw), kind="stable")[::-1]
     try:
-        for idx in order:
+        for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
             _minimize_from(spec, names, starts[idx], stop_at_witness=True)
-    except _Witness:
-        return True
-    return False
+    except _Witness as witness:
+        return witness.x
+    return None
+
+
+def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
+    """The sign of the optimized margin: whether :func:`_find_witness` finds one."""
+    return _find_witness(spec, n_starts) is not None
+
+
+def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
+    """The witness of one simplex run from ``x0`` of at most
+    ``WARM_EVALS_PER_PARAM`` margins per free parameter, or None."""
+    try:
+        _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
+    except _Witness as witness:
+        return witness.x
+    return None
 
 
 @reusing_faces()
@@ -561,7 +571,12 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     Raises :class:`BracketError` when both bracket ends agree (kind "always"
     or "never"). The returned midpoint is within ``atol`` of the boundary, or
     as close as floats allow when ``atol`` is below their spacing there.
-    """
+
+    The ends get the full start set (:func:`_find_witness`), each step one
+    capped run from the newest witness (:func:`_warm_witness`), whose miss
+    is only provisional. As the verdict is monotone in ``param``, a full
+    check with no witness at the last provisional point vouches for all; a
+    witness there resumes the bisection below it, on the same midpoints."""
     lo, hi = float(bracket[0]), float(bracket[1])
     # Both ends are pinned, and so checked, before either is evaluated.
     lo_spec, hi_spec = fix_parameter(spec, param, lo), fix_parameter(spec, param, hi)
@@ -569,21 +584,35 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
         raise ValueError("bracket must satisfy lo < hi")
     if not (math.isfinite(atol) and atol > 0.0):
         raise ValueError("atol must be finite and positive")
-    lo_viol = has_violation(lo_spec, n_starts)
-    hi_viol = has_violation(hi_spec, n_starts)
-    if lo_viol == hi_viol:
+    lo_witness, hi_witness = _find_witness(lo_spec, n_starts), _find_witness(hi_spec, n_starts)
+    lo_viol = lo_witness is not None
+    if lo_viol == (hi_witness is not None):
         kind = "always" if lo_viol else "never"
         raise BracketError(
             f"criterion is {'violated' if lo_viol else 'satisfied'} on the "
             f"whole bracket [{lo:g}, {hi:g}] of {param!r}", kind)
-    while hi - lo > atol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    witness = lo_witness if lo_viol else hi_witness
+    exact = not free_parameters(lo_spec)
+    provisional = [hi if lo_viol else lo]  # its bottom, an end, is fully checked
+    while True:
+        while hi - lo > atol:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            mid_spec = fix_parameter(spec, param, mid)
+            found = _find_witness(mid_spec, n_starts) if exact else _warm_witness(mid_spec, witness)
+            if found is None:
+                provisional.append(mid)
+            else:
+                witness = found
+            lo, hi = (mid, hi) if (found is not None) == lo_viol else (lo, mid)
+        if exact or len(provisional) == 1:  # with no free parameter, each verdict was exact
             break
-        if has_violation(fix_parameter(spec, param, mid), n_starts) == lo_viol:
-            lo = mid
-        else:
-            hi = mid
+        point = provisional.pop()
+        witness = _find_witness(fix_parameter(spec, param, point), n_starts)
+        if witness is None:
+            break
+        lo, hi = (point, provisional[-1]) if lo_viol else (provisional[-1], point)
     return 0.5 * (lo + hi)
 
 

@@ -18,6 +18,7 @@ from scipy.optimize import Bounds, linprog, minimize
 from scipy.stats import qmc
 
 from wbell.dist import JointDistribution
+from wbell.search import fix_parameter, has_violation
 
 FOCK_CUTOFF = 40
 VERTEX_CAP = 10 ** 6
@@ -358,3 +359,25 @@ def scipy_sobol(d: int, n: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return qmc.Sobol(d, scramble=False).random(n)
+
+
+def plain_bisection(spec, param: str, bracket, atol: float, n_starts: int) -> float:
+    """The critical ``param`` by plain bisection: a full-start
+    ``has_violation`` at both bracket ends, which must disagree, and at
+    every midpoint."""
+
+    def violated(value):
+        return has_violation(fix_parameter(spec, param, value), n_starts)
+
+    lo, hi = float(bracket[0]), float(bracket[1])
+    lo_viol = violated(lo)
+    assert lo_viol != violated(hi), "both bracket ends agree"
+    while hi - lo > atol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if violated(mid) == lo_viol:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

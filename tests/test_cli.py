@@ -304,6 +304,26 @@ class TestContent:
         assert d["nonlocal_content"] == pytest.approx(0.5, abs=1e-6)
         assert d["local_weight"] + d["nonlocal_content"] == pytest.approx(1.0)
 
+    def test_a_scenario_with_no_free_parameter_solves_one_lp(self, monkeypatch):
+        """No search runs first: the content is one LP, and the table of
+        --dump-dist needs none."""
+        calls, solve = [], polytope.solve_lp
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(polytope, "solve_lp", counting)
+        garbarino3 = ["content", "--preset", "garbarino3", "--n", "3",
+                      "--set", "eta_z=0.9", "--set", "eta_x=0.5"]
+        for argv, solves in ((self.IDEAL, 1), (garbarino3, 1),
+                             (self.IDEAL + ["--dump-dist"], 0),
+                             (garbarino3 + ["--dump-dist"], 0)):
+            calls.clear()
+            code, _, err = run(argv)
+            assert code == 0, err
+            assert len(calls) == solves, argv
+
     def test_dist_file_round_trip(self, tmp_path):
         code, text, _ = run(self.IDEAL + ["--dump-dist"])
         assert code == 0

@@ -1,8 +1,10 @@
 """Scenario specs, the margin optimizer, and threshold bisection."""
 
+import ast
 import concurrent.futures
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,7 @@ from oracles import (
     eigenvector_down,
     eigenvector_up,
     full_correlators,
+    plain_bisection,
     scipy_simplex,
     scipy_sobol,
 )
@@ -816,16 +819,17 @@ def test_bisection_bracket_errors():
 def test_bisection_stops_where_no_float_lies_between_the_ends(monkeypatch):
     """An atol below the float spacing at the root cannot be met; the
     bisection stops once the midpoint equals an end, after about as many
-    steps as the mantissa has bits, and still returns the boundary."""
-    calls, verdict = [], search.has_violation
+    steps as the mantissa has bits, and still returns the boundary. The
+    pinned spec has no free parameter, so each verdict is one margin."""
+    calls, margin = [], search.violation_margin
 
-    def counting_verdict(*args, **kwargs):
+    def counting_margin(*args, **kwargs):
         calls.append(args)
         if len(calls) > 200:
             raise AssertionError("the bisection does not stop")
-        return verdict(*args, **kwargs)
+        return margin(*args, **kwargs)
 
-    monkeypatch.setattr(search, "has_violation", counting_verdict)
+    monkeypatch.setattr(search, "violation_margin", counting_margin)
     spec = damping_spec(3)
     for atol in (1e-17, 1e-300, 5e-324):
         calls.clear()
@@ -837,6 +841,52 @@ def test_bisection_stops_where_no_float_lies_between_the_ends(monkeypatch):
     calls.clear()
     critical_efficiency(spec, "eta", (0.5, 1.0), atol=1e-4)
     assert len(calls) == 2 + 13
+
+
+# (spec, param, bracket, atol, starts): the damping scheme, whose pinned spec
+# has no free parameter, and the search-small thresholds.
+ORACLE_BISECTIONS = [
+    (damping_spec(3), "eta", (0.5, 1.0), BISECTION_ATOL, search.DEFAULT_STARTS),
+    (PRESETS["cabello-displacement"].build(3), "eta_spd", (0.0, 1.0), BISECTION_ATOL, 4),
+] + [(pinned_preset(preset, 2, eta_c=eta_c), "eta_spd", (0.5, 1.0), 0.02, 2)
+     for eta_c in (0.65, 0.8) for preset in ("fig4-homodyne", "fig4-displacement")]
+
+
+@pytest.mark.parametrize("spec, param, bracket, atol, n_starts", ORACLE_BISECTIONS,
+                         ids=lambda v: getattr(v, "name", None))
+def test_the_certified_bisection_returns_the_plain_bisections_float(
+        spec, param, bracket, atol, n_starts):
+    assert critical_efficiency(spec, param, bracket, atol, n_starts) == plain_bisection(
+        spec, param, bracket, atol, n_starts)
+
+
+@pytest.mark.parametrize("spec, bracket, atol, n_starts", [
+    (PRESETS["cabello-displacement"].build(3), (0.0, 1.0), 0.01, 4),
+    (pinned_preset("fig4-homodyne", 2, eta_c=0.8), (0.5, 1.0), 0.02, 2),
+    (pinned_preset("fig4-displacement", 2, eta_c=0.65), (0.5, 1.0), 0.02, 2),
+    (PRESETS["fig3"].build(3), (0.05, 1.0), 0.001, 4),
+], ids=lambda v: getattr(v, "name", None))
+def test_final_checks_vouch_for_every_provisional_verdict(monkeypatch, spec, bracket,
+                                                           atol, n_starts):
+    """With every warm step forced to miss, each verdict between the ends is
+    a provisional "not violated", and only the final checks and the
+    top-down recovery decide the threshold: still the plain bisection's."""
+    misses = []
+    monkeypatch.setattr(search, "_warm_witness", lambda spec, x0: misses.append(x0))
+    got = critical_efficiency(spec, "eta_spd", bracket, atol, n_starts)
+    assert misses
+    assert got == plain_bisection(spec, "eta_spd", bracket, atol, n_starts)
+
+
+@pytest.mark.parametrize("preset, n, want", [("garbarino3", 3, 0.0027771),
+                                             ("fig5", 4, 2.0 / 3.0)])
+def test_an_lp_threshold_does_not_stop_at_the_flat_local_region(preset, n, want):
+    """The full start set at every step missed the thin violating band: the
+    garbarino3 N=3 bisection read 0.0313, about 11 times its grid-scan
+    value, and fig5 N=4 read 0.66702. The certified bisection finds the
+    band, with warm runs from the newest witness and its final checks."""
+    param, bracket = PRESETS[preset].threshold
+    assert abs(critical_efficiency(PRESETS[preset].build(n), param, bracket) - want) < 1e-4
 
 
 def two_efficiency_spec():
@@ -1225,3 +1275,17 @@ def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
     # The refusals are real: negativity, the one reader of rho, trips them.
     with pytest.raises(AssertionError):
         dispatch(["negativity", "--theta", "-0.7", "--n", "3"])
+
+
+def test_every_search_span_of_the_bench_tracer_resolves():
+    """bench/tracer.py wraps names of wbell.search by attribute, and a name
+    it cannot find leaves its span, and the per-layer metric it feeds, at
+    zero: each one must exist. The table is read, not imported."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    table = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SPANS")
+    spans = [(name, attr) for name, module, attr, _ in table if module == "wbell.search"]
+    assert spans
+    for name, attr in spans:
+        assert callable(getattr(search, attr, None)), name
