@@ -20,8 +20,13 @@ classes the LP is the full one, its rows reordered.
 
 Inside ``reusing_faces`` an LP is first re-solved on the last optimal faces
 of its matrix: the NNLS fit of an earlier optimum's tight rows over its
-support. Those duals stay feasible for any bounds b, so the fit is optimal
-once it passes a HiGHS solve's certificate (``_certify``); else HiGHS runs.
+support. The fit is accepted when it is feasible (``_certify``) and the
+face's duals bound it within FACE_GAP; else HiGHS runs. The block also
+pools every HiGHS solve's duals per matrix, scaled to y >= 0, A^T y >= 1:
+by weak duality each is a symmetric Bell inequality, content >= 1 - b.y for
+every bound vector b. That bound decides a witness test
+(``pooled_verdicts``) when it alone shows "violated"; every other content,
+printed or steering a search, is the LP's.
 """
 
 from __future__ import annotations
@@ -35,14 +40,18 @@ from math import factorial
 
 import numpy as np
 
+from .bell import is_violation
 from .dist import JointDistribution
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 FACE_TOL = 1e-12   # support weight, dual and slack that put a column or row on a face
+FACE_GAP = 1e-12   # duality gap of an accepted face re-solve, far below any verdict's margin
 FACES_TRIED = 2
 _faces: ContextVar = ContextVar("faces", default=None)  # newest faces per LP matrix
+_pool: ContextVar = ContextVar("pool", default=None)  # feasible duals per LP matrix, one per row
+_lp_tol: ContextVar = ContextVar("lp_tol", default=None)  # a witness test's content level
 
 # Most parties the LP takes, by outcome count: its size grows as (k^2)^N.
 LP_MAX_PARTIES = {2: 5, 3: 4}
@@ -132,25 +141,25 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def _certify(a_ub, b_ub: np.ndarray, x: np.ndarray, value: float, y) -> None:
+def _certify(a_ub, b_ub: np.ndarray, x: np.ndarray, value: float, y, gap: float) -> None:
     """Raise LPError unless x is feasible within FEASIBILITY_TOL and the dual
-    value b_ub . y of duals y is within OPTIMALITY_TOL of ``value``."""
+    value b_ub . y of duals y is within ``gap`` of ``value``."""
     worst = float((a_ub @ x - b_ub).max(initial=0.0))
     lowest = float(x.min(initial=0.0))
     if worst > FEASIBILITY_TOL or lowest < -FEASIBILITY_TOL:
         raise LPError(f"solution violates feasibility (residual {worst:g}, "
                       f"lowest variable {lowest:g})")
     dual_value = float(b_ub @ y)
-    if abs(dual_value - value) > OPTIMALITY_TOL * (1.0 + abs(value)):
+    if abs(dual_value - value) > gap:
         raise LPError(f"duality gap {dual_value - value:g} exceeds tolerance")
 
 
 def solve_lp(a_ub, b_ub: np.ndarray):
     """Maximize sum(x) subject to a_ub x <= b_ub and x >= 0 with HiGHS.
 
-    Returns (value, x, y), y the row duals, certified by ``_certify``, as is
-    a face re-solve: primal feasibility within FEASIBILITY_TOL and a
-    weak-duality gap within OPTIMALITY_TOL (relative to the value's scale).
+    Returns (value, x, y), y the row duals, certified by ``_certify``:
+    primal feasibility within FEASIBILITY_TOL and a weak-duality gap within
+    OPTIMALITY_TOL (relative to the value's scale).
     Every HiGHS failure raises LPError.
     """
     b_ub = np.asarray(b_ub, dtype=float)
@@ -164,29 +173,42 @@ def solve_lp(a_ub, b_ub: np.ndarray):
     x = np.asarray(res.x, dtype=float)
     value = float(-res.fun)
     y = -np.asarray(res.ineqlin.marginals, dtype=float)
-    _certify(a_ub, b_ub, x, value, y)
+    _certify(a_ub, b_ub, x, value, y, OPTIMALITY_TOL * (1.0 + abs(value)))
     return value, x, y
 
 
 @contextmanager
 def reusing_faces():
-    """Within the block, LPs are first re-solved on earlier optimal faces."""
-    token = _faces.set({})
+    """Within the block, LPs are first re-solved on earlier optimal faces,
+    and the duals of every HiGHS solve are pooled for ``pooled_verdicts``."""
+    faces, pool = _faces.set({}), _pool.set({})
     try:
         yield
     finally:
-        _faces.reset(token)
+        _faces.reset(faces)
+        _pool.reset(pool)
+
+
+@contextmanager
+def pooled_verdicts(lp_tol: float):
+    """Within the block, a content c whose pooled bound alone makes c - lp_tol
+    a violation, by the margin's rule, is that bound: no LP runs."""
+    token = _lp_tol.set(lp_tol)
+    try:
+        yield
+    finally:
+        _lp_tol.reset(token)
 
 
 def _solve_on_faces(faces: tuple, a, b: np.ndarray):
     """(value, q) of the first face, newest first, whose NNLS point passes
-    ``_certify`` with the face's duals; None when none does."""
+    ``_certify`` with the face's duals at FACE_GAP; None when none does."""
     from scipy.optimize import nnls
     for rows, cols, block, y in reversed(faces):
         q = np.zeros(a.shape[1])
         try:
             q[cols] = nnls(block, b[rows])[0]
-            _certify(a, b, q, float(q.sum()), y)
+            _certify(a, b, q, float(q.sum()), y, FACE_GAP)
         except (RuntimeError, ValueError):
             continue    # a refused certificate, nnls at its iteration cap, a y of another shape
         return float(q.sum()), q
@@ -203,7 +225,9 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     (a0, a1), in ``combinations_with_replacement`` order of a0*k + a1. An
     orbit's weight belongs in equal parts to each of its vertices; with
     singleton classes the index runs over all (k^2)^N deterministic
-    strategies, lexicographic in the per-party pairs (a0, a1).
+    strategies, lexicographic in the per-party pairs (a0, a1). Inside
+    ``pooled_verdicts``, a content the pooled duals decide is their bound,
+    and ``certificate`` is the deciding y, one weight per row orbit.
 
     Scope caps (LP size): N <= LP_MAX_PARTIES[k].
     """
@@ -224,7 +248,12 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     entries = p.table.transpose([axis for i in order for axis in (i, n + i)])
     b = np.full(a.shape[0], np.inf)
     np.minimum.at(b, row_of.reshape(-1), np.clip(entries.reshape(-1), 0.0, None))
-    faces = _faces.get()
+    faces, pool, lp_tol = _faces.get(), _pool.get(), _lp_tol.get()
+    duals = None if pool is None else pool.get((classes, k))
+    if lp_tol is not None and duals is not None:
+        y = duals[(duals @ b).argmin()]
+        if is_violation((1.0 - float(b @ y)) - lp_tol):
+            return ContentResult(float(b @ y), 1.0 - float(b @ y), y)
     found = None if faces is None else _solve_on_faces(faces.get((classes, k), ()), a, b)
     if found is None:
         value, q, y = solve_lp(a, b)
@@ -233,6 +262,9 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
             rows = np.flatnonzero((y > FACE_TOL) | (b - a @ q <= FACE_TOL))
             face = (rows, cols, a[:, cols].toarray()[rows], y)
             faces[classes, k] = (faces.get((classes, k), ()) + (face,))[-FACES_TRIED:]
+            y = np.clip(y, 0.0, None)
+            y /= min(1.0, float((a.T @ y).min()))
+            pool[classes, k] = y[None] if duals is None else np.vstack((duals, y))
     else:
         value, q = found
     local_weight = float(min(1.0, max(0.0, value)))

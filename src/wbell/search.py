@@ -28,7 +28,8 @@ from .bell import (
 )
 from .dist import JointDistribution, Symmetric, symmetric, table
 from .measure import FAMILIES, _efficiency_elements
-from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content, reusing_faces
+from .polytope import (LP_MAX_PARTIES, ContentResult, nonlocal_content, pooled_verdicts,
+                       reusing_faces)
 from .states import ExcitationState, atom_photon_state, w_state
 
 DEFAULT_STARTS = 32
@@ -529,22 +530,23 @@ def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
     no free parameter), or None. The raw margins at the start points are
     scanned first, then simplex runs from the most promising starts stop at
     their first witness, so the common violated case returns quickly."""
-    names, starts = _start_points(spec, n_starts)
-    if not names:
-        return [] if is_violation(violation_margin(spec, resolve_values(spec))) else None
-    values = _values_merger(spec, names)
-    raw = []
-    for x0 in starts:
-        m = violation_margin(spec, values(x0))
-        if is_violation(m):
-            return x0
-        raw.append(m)
-    try:
-        for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
-            _minimize_from(spec, names, starts[idx], stop_at_witness=True)
-    except _Witness as witness:
-        return witness.x
-    return None
+    with pooled_verdicts(spec.lp_tol):
+        names, starts = _start_points(spec, n_starts)
+        if not names:
+            return [] if is_violation(violation_margin(spec, resolve_values(spec))) else None
+        values = _values_merger(spec, names)
+        raw = []
+        for x0 in starts:
+            m = violation_margin(spec, values(x0))
+            if is_violation(m):
+                return x0
+            raw.append(m)
+        try:
+            for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
+                _minimize_from(spec, names, starts[idx], stop_at_witness=True)
+        except _Witness as witness:
+            return witness.x
+        return None
 
 
 def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
@@ -556,7 +558,8 @@ def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
     """The witness of one simplex run from ``x0`` of at most
     ``WARM_EVALS_PER_PARAM`` margins per free parameter, or None."""
     try:
-        _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
+        with pooled_verdicts(spec.lp_tol):
+            _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
     except _Witness as witness:
         return witness.x
     return None

@@ -9,17 +9,22 @@ import pytest
 import scipy.optimize
 
 import wbell.polytope
+import wbell.search
 from oracles import enumerate_vertices, enumerated_local_weight, nonlocal_content_lower_bound
-from wbell.bell import cabello_value
+from wbell.bell import cabello_value, is_violation
 from wbell.cli import PRESETS, dispatch
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import X_AXIS, Z_AXIS, efficiency_povm, family_povm
 from wbell.polytope import (
+    FACE_GAP,
     FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
     LPError,
+    _certify,
     _orbit_matrix,
     _party_classes,
     nonlocal_content,
+    pooled_verdicts,
     reusing_faces,
     solve_lp,
 )
@@ -464,3 +469,119 @@ def test_a_face_resolve_calls_no_linprog_and_highs_feeds_the_tracer(monkeypatch)
     assert hits > 0
     assert len(calls) == len(highs) == len(seen) - hits
     assert all(isinstance(result.nit, int) and result.nit >= 0 for result in calls)
+
+
+def test_a_stale_face_is_a_miss(monkeypatch):
+    """garbarino3 N=4 at eta_z = 1: the face of eta_x = 0.5 fits eta_x =
+    0.00189208984375 within a HiGHS solve's relative gap, but its duals'
+    bound lies 1.8e-9 above the fit, which reads content 1.19e-8 where the
+    LP reads 1.014e-8: "violated" at lp_tol 1e-8 where the LP is not. Only
+    a gap within FACE_GAP is a hit."""
+    first = preset_table("garbarino3", 4, 1.0, 0.5)
+    second = preset_table("garbarino3", 4, 1.0, 0.00189208984375)
+    fresh = nonlocal_content(second)
+    seen = recording_face_solves(monkeypatch)
+    highs = counting_highs(monkeypatch)
+    with reusing_faces():
+        nonlocal_content(first)
+        res = nonlocal_content(second)
+    (faces, a, b, found) = seen[-1]
+    assert found is None and len(highs) == 2
+    assert res.certificate.tobytes() == fresh.certificate.tobytes()
+    rows, cols, block, y = faces[-1]
+    q = np.zeros(a.shape[1])
+    q[cols] = scipy.optimize.nnls(block, b[rows])[0]
+    _certify(a, b, q, float(q.sum()), y, OPTIMALITY_TOL * (1.0 + q.sum()))  # a HiGHS solve's gap
+    assert FACE_GAP < b @ y - q.sum() < 1e-8
+    assert is_violation(1.0 - q.sum() - 1e-8) and not is_violation(fresh.nonlocal_content - 1e-8)
+
+
+def random_fig5(rng):
+    return preset_table("fig5", 3, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+
+
+def random_garbarino3(rng):
+    return preset_table("garbarino3", 3, rng.uniform(0.5, 1.0), rng.uniform(0.0, 1.0))
+
+
+def random_two_classes(rng):
+    """Tables of w_with_devices((0.8, 0.95, 0.95), 3)'s structure."""
+    eta = rng.uniform(0.8, 1.0)
+    return w_with_devices((rng.uniform(0.7, 1.0), eta, eta), 3)
+
+
+@pytest.mark.parametrize("draw", [random_fig5, random_garbarino3, random_two_classes])
+def test_pooled_duals_are_feasible_and_bound_the_content_from_below(monkeypatch, draw):
+    """Every pooled y has y >= 0 and A^T y >= 1 exactly, so 1 - b.y is a
+    lower bound on the content of every table of the matrix: checked
+    against the LP over all (k^2)^N strategies at fresh random points."""
+    rng = np.random.default_rng(20)
+    highs = counting_highs(monkeypatch)
+    with reusing_faces():
+        for _ in range(6):
+            nonlocal_content(draw(rng))
+        (duals,) = wbell.polytope._pool.get().values()
+        assert len(duals) == len(highs) > 1
+        assert duals.min() >= 0.0 and (highs[-1][0].T @ duals.T).min() >= 1.0
+        with pooled_verdicts(-np.inf):   # every content is the best bound
+            for _ in range(4):
+                p = draw(rng)
+                bound = nonlocal_content(p).nonlocal_content
+                weight, _ = enumerated_local_weight(p.table, p.n_parties, p.n_outcomes)
+                assert bound <= 1.0 - min(1.0, weight) + 1e-12
+
+
+def recording_pooled_verdicts(monkeypatch):
+    """The (table, result) of every content inside a reusing_faces block
+    that reached no face re-solve, so that the pool decided it."""
+    seen, pooled, content = recording_face_solves(monkeypatch), [], wbell.search.nonlocal_content
+
+    def recording(p):
+        before = len(seen)
+        res = content(p)
+        if len(seen) == before and wbell.polytope._faces.get() is not None:
+            pooled.append((p, res))
+        return res
+
+    monkeypatch.setattr(wbell.search, "nonlocal_content", recording)
+    return pooled
+
+
+@pytest.mark.parametrize("preset, n, pinned, value, param, bracket, atol, want", [
+    ("garbarino3", 4, "eta_z", 0.8, "eta_x", (0.01, 1.0), 0.01, None),
+    ("garbarino3", 3, "eta_z", 0.75, "eta_x", (0.01, 1.0), 1e-4, None),
+    ("fig5", 5, "eta_x", 1.0, "eta_z", (0.2, 0.6), 1e-4, None),
+    ("garbarino3", 4, "eta_z", 1.0, "eta_x", (0.0, 1.0), 1e-4, 0.001922607421875),
+], ids=["garbarino3-4", "garbarino3-3", "fig5-5", "garbarino3-4-row-eta_z-1"])
+def test_a_pooled_verdict_is_the_verdict_of_a_fresh_lp(monkeypatch, preset, n, pinned, value,
+                                                      param, bracket, atol, want):
+    """The lp-content bisections and the region row whose stale faces once
+    moved it: each content the pool decides is "violated" by a fresh LP
+    too. (A bound may exceed HiGHS's content by HiGHS's own error: 1.7e-10
+    at eta_x = 0.00390625 of the last row.)"""
+    pooled = recording_pooled_verdicts(monkeypatch)
+    spec = fix_parameter(PRESETS[preset].build(n), pinned, value)
+    threshold = critical_efficiency(spec, param, bracket, atol)
+    assert pooled and (want is None or threshold == want)
+    for p, _ in pooled:
+        fresh = nonlocal_content(p)
+        assert is_violation(fresh.nonlocal_content - spec.lp_tol)
+
+
+def test_the_lp_content_region_makes_at_most_40_highs_solves(monkeypatch):
+    """The lp-content region: every pooled verdict of its nine rows agrees
+    with a fresh LP, at no more than 40 HiGHS solves (60 with faces alone),
+    and two workers print the same bytes."""
+    pooled = recording_pooled_verdicts(monkeypatch)
+    highs = counting_highs(monkeypatch)
+    argv = ["region", "--preset", "garbarino3", "--n", "3", "--grid", "9"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert dispatch(argv + ["--jobs", "1"]) == 0
+    assert 0 < len(highs) <= 40 and pooled
+    for p, _ in pooled:
+        assert is_violation(nonlocal_content(p).nonlocal_content - 1e-8)
+    parallel = io.StringIO()
+    with redirect_stdout(parallel):
+        assert dispatch(argv + ["--jobs", "2"]) == 0
+    assert parallel.getvalue() == out.getvalue()
