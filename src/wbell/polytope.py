@@ -18,15 +18,15 @@ decomposition of the table as given, however slightly asymmetric it is; the
 optimum moves from the full LP's only by that asymmetry. With singleton
 classes the LP is the full one, its rows reordered.
 
-Inside ``reusing_faces`` an LP is first re-solved on the last optimal faces
-of its matrix: the NNLS fit of an earlier optimum's tight rows over its
-support. The fit is accepted when it is feasible (``_certify``) and the
-face's duals bound it within FACE_GAP; else HiGHS runs. The block also
-pools every HiGHS solve's duals per matrix, scaled to y >= 0, A^T y >= 1:
-by weak duality each is a symmetric Bell inequality, content >= 1 - b.y for
-every bound vector b. That bound decides a witness test
-(``pooled_verdicts``) when it alone shows "violated"; every other content,
-printed or steering a search, is the LP's.
+Inside ``reusing_faces(lp_tol)``, the LP memory of one bisection, every
+content is a witness test at level ``lp_tol``: only ``critical_efficiency``
+opens it. Per LP matrix it pools the duals of every HiGHS solve, scaled to
+y >= 0, A^T y >= 1: by weak duality each is a symmetric Bell inequality,
+content >= 1 - b.y for every bound vector b. A content whose best pooled
+bound alone is a violation at ``lp_tol`` is that bound. Else the LP is
+re-solved on the last optimal faces, the NNLS fit of an earlier optimum's
+tight rows over its support, accepted when feasible (``_certify``) and
+within FACE_GAP of its duals' bound; else, as always outside, HiGHS runs.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ SYMMETRY_TOL = 1e-12
 FACE_TOL = 1e-12   # support weight, dual and slack that put a column or row on a face
 FACE_GAP = 1e-12   # duality gap of an accepted face re-solve, far below any verdict's margin
 FACES_TRIED = 2
-_faces: ContextVar = ContextVar("faces", default=None)  # newest faces per LP matrix
-_pool: ContextVar = ContextVar("pool", default=None)  # feasible duals per LP matrix, one per row
-_lp_tol: ContextVar = ContextVar("lp_tol", default=None)  # a witness test's content level
+_memory: ContextVar = ContextVar("memory", default=None)  # (lp_tol, {(classes, k): (faces, duals)})
 
 # Most parties the LP takes, by outcome count: its size grows as (k^2)^N.
 LP_MAX_PARTIES = {2: 5, 3: 4}
@@ -178,26 +176,15 @@ def solve_lp(a_ub, b_ub: np.ndarray):
 
 
 @contextmanager
-def reusing_faces():
-    """Within the block, LPs are first re-solved on earlier optimal faces,
-    and the duals of every HiGHS solve are pooled for ``pooled_verdicts``."""
-    faces, pool = _faces.set({}), _pool.set({})
+def reusing_faces(lp_tol: float):
+    """The LP memory of one bisection, opened only by ``critical_efficiency``:
+    every content in the block is a witness test at level ``lp_tol``, decided
+    by the pooled duals, then a face re-solve, then HiGHS, in that order."""
+    token = _memory.set((lp_tol, {}))
     try:
         yield
     finally:
-        _faces.reset(faces)
-        _pool.reset(pool)
-
-
-@contextmanager
-def pooled_verdicts(lp_tol: float):
-    """Within the block, a content c whose pooled bound alone makes c - lp_tol
-    a violation, by the margin's rule, is that bound: no LP runs."""
-    token = _lp_tol.set(lp_tol)
-    try:
-        yield
-    finally:
-        _lp_tol.reset(token)
+        _memory.reset(token)
 
 
 def _solve_on_faces(faces: tuple, a, b: np.ndarray):
@@ -226,7 +213,7 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     orbit's weight belongs in equal parts to each of its vertices; with
     singleton classes the index runs over all (k^2)^N deterministic
     strategies, lexicographic in the per-party pairs (a0, a1). Inside
-    ``pooled_verdicts``, a content the pooled duals decide is their bound,
+    ``reusing_faces``, a content the pooled duals decide is their bound,
     and ``certificate`` is the deciding y, one weight per row orbit.
 
     Scope caps (LP size): N <= LP_MAX_PARTIES[k].
@@ -248,23 +235,25 @@ def nonlocal_content(p: JointDistribution) -> ContentResult:
     entries = p.table.transpose([axis for i in order for axis in (i, n + i)])
     b = np.full(a.shape[0], np.inf)
     np.minimum.at(b, row_of.reshape(-1), np.clip(entries.reshape(-1), 0.0, None))
-    faces, pool, lp_tol = _faces.get(), _pool.get(), _lp_tol.get()
-    duals = None if pool is None else pool.get((classes, k))
-    if lp_tol is not None and duals is not None:
-        y = duals[(duals @ b).argmin()]
-        if is_violation((1.0 - float(b @ y)) - lp_tol):
-            return ContentResult(float(b @ y), 1.0 - float(b @ y), y)
-    found = None if faces is None else _solve_on_faces(faces.get((classes, k), ()), a, b)
+    memory, found = _memory.get(), None
+    if memory is not None:
+        lp_tol, lps = memory
+        faces, duals = lps.get((classes, k), ((), None))
+        if duals is not None:
+            y = duals[(duals @ b).argmin()]
+            if is_violation((1.0 - float(b @ y)) - lp_tol):
+                return ContentResult(float(b @ y), 1.0 - float(b @ y), y)
+        found = _solve_on_faces(faces, a, b)
     if found is None:
         value, q, y = solve_lp(a, b)
-        if faces is not None:
+        if memory is not None:
             cols = np.flatnonzero(q > FACE_TOL)
             rows = np.flatnonzero((y > FACE_TOL) | (b - a @ q <= FACE_TOL))
             face = (rows, cols, a[:, cols].toarray()[rows], y)
-            faces[classes, k] = (faces.get((classes, k), ()) + (face,))[-FACES_TRIED:]
             y = np.clip(y, 0.0, None)
             y /= min(1.0, float((a.T @ y).min()))
-            pool[classes, k] = y[None] if duals is None else np.vstack((duals, y))
+            lps[classes, k] = ((faces + (face,))[-FACES_TRIED:],
+                               y[None] if duals is None else np.vstack((duals, y)))
     else:
         value, q = found
     local_weight = float(min(1.0, max(0.0, value)))

@@ -12,6 +12,7 @@ scheme allows.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -28,8 +29,7 @@ from .bell import (
 )
 from .dist import JointDistribution, Symmetric, symmetric, table
 from .measure import FAMILIES, _efficiency_elements
-from .polytope import (LP_MAX_PARTIES, ContentResult, nonlocal_content, pooled_verdicts,
-                       reusing_faces)
+from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content, reusing_faces
 from .states import ExcitationState, atom_photon_state, w_state
 
 DEFAULT_STARTS = 32
@@ -530,23 +530,22 @@ def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
     no free parameter), or None. The raw margins at the start points are
     scanned first, then simplex runs from the most promising starts stop at
     their first witness, so the common violated case returns quickly."""
-    with pooled_verdicts(spec.lp_tol):
-        names, starts = _start_points(spec, n_starts)
-        if not names:
-            return [] if is_violation(violation_margin(spec, resolve_values(spec))) else None
-        values = _values_merger(spec, names)
-        raw = []
-        for x0 in starts:
-            m = violation_margin(spec, values(x0))
-            if is_violation(m):
-                return x0
-            raw.append(m)
-        try:
-            for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
-                _minimize_from(spec, names, starts[idx], stop_at_witness=True)
-        except _Witness as witness:
-            return witness.x
-        return None
+    names, starts = _start_points(spec, n_starts)
+    if not names:
+        return [] if is_violation(violation_margin(spec, resolve_values(spec))) else None
+    values = _values_merger(spec, names)
+    raw = []
+    for x0 in starts:
+        m = violation_margin(spec, values(x0))
+        if is_violation(m):
+            return x0
+        raw.append(m)
+    try:
+        for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
+            _minimize_from(spec, names, starts[idx], stop_at_witness=True)
+    except _Witness as witness:
+        return witness.x
+    return None
 
 
 def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
@@ -558,14 +557,12 @@ def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
     """The witness of one simplex run from ``x0`` of at most
     ``WARM_EVALS_PER_PARAM`` margins per free parameter, or None."""
     try:
-        with pooled_verdicts(spec.lp_tol):
-            _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
+        _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
     except _Witness as witness:
         return witness.x
     return None
 
 
-@reusing_faces()
 def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
                         atol: float = BISECTION_ATOL,
                         n_starts: int = DEFAULT_STARTS) -> float:
@@ -587,36 +584,38 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
         raise ValueError("bracket must satisfy lo < hi")
     if not (math.isfinite(atol) and atol > 0.0):
         raise ValueError("atol must be finite and positive")
-    lo_witness, hi_witness = _find_witness(lo_spec, n_starts), _find_witness(hi_spec, n_starts)
-    lo_viol = lo_witness is not None
-    if lo_viol == (hi_witness is not None):
-        kind = "always" if lo_viol else "never"
-        raise BracketError(
-            f"criterion is {'violated' if lo_viol else 'satisfied'} on the "
-            f"whole bracket [{lo:g}, {hi:g}] of {param!r}", kind)
-    witness = lo_witness if lo_viol else hi_witness
-    exact = not free_parameters(lo_spec)
-    provisional = [hi if lo_viol else lo]  # its bottom, an end, is fully checked
-    while True:
-        while hi - lo > atol:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+    with reusing_faces(spec.lp_tol):  # every content of the bisection is a witness test
+        lo_witness, hi_witness = _find_witness(lo_spec, n_starts), _find_witness(hi_spec, n_starts)
+        lo_viol = lo_witness is not None
+        if lo_viol == (hi_witness is not None):
+            kind = "always" if lo_viol else "never"
+            raise BracketError(
+                f"criterion is {'violated' if lo_viol else 'satisfied'} on the "
+                f"whole bracket [{lo:g}, {hi:g}] of {param!r}", kind)
+        witness = lo_witness if lo_viol else hi_witness
+        exact = not free_parameters(lo_spec)
+        provisional = [hi if lo_viol else lo]  # its bottom, an end, is fully checked
+        while True:
+            while hi - lo > atol:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                mid_spec = fix_parameter(spec, param, mid)
+                found = (_find_witness(mid_spec, n_starts) if exact
+                         else _warm_witness(mid_spec, witness))
+                if found is None:
+                    provisional.append(mid)
+                else:
+                    witness = found
+                lo, hi = (mid, hi) if (found is not None) == lo_viol else (lo, mid)
+            if exact or len(provisional) == 1:  # with no free parameter, each verdict was exact
                 break
-            mid_spec = fix_parameter(spec, param, mid)
-            found = _find_witness(mid_spec, n_starts) if exact else _warm_witness(mid_spec, witness)
-            if found is None:
-                provisional.append(mid)
-            else:
-                witness = found
-            lo, hi = (mid, hi) if (found is not None) == lo_viol else (lo, mid)
-        if exact or len(provisional) == 1:  # with no free parameter, each verdict was exact
-            break
-        point = provisional.pop()
-        witness = _find_witness(fix_parameter(spec, param, point), n_starts)
-        if witness is None:
-            break
-        lo, hi = (point, provisional[-1]) if lo_viol else (provisional[-1], point)
-    return 0.5 * (lo + hi)
+            point = provisional.pop()
+            witness = _find_witness(fix_parameter(spec, param, point), n_starts)
+            if witness is None:
+                break
+            lo, hi = (point, provisional[-1]) if lo_viol else (provisional[-1], point)
+        return 0.5 * (lo + hi)
 
 
 def _boundary_point(task):
@@ -635,8 +634,8 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
                     jobs: int = 1) -> ThresholdCurve:
     """Critical ``y_name`` value over a grid of ``x_name`` values.
 
-    Grid points are independent, so they parallelize across processes when
-    ``jobs`` exceeds 1; the row order of the result never depends on it.
+    Grid points are independent, so they parallelize across up to ``jobs``
+    processes, no more than rows or CPUs; the row order never depends on it.
     """
     if jobs < 1:
         raise ValueError("worker count must be at least 1")
@@ -648,11 +647,10 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
         fix_parameter(spec, name, value)
     tasks = [(fix_parameter(spec, x_name, x), x, y_name, tuple(y_bracket),
               atol, n_starts) for x in x_values]
-    if jobs > 1 and len(tasks) > 1:
-        # Imported here: only a pool of more than one worker needs it. The
-        # pool may start every worker at once, so start no more than rows.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)  # a pool may start all at once
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = tuple(pool.map(_boundary_point, tasks))
     else:
         points = tuple(_boundary_point(t) for t in tasks)

@@ -1,5 +1,6 @@
 """Command-line interface: presets, config files, output formats, exit codes."""
 
+import ast
 import difflib
 import io
 import json
@@ -666,6 +667,22 @@ def test_readme_command_line_section_names_every_flag():
     assert sorted(flags - named) == [], "flags the section never names"
     assert sorted(named - flags) == [], "flags the parser does not read"
     assert re.findall(r"WBELL_\w*", section) == []
+
+
+def test_no_module_of_the_package_reads_the_environment():
+    """Flags and config files are wbell's only inputs: no module names
+    os.environ or getenv, by attribute, by name or by import."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(wbell.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert sorted(names & banned) == [], path.name
 
 
 class TestFlagValidation:

@@ -24,11 +24,17 @@ from wbell.polytope import (
     _orbit_matrix,
     _party_classes,
     nonlocal_content,
-    pooled_verdicts,
     reusing_faces,
     solve_lp,
 )
-from wbell.search import critical_efficiency, fix_parameter, scenario_distribution
+from wbell.search import (
+    BracketError,
+    critical_efficiency,
+    fix_parameter,
+    has_violation,
+    optimize_free_parameters,
+    scenario_distribution,
+)
 from wbell.states import damped_w_state, w_state
 
 LP_ATOL = 1e-8
@@ -382,20 +388,21 @@ def test_a_bad_face_is_a_miss_never_a_wrong_answer(monkeypatch, spoil, other_tab
     key = (_party_classes(second.table, 3), 3)
     other_faces = ()
     if other_table is not None:
-        with reusing_faces():
+        with reusing_faces(np.inf):
             nonlocal_content(other_table())
-            (other_faces,) = wbell.polytope._faces.get().values()
+            ((other_faces, _),) = wbell.polytope._memory.get()[1].values()
     if spoil == "nnls at its iteration cap":
         def capped(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
         monkeypatch.setattr(scipy.optimize, "nnls", capped)
     highs = counting_highs(monkeypatch)
-    with reusing_faces():
+    with reusing_faces(np.inf):
         nonlocal_content(first)
-        faces = wbell.polytope._faces.get()
+        lps = wbell.polytope._memory.get()[1]
         if callable(spoil):
-            faces[key] = tuple(spoil(face, other_faces[-1] if other_faces else None)
-                               for face in faces[key])
+            faces, duals = lps[key]
+            lps[key] = (tuple(spoil(face, other_faces[-1] if other_faces else None)
+                              for face in faces), duals)
         res = nonlocal_content(second)
     assert len(highs) == 2
     assert abs(res.local_weight - fresh.local_weight) <= 1e-12
@@ -404,7 +411,7 @@ def test_a_bad_face_is_a_miss_never_a_wrong_answer(monkeypatch, spoil, other_tab
 
 def test_the_unspoiled_face_of_the_bad_face_cases_is_a_hit(monkeypatch):
     highs = counting_highs(monkeypatch)
-    with reusing_faces():
+    with reusing_faces(np.inf):
         nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.45))
         res = nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.41))
     assert len(highs) == 1
@@ -426,7 +433,7 @@ def test_a_dist_file_of_other_classes_never_reads_a_one_class_face(monkeypatch, 
 
     alone = content()
     seen = recording_face_solves(monkeypatch)
-    with reusing_faces():
+    with reusing_faces(np.inf):
         nonlocal_content(preset_table("garbarino3", 3, 0.8, 0.45))
         assert content() == alone
     (_, one_class, _, _), (faces, a, _, found) = seen
@@ -441,7 +448,7 @@ def test_faces_do_not_leak_across_threshold_calls(monkeypatch):
     seen = recording_face_solves(monkeypatch)
     case = ("garbarino3", 3, "eta_z", 0.8, "eta_x")
     first = bisection_threshold(*case)
-    assert seen[0][0] == () and wbell.polytope._faces.get() is None
+    assert seen[0][0] == () and wbell.polytope._memory.get() is None
     del seen[:]
     assert bisection_threshold(*case) == first
     assert seen[0][0] == ()
@@ -449,6 +456,51 @@ def test_faces_do_not_leak_across_threshold_calls(monkeypatch):
     del seen[:]
     assert bisection_threshold(*case) == first
     assert seen[0][0] == ()
+
+
+@pytest.mark.parametrize("bracket, kind", [((0.01, 1.0), None), ((0.9, 1.0), "always"),
+                                           ((0.01, 0.1), "never")])
+def test_the_memory_lives_for_one_bisection_whether_it_returns_or_raises(
+        monkeypatch, bracket, kind):
+    """critical_efficiency opens the memory at the spec's lp_tol for every
+    content it makes, and it is closed after the call returns and after it
+    raises BracketError."""
+    levels, content = [], wbell.search.nonlocal_content
+
+    def recording(p):
+        memory = wbell.polytope._memory.get()
+        levels.append(None if memory is None else memory[0])
+        return content(p)
+
+    monkeypatch.setattr(wbell.search, "nonlocal_content", recording)
+    spec = fix_parameter(PRESETS["fig5"].build(3), "eta_x", 1.0)
+    if kind is None:
+        critical_efficiency(spec, "eta_z", bracket, atol=0.05)
+    else:
+        with pytest.raises(BracketError) as err:
+            critical_efficiency(spec, "eta_z", bracket)
+        assert err.value.kind == kind
+    assert levels and set(levels) == {spec.lp_tol}
+    assert wbell.polytope._memory.get() is None
+
+
+def test_outside_a_bisection_every_content_is_one_highs_solve(monkeypatch):
+    """has_violation and optimize_free_parameters open no memory: each of
+    their contents is one solve_lp, with no pool decision and no face."""
+    highs = counting_highs(monkeypatch)
+    seen = recording_face_solves(monkeypatch)
+    contents, content = [], wbell.search.nonlocal_content
+
+    def counting(p):
+        contents.append(p)
+        return content(p)
+
+    monkeypatch.setattr(wbell.search, "nonlocal_content", counting)
+    spec = fix_parameter(PRESETS["fig5"].build(3), "eta_x", 1.0)
+    assert has_violation(spec, n_starts=4)
+    optimize_free_parameters(spec, n_starts=1)
+    assert len(contents) == len(highs) > 1 and seen == []
+    assert wbell.polytope._memory.get() is None
 
 
 def test_a_face_resolve_calls_no_linprog_and_highs_feeds_the_tracer(monkeypatch):
@@ -482,7 +534,7 @@ def test_a_stale_face_is_a_miss(monkeypatch):
     fresh = nonlocal_content(second)
     seen = recording_face_solves(monkeypatch)
     highs = counting_highs(monkeypatch)
-    with reusing_faces():
+    with reusing_faces(np.inf):
         nonlocal_content(first)
         res = nonlocal_content(second)
     (faces, a, b, found) = seen[-1]
@@ -517,18 +569,22 @@ def test_pooled_duals_are_feasible_and_bound_the_content_from_below(monkeypatch,
     against the LP over all (k^2)^N strategies at fresh random points."""
     rng = np.random.default_rng(20)
     highs = counting_highs(monkeypatch)
-    with reusing_faces():
+    with reusing_faces(np.inf):
         for _ in range(6):
             nonlocal_content(draw(rng))
-        (duals,) = wbell.polytope._pool.get().values()
+        lps = wbell.polytope._memory.get()[1]
+        ((_, duals),) = lps.values()
         assert len(duals) == len(highs) > 1
         assert duals.min() >= 0.0 and (highs[-1][0].T @ duals.T).min() >= 1.0
-        with pooled_verdicts(-np.inf):   # every content is the best bound
+        level = wbell.polytope._memory.set((-np.inf, lps))   # every content is the best bound
+        try:
             for _ in range(4):
                 p = draw(rng)
                 bound = nonlocal_content(p).nonlocal_content
                 weight, _ = enumerated_local_weight(p.table, p.n_parties, p.n_outcomes)
                 assert bound <= 1.0 - min(1.0, weight) + 1e-12
+        finally:
+            wbell.polytope._memory.reset(level)
 
 
 def recording_pooled_verdicts(monkeypatch):
@@ -539,7 +595,7 @@ def recording_pooled_verdicts(monkeypatch):
     def recording(p):
         before = len(seen)
         res = content(p)
-        if len(seen) == before and wbell.polytope._faces.get() is not None:
+        if len(seen) == before and wbell.polytope._memory.get() is not None:
             pooled.append((p, res))
         return res
 

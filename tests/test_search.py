@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -907,15 +908,19 @@ def test_region_boundary_rows_do_not_depend_on_jobs():
     assert all(status == "ok" for _, _, status in serial.points)
 
 
-def test_region_boundary_starts_no_more_workers_than_rows(pools):
+def test_region_boundary_starts_no_more_workers_than_rows(monkeypatch, pools):
     """The pool may start all of its workers at once, so a large job count
-    on a short grid asks for one worker per row."""
+    on a short grid asks for one worker per row, or per CPU when there are
+    fewer; one CPU, or a CPU count the system does not report, runs the rows
+    in this process with no pool."""
     curves = []
-    for jobs, expected in ((1, []), (10 ** 6, [3]), (4, [3]), (2, [2])):
+    for cpus, jobs, expected in ((8, 1, []), (8, 10 ** 6, [3]), (8, 4, [3]), (8, 2, [2]),
+                                 (2, 10 ** 6, [2]), (1, 10 ** 6, []), (None, 10 ** 6, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pools.clear()
         curves.append(region_boundary(two_efficiency_spec(), "eta_x", "eta_z",
                                       [0.92, 0.96, 1.0], (0.3, 1.0), atol=0.01, jobs=jobs))
-        assert pools == expected, jobs
+        assert pools == expected, (cpus, jobs)
     assert all(curve.points == curves[0].points for curve in curves)
 
 
