@@ -341,8 +341,6 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                      help="print the resolved scenario as config text and exit")
     sub.add_argument("--starts", type=int, default=DEFAULT_STARTS,
                      help="multi-start count for inner optimizations")
-    sub.add_argument("--lp-tol", type=float, default=None,
-                     help="nonlocal-content tolerance override")
     sub.add_argument("--out", default=None, metavar="FILE",
                      help="write output to FILE instead of stdout")
 
@@ -459,15 +457,31 @@ def _parse_args(argv: list) -> argparse.Namespace:
 
 
 def _check_run_options(args) -> None:
-    """Reject run options out of range, whether given by flag or config."""
+    """Reject run options out of range and flags that do not go together,
+    whether given by flag or config, before any scenario is built."""
     if hasattr(args, "starts") and args.starts < 1:
         raise UsageError("--starts must be at least 1")
     if hasattr(args, "grid") and args.grid < 2:
         raise UsageError("--grid must be at least 2")
     if hasattr(args, "atol") and not (math.isfinite(args.atol) and args.atol > 0.0):
         raise UsageError(f"--atol must be finite and greater than 0, got {args.atol!r}")
-    if hasattr(args, "jobs") and args.jobs < 1:
-        raise UsageError("worker count must be at least 1")
+    if getattr(args, "dist_file", None) is not None:
+        if args.preset or args.config or args.set or args.dump_spec or args.n is not None:
+            raise UsageError("--dist-file replaces the scenario flags")
+    elif hasattr(args, "preset"):  # a scenario command
+        explicit = getattr(args, "inequality", None) is not None
+        if hasattr(args, "inequality") and not explicit:
+            if args.state == "vacuum":
+                raise UsageError("--state vacuum needs an explicit --inequality scenario")
+            if args.ideal or args.eta_z is not None or args.eta_x is not None:
+                raise UsageError(
+                    "--ideal, --eta-z and --eta-x need an explicit --inequality scenario")
+        sources = (args.preset is not None) + bool(args.scenario_keys) + explicit
+        if sources > 1:
+            raise UsageError("give one scenario: a preset, config scenario keys, or --inequality")
+        if not sources:
+            raise UsageError("no scenario given: pass --preset, --config, or "
+                             "(for bell) --inequality")
 
 
 def _parse_set_flags(pairs) -> dict:
@@ -490,37 +504,31 @@ def _explicit_bell_scenario(args) -> ScenarioSpec:
 
 
 def _resolve_scenario(args) -> tuple:
-    """The scenario to run, and the preset it came from (or None)."""
-    preset = None
-    config_spec = _scenario_from_keys(args.scenario_keys) if args.scenario_keys else None
-    explicit = getattr(args, "inequality", None) is not None
-    if (args.preset is not None) + (config_spec is not None) + explicit > 1:
-        raise UsageError("give one scenario: a preset, config scenario keys, or --inequality")
-    if args.preset is not None:
-        preset = PRESETS[args.preset]
+    """The scenario to run, from the one source _check_run_options let
+    through, and the preset it came from (or None)."""
+    preset = PRESETS.get(args.preset)
+    if preset is not None:
         spec = preset.spec
-    elif config_spec is not None:
-        spec = config_spec
-    elif explicit:
-        spec = _explicit_bell_scenario(args)
+    elif args.scenario_keys:
+        spec = _scenario_from_keys(args.scenario_keys)
     else:
-        raise UsageError("no scenario given: pass --preset, --config, or "
-                         "(for bell) --inequality")
+        spec = _explicit_bell_scenario(args)
     if args.n is not None:
         spec = replace(spec, n_parties=args.n)
-    if args.lp_tol is not None:
-        spec = replace(spec, lp_tol=float(args.lp_tol))
     for name, value in _parse_set_flags(args.set).items():
         spec = fix_parameter(spec, name, value)
     return spec, preset
 
 
-def _run_target(spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
+def _run_target(args, spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
     """A bisected or gridded parameter and its range: each from its flag,
     else from the preset's ``default`` pair (its range for its own parameter
-    only), else a free parameter's declared range, else ``fallback``."""
+    only), else a free parameter's declared range, else ``fallback``. A pin
+    on it would be overwritten by every point the command visits."""
     own, own_span = default or (None, None)
     name = name or own
+    if name in _parse_set_flags(args.set):
+        raise UsageError(f"cannot pin {name}: {args.command} varies it")
     declared = spec.params.get(name)
     if declared is not None and declared.is_free:
         fallback = (declared.lo, declared.hi)
@@ -529,8 +537,11 @@ def _run_target(spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
     return name, None if span is None else tuple(span)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(args, spec=None, **fields) -> str:
+    """A command's JSON: its name, its scenario's when it has one, and ``fields``."""
+    if spec is not None:
+        fields.update(scenario=spec.name, criterion=spec.criterion, n_parties=spec.n_parties)
+    return json.dumps({"command": args.command, **fields}, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +549,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_bell(args) -> str:
-    if args.inequality is None:
-        if args.state == "vacuum":
-            raise UsageError("--state vacuum needs an explicit --inequality scenario")
-        if args.ideal or args.eta_z is not None or args.eta_x is not None:
-            raise UsageError("--ideal, --eta-z and --eta-x need an explicit --inequality scenario")
     spec, _ = _resolve_scenario(args)
-    if args.dump_spec:
-        return dump_scenario(spec)
     if CRITERIA[spec.criterion].lp:
         raise UsageError("LP criteria are served by the content command")
     # With no free parameter, as with --inequality, the one evaluation is
@@ -554,52 +558,43 @@ def _cmd_bell(args) -> str:
               if free_parameters(spec) else resolve_values(spec))
     state = damped_w_state(spec.n_parties, 0.0) if args.state == "vacuum" else None
     result = scenario_result(spec, params, state)
-    return _json_text({
-        "command": "bell",
-        "scenario": spec.name,
-        "criterion": spec.criterion,
-        "n_parties": spec.n_parties,
-        "state": "atom-photon" if spec.atom else args.state,
-        "value": result.value,
-        "local_bound": result.local_bound,
-        "algebraic_max": result.algebraic_max,
-        "violated": result.violated,
-        "margin": result.value - result.local_bound,
-        "params": params,
-    })
+    return _json_text(
+        args, spec,
+        state="atom-photon" if spec.atom else args.state,
+        value=result.value,
+        local_bound=result.local_bound,
+        algebraic_max=result.algebraic_max,
+        violated=result.violated,
+        margin=result.value - result.local_bound,
+        params=params)
 
 
 def _cmd_threshold(args) -> str:
     spec, preset = _resolve_scenario(args)
-    if args.dump_spec:
-        return dump_scenario(spec)
-    param, bracket = _run_target(spec, args.param, args.bracket, preset and preset.threshold)
+    param, bracket = _run_target(args, spec, args.param, args.bracket,
+                                 preset and preset.threshold)
     if param is None:
         raise UsageError("no parameter to bisect: pass --param")
     threshold = critical_efficiency(spec, param, bracket, atol=args.atol,
                                     n_starts=args.starts)
     at_threshold = optimize_free_parameters(fix_parameter(spec, param, threshold),
                                             n_starts=args.starts)
-    return _json_text({
-        "command": "threshold",
-        "scenario": spec.name,
-        "criterion": spec.criterion,
-        "n_parties": spec.n_parties,
-        "param": param,
-        "bracket": [bracket[0], bracket[1]],
-        "atol": args.atol,
-        "threshold": threshold,
-        "margin_at_threshold": at_threshold.margin,
-        "params_at_threshold": at_threshold.params,
-    })
+    return _json_text(
+        args, spec,
+        param=param,
+        bracket=[bracket[0], bracket[1]],
+        atol=args.atol,
+        threshold=threshold,
+        margin_at_threshold=at_threshold.margin,
+        params_at_threshold=at_threshold.params)
 
 
 def _cmd_region(args) -> str:
     spec, preset = _resolve_scenario(args)
-    if args.dump_spec:
-        return dump_scenario(spec)
-    x_name, x_range = _run_target(spec, args.x_name, args.x_range, preset and preset.region_x, None)
-    y_name, bracket = _run_target(spec, args.y_name, args.bracket, preset and preset.region_y)
+    x_name, x_range = _run_target(args, spec, args.x_name, args.x_range,
+                                  preset and preset.region_x, None)
+    y_name, bracket = _run_target(args, spec, args.y_name, args.bracket,
+                                  preset and preset.region_y)
     if x_name is None or y_name is None:
         raise UsageError("region needs --x and --y (preset has no defaults)")
     if x_range is None:
@@ -615,9 +610,6 @@ def _cmd_region(args) -> str:
 
 def _cmd_content(args) -> str:
     if args.dist_file is not None:
-        if (args.preset or args.config or args.set or args.dump_spec
-                or args.n is not None or args.lp_tol is not None):
-            raise UsageError("--dist-file replaces the scenario flags")
         try:
             with open(args.dist_file, "r", encoding="utf-8") as handle:
                 p = JointDistribution.from_text(handle.read())
@@ -626,17 +618,10 @@ def _cmd_content(args) -> str:
         if args.dump_dist:
             return p.to_text()
         r = nonlocal_content(p)
-        return _json_text({
-            "command": "content",
-            "source": args.dist_file,
-            "n_parties": p.n_parties,
-            "n_outcomes": p.n_outcomes,
-            "local_weight": r.local_weight,
-            "nonlocal_content": r.nonlocal_content,
-        })
+        return _json_text(args, source=args.dist_file, n_parties=p.n_parties,
+                          n_outcomes=p.n_outcomes, local_weight=r.local_weight,
+                          nonlocal_content=r.nonlocal_content)
     spec, _ = _resolve_scenario(args)
-    if args.dump_spec:
-        return dump_scenario(spec)
     if not CRITERIA[spec.criterion].lp:
         raise UsageError(f"content needs an LP criterion, not {spec.criterion!r}")
     # As in _cmd_bell: with no free parameter no search runs, and --dump-dist solves no LP.
@@ -645,29 +630,16 @@ def _cmd_content(args) -> str:
     if args.dump_dist:
         return scenario_distribution(spec, params).to_text()
     r = scenario_result(spec, params)
-    return _json_text({
-        "command": "content",
-        "scenario": spec.name,
-        "criterion": spec.criterion,
-        "n_parties": spec.n_parties,
-        "local_weight": r.local_weight,
-        "nonlocal_content": r.nonlocal_content,
-        "params": params,
-    })
+    return _json_text(args, spec, local_weight=r.local_weight,
+                      nonlocal_content=r.nonlocal_content, params=params)
 
 
 def _cmd_negativity(args) -> str:
     if not math.isfinite(args.theta):
         raise UsageError(f"--theta must be finite, got {args.theta!r}")
     state = atom_photon_state(args.theta, args.eta_c, args.n - 1)
-    return _json_text({
-        "command": "negativity",
-        "n_parties": args.n,
-        "theta": args.theta,
-        "eta_c": args.eta_c,
-        "cut": args.cut,
-        "negativity": negativity(state.rho, args.cut),
-    })
+    return _json_text(args, n_parties=args.n, theta=args.theta, eta_c=args.eta_c,
+                      cut=args.cut, negativity=negativity(state.rho, args.cut))
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -681,16 +653,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def dispatch(argv) -> int:
     try:
         args = _parse_args(list(argv))
-        _emit(args.run(args), args.out)
+        # --dump-spec answers every scenario command before it runs.
+        dump = getattr(args, "dump_spec", False)
+        _emit(dump_scenario(_resolve_scenario(args)[0]) if dump else args.run(args), args.out)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    except UsageError as err:
-        print(f"wbell: error: {err}", file=sys.stderr)
-        return 1
     except (BracketError, LPError) as err:
         print(f"wbell: numerical failure: {err}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, TypeError, OSError, MemoryError) as err:
+    except (UsageError, KeyError, ValueError, TypeError, OSError, MemoryError) as err:
         # str() of a KeyError quotes its message
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"wbell: error: {message}", file=sys.stderr)

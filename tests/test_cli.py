@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import wbell
+import wbell.cli as cli
 import wbell.polytope as polytope
 from wbell.cli import (PRESETS, _scenario_from_keys, build_parser, dispatch, dump_scenario,
                        parse_config)
@@ -164,7 +165,6 @@ class TestBell:
     def test_no_free_parameter_is_one_evaluation(self, monkeypatch):
         """A scenario with no free parameter is evaluated once, on the state
         it prints: no search runs first, on the W state or any other."""
-        import wbell.cli as cli
         import wbell.search as search
 
         calls, evaluate = [], search.scenario_result
@@ -246,6 +246,34 @@ class TestThreshold:
             assert exponent == plain, argv
             assert plain[0] == 1 and len(plain[2].splitlines()) == 1, plain
             assert plain[2].startswith("wbell: error: efficiency"), plain
+
+    def test_a_pin_on_the_run_target_is_refused_before_evaluating(self, monkeypatch):
+        """Every point a bisection visits pins its parameter anew, so a --set
+        or config pin on it would be dropped: it is refused with one line
+        before any margin is evaluated. A parameter the preset itself fixes
+        stays bisectable."""
+        import wbell.search as search
+
+        calls, margin = [], search.violation_margin
+
+        def counting_margin(*args):
+            calls.append(args)
+            return margin(*args)
+
+        monkeypatch.setattr(search, "violation_margin", counting_margin)
+        for argv, pin, threshold in (
+                (["threshold", "--preset", "fig2", "--param", "eta_x", "--atol", "0.05"],
+                 "eta_x=0.7", 0.859375),
+                (["threshold", "--preset", "fig1", "--atol", "0.01"], "eta_z=0.3", 0.50390625)):
+            argv += ["--starts", "2"]
+            calls.clear()
+            name = pin.split("=")[0]
+            assert run(argv + ["--set", pin]) == (
+                1, "", f"wbell: error: cannot pin {name}: threshold varies it\n"), argv
+            assert calls == [], argv
+            assert run_json(argv)["threshold"] == threshold, argv
+        assert run_json(["threshold", "--preset", "chsh-homodyne", "--starts", "2",
+                         "--atol", "0.1"])["param"] == "eta_spd"
 
     def test_unknown_bisection_parameter(self):
         code, _, _ = run(["threshold", "--preset", "cabello-ad",
@@ -344,11 +372,11 @@ class TestContent:
         assert code == 1
 
     def test_dist_file_refuses_size_tolerance_and_spec_flags(self, tmp_path):
-        """A table fixes its own size, and it is no scenario to dump: --n,
-        --lp-tol and --dump-spec are refused, not ignored."""
+        """A table fixes its own size, and it is no scenario to dump: --n
+        and --dump-spec are refused, not ignored."""
         path = tmp_path / "w3.dist"
         path.write_text(run(self.IDEAL + ["--dump-dist"])[1])
-        for flags in (["--n", "7"], ["--lp-tol", "0.1"], ["--dump-spec"]):
+        for flags in (["--n", "7"], ["--dump-spec"]):
             code, out, err = run(["content", "--dist-file", str(path), *flags])
             assert code == 1 and out == "", flags
             assert err == "wbell: error: --dist-file replaces the scenario flags\n", flags
@@ -515,7 +543,7 @@ class TestConfigFiles:
         text = run(["content", "--preset", "fig5", "--n", "3", "--dump-spec"])[1]
         assert "scenario.lp_tol = 1e-08\n" in text
         path = tmp_path / "lp_tol.cfg"
-        for lp_tol in ("nan", "-1", "inf", "-1e-300"):
+        for lp_tol in ("nan", "-1", "inf", "-inf", "-1e-300"):
             path.write_text(text.replace("scenario.lp_tol = 1e-08",
                                          f"scenario.lp_tol = {lp_tol}"))
             for command in ("content", "threshold"):
@@ -524,6 +552,20 @@ class TestConfigFiles:
                 assert len(err.splitlines()) == 1
         path.write_text(text.replace("scenario.lp_tol = 1e-08", "scenario.lp_tol = 0"))
         assert run(["content", "--config", str(path), "--dump-spec"])[0] == 0
+
+    def test_the_config_key_is_the_way_to_set_lp_tol(self, tmp_path):
+        """scenario.lp_tol sets the content a verdict needs: at 0.05 the fig5
+        N=3 threshold in eta_z, with eta_x pinned to 1, moves from just above
+        1/2 to just above 0.55."""
+        text = run(["threshold", "--preset", "fig5", "--n", "3", "--dump-spec"])[1]
+        path = tmp_path / "fig5.cfg"
+        thresholds = []
+        for lp_tol in ("1e-08", "0.05"):
+            path.write_text(text.replace("scenario.lp_tol = 1e-08", f"scenario.lp_tol = {lp_tol}")
+                            + "set.eta_x = 1\n")
+            thresholds.append(run_json(["threshold", "--config", str(path),
+                                        "--param", "eta_z", "--atol", "0.001"])["threshold"])
+        assert thresholds == [0.50048828125, 0.55029296875]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -534,8 +576,9 @@ class TestConfigFiles:
     ([], None),
     (["threshold"], "preset = fig1\nn = x\n"),
     (["threshold"], "preset = fig1\ngrid = 3\n"),
+    (["content", "--preset", "fig5", "--n", "3", "--lp-tol", "0.1"], None),
 ], ids=["bad-int", "bad-choice", "missing-value", "unknown-flag", "no-command",
-        "bad-run-key-value", "run-key-without-flag"])
+        "bad-run-key-value", "run-key-without-flag", "lp-tol-flag"])
 def test_bad_run_options_give_one_line(tmp_path, argv, config):
     """Argparse reads every run option, flag or config run key, and a bad one
     exits 1 with one error line and no usage text."""
@@ -610,6 +653,14 @@ _FIG3 = dump_scenario(PRESETS["fig3"].spec)
     (["region", "--preset", "fig4-homodyne", "--x", "eta_atom", "--y", "eta_spd"], None,
      "region needs --x-range"),
     (["content", "--preset", "fig1"], None, "content needs an LP criterion"),
+    (["threshold", "--preset", "fig2", "--set", "eta_x=0.7", "--param", "eta_x"], None,
+     "cannot pin eta_x: threshold varies it"),
+    (["region", "--preset", "fig1", "--set", "eta_z=0.9"], None,
+     "cannot pin eta_z: region varies it"),
+    (["region", "--preset", "fig1", "--set", "eta_x=0.9"], None,
+     "cannot pin eta_x: region varies it"),
+    (["threshold", "--config", "{file}"], "preset = fig1\nset.eta_z = 0.3\n",
+     "cannot pin eta_z: threshold varies it"),
     (["bell", "--config", "{file}"], _FIG3.replace("n_parties = 2", "n_parties = 1"),
      "an atom scenario needs at least one photon party"),
     (["content", "--config", "{file}"],
@@ -626,6 +677,7 @@ _FIG3 = dump_scenario(PRESETS["fig3"].spec)
         "config-missing-keys", "config-param-tokens", "config-param-bounds",
         "config-party-count", "region-grid", "region-jobs", "no-scenario",
         "threshold-no-param", "region-no-axes", "region-no-x-range", "content-closed-form",
+        "threshold-param-pinned", "region-x-pinned", "region-y-pinned", "config-pin-run-target",
         "atom-one-party", "atom-three-outcomes", "dist-file-missing", "dist-missing-pair",
         "dist-unnormalized", "dist-outcome-length"])
 def test_an_input_error_is_one_line(tmp_path, argv, text, message):
@@ -667,6 +719,14 @@ def test_readme_command_line_section_names_every_flag():
     assert sorted(flags - named) == [], "flags the section never names"
     assert sorted(named - flags) == [], "flags the parser does not read"
     assert re.findall(r"WBELL_\w*", section) == []
+
+
+def test_readme_config_paragraph_names_every_run_key():
+    """The README's sentence on a config's run keys names every key of
+    cli._RUN_KEYS and no other, as the flag test does for flags."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    sentence = section.split("may hold run keys:", 1)[1].split(".", 1)[0]
+    assert sorted(set(re.findall(r"`([a-z_]+)`", sentence))) == sorted(cli._RUN_KEYS)
 
 
 def test_no_module_of_the_package_reads_the_environment():
@@ -727,19 +787,6 @@ class TestFlagValidation:
             path.write_text(f"preset = cabello-ad\natol = {atol}\n")
             code, _, err = run(["threshold", "--config", str(path)])
             assert code == 1 and "--atol" in err, atol
-
-    def test_lp_tol_must_be_finite_and_non_negative(self):
-        # A NaN lp_tol made every margin NaN, so the optimizer returned its
-        # first start unpolished; a negative one called every point violated.
-        for lp_tol in ("nan", "-1", "inf", "-inf"):
-            for argv in (["content", "--preset", "fig5", "--n", "3", "--starts", "2"],
-                         ["threshold", "--preset", "fig5", "--n", "3", "--starts", "1"],
-                         ["bell", "--preset", "fig1", "--dump-spec"]):
-                code, out, err = run(argv + [f"--lp-tol={lp_tol}"])
-                assert code == 1 and out == "" and "lp_tol" in err, (argv, lp_tol)
-                assert err.startswith("wbell: error:") and len(err.splitlines()) == 1
-        assert run(["content", "--preset", "fig5", "--n", "3", "--lp-tol", "0",
-                    "--dump-spec"])[0] == 0
 
     def test_efficiency_ranges_by_device_role(self, tmp_path):
         for flag in ("--eta-z", "--eta-x"):
