@@ -572,11 +572,15 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     or "never"). The returned midpoint is within ``atol`` of the boundary, or
     as close as floats allow when ``atol`` is below their spacing there.
 
-    The ends get the full start set (:func:`_find_witness`), each step one
-    capped run from the newest witness (:func:`_warm_witness`), whose miss
-    is only provisional. As the verdict is monotone in ``param``, a full
-    check with no witness at the last provisional point vouches for all; a
-    witness there resumes the bisection below it, on the same midpoints."""
+    ``hi`` gets the full start set (:func:`_find_witness`) first. With a
+    witness there and a free parameter, ``lo`` gets one capped run from it
+    (:func:`_warm_witness`), else the full start set too; with a free
+    parameter, each step gets one capped run from the newest witness. A
+    witness is final, a miss only provisional. As the verdict is monotone in
+    ``param``, a full check with no witness at the last provisional point
+    vouches for all; a witness there resumes the bisection below it, on the
+    same midpoints. A ``lo`` that got a capped run gets its full check only
+    when this recovery pops down to it."""
     lo, hi = float(bracket[0]), float(bracket[1])
     # Both ends are pinned, and so checked, before either is evaluated.
     lo_spec, hi_spec = fix_parameter(spec, param, lo), fix_parameter(spec, param, hi)
@@ -584,17 +588,24 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
         raise ValueError("bracket must satisfy lo < hi")
     if not (math.isfinite(atol) and atol > 0.0):
         raise ValueError("atol must be finite and positive")
+
+    whole = f"the whole bracket [{lo:g}, {hi:g}] of {param!r}"
+
+    def whole_bracket(violated: bool) -> BracketError:
+        return BracketError(f"criterion is {'violated' if violated else 'satisfied'} "
+                            f"on {whole}", "always" if violated else "never")
+
     with reusing_faces(spec.lp_tol):  # every content of the bisection is a witness test
-        lo_witness, hi_witness = _find_witness(lo_spec, n_starts), _find_witness(hi_spec, n_starts)
+        hi_witness = _find_witness(hi_spec, n_starts)
+        exact = not free_parameters(lo_spec)
+        warm_lo = hi_witness is not None and not exact  # then lo's miss is provisional
+        lo_witness = (_warm_witness(lo_spec, hi_witness) if warm_lo
+                      else _find_witness(lo_spec, n_starts))
         lo_viol = lo_witness is not None
         if lo_viol == (hi_witness is not None):
-            kind = "always" if lo_viol else "never"
-            raise BracketError(
-                f"criterion is {'violated' if lo_viol else 'satisfied'} on the "
-                f"whole bracket [{lo:g}, {hi:g}] of {param!r}", kind)
+            raise whole_bracket(lo_viol)
         witness = lo_witness if lo_viol else hi_witness
-        exact = not free_parameters(lo_spec)
-        provisional = [hi if lo_viol else lo]  # its bottom, an end, is fully checked
+        provisional = [hi if lo_viol else lo]  # an end, fully checked unless warm_lo
         while True:
             while hi - lo > atol:
                 mid = 0.5 * (lo + hi)
@@ -608,12 +619,14 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
                 else:
                     witness = found
                 lo, hi = (mid, hi) if (found is not None) == lo_viol else (lo, mid)
-            if exact or len(provisional) == 1:  # with no free parameter, each verdict was exact
+            if exact or (len(provisional) == 1 and not warm_lo):  # nothing left to vouch for
                 break
             point = provisional.pop()
             witness = _find_witness(fix_parameter(spec, param, point), n_starts)
             if witness is None:
                 break
+            if not provisional:  # the recovery popped down to lo, violated too
+                raise whole_bracket(True)
             lo, hi = (point, provisional[-1]) if lo_viol else (provisional[-1], point)
         return 0.5 * (lo + hi)
 

@@ -879,6 +879,51 @@ def test_final_checks_vouch_for_every_provisional_verdict(monkeypatch, spec, bra
     assert got == plain_bisection(spec, "eta_spd", bracket, atol, n_starts)
 
 
+@pytest.fixture
+def full_checks(monkeypatch):
+    """(eta_spd, whether a witness was found) of each full check."""
+    checks, find = [], search._find_witness
+
+    def counting_find(spec, n_starts):
+        witness = find(spec, n_starts)
+        checks.append((spec.params["eta_spd"].value, witness is not None))
+        return witness
+
+    monkeypatch.setattr(search, "_find_witness", counting_find)
+    return checks
+
+
+# fig4-homodyne at eta_c = 0.65 is violated above eta_spd ~0.961.
+FIG4_065 = pinned_preset("fig4-homodyne", 2, eta_c=0.65)
+ALWAYS_FIG4_065 = "criterion is violated on the whole bracket [0.98, 1] of 'eta_spd'"
+
+
+def test_a_warm_witness_at_lo_ends_the_bisection_with_no_full_check_there(full_checks):
+    with pytest.raises(BracketError) as err:
+        critical_efficiency(FIG4_065, "eta_spd", (0.98, 1.0), 0.005, 2)
+    assert (err.value.kind, str(err.value)) == ("always", ALWAYS_FIG4_065)
+    assert full_checks == [(1.0, True)]
+
+
+def test_a_recovery_that_pops_down_to_a_violated_lo_says_always(monkeypatch, full_checks):
+    """With every warm run forced to miss, lo and each step are provisional;
+    the recovery finds a witness at each, and only lo's full check, the last,
+    shows the whole bracket violated. The message names the first bracket,
+    as when a full check at lo came first."""
+    monkeypatch.setattr(search, "_warm_witness", lambda spec, x0: None)
+    with pytest.raises(BracketError) as err:
+        critical_efficiency(FIG4_065, "eta_spd", (0.98, 1.0), 0.005, 2)
+    assert (err.value.kind, str(err.value)) == ("always", ALWAYS_FIG4_065)
+    assert (0.98, True) in full_checks and all(found for _, found in full_checks)
+
+
+def test_a_threshold_pays_for_one_witness_free_full_check(full_checks):
+    """hi's witness seeds a warm run at lo, so the certifying check at the
+    last provisional point is the only full check that finds no witness."""
+    assert critical_efficiency(FIG4_065, "eta_spd", (0.5, 1.0), 0.02, 2) == 0.9609375
+    assert [value for value, found in full_checks if not found] == [0.953125]
+
+
 @pytest.mark.parametrize("preset, n, want", [("garbarino3", 3, 0.0027771),
                                              ("fig5", 4, 2.0 / 3.0)])
 def test_an_lp_threshold_does_not_stop_at_the_flat_local_region(preset, n, want):
