@@ -26,7 +26,6 @@ from .measure import (
     X_AXIS,
     Z_AXIS,
     efficiency_povm,
-    equatorial_axis,
     family_povm,
 )
 from .polytope import (
@@ -77,7 +76,6 @@ __all__ = [
     "critical_efficiency",
     "damped_w_state",
     "efficiency_povm",
-    "equatorial_axis",
     "family_povm",
     "joint_distribution",
     "mermin3_value",

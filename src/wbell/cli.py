@@ -48,19 +48,15 @@ THETA_LO = -math.pi / 2.0
 THETA_HI = -1e-3
 
 
-class UsageError(Exception):
-    """Bad flags, config keys, or parameter values (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag, in any subcommand, as one UsageError line; -1e-3 is a number."""
+    """Reports a bad flag, in any subcommand, as one ValueError line; -1e-3 is a number."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +205,14 @@ def _parse_bool(raw, key: str) -> bool:
         return True
     if raw in ("false", False):
         return False
-    raise UsageError(f"{key} expects true or false, got {raw!r}")
+    raise ValueError(f"{key} expects true or false, got {raw!r}")
 
 
 def _parse_float(raw, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise UsageError(f"{key} expects a number, got {raw!r}") from None
+        raise ValueError(f"{key} expects a number, got {raw!r}") from None
 
 
 def parse_config(text: str) -> tuple:
@@ -229,11 +225,11 @@ def parse_config(text: str) -> tuple:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key = value")
+            raise ValueError(f"config line {lineno}: expected key = value")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key in seen:
-            raise UsageError(f"config line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         seen.add(key)
         if key in _RUN_KEYS:
             options[key] = raw
@@ -242,7 +238,7 @@ def parse_config(text: str) -> tuple:
         elif key.startswith("set.") and key != "set.":
             pins.append(f"--set={key[len('set.'):]}={_parse_float(raw, key)!r}")
         else:
-            raise UsageError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return options, pins, scenario_keys
 
 
@@ -258,7 +254,7 @@ def _scenario_from_keys(keys: dict) -> ScenarioSpec:
                 "photon_x.family", "photon_x.eff"}
     missing = required - set(keys)
     if missing:
-        raise UsageError(f"config scenario is missing keys: {sorted(missing)}")
+        raise ValueError(f"config scenario is missing keys: {sorted(missing)}")
 
     def meas(prefix: str) -> MeasSpec:
         aux_raw = keys.get(f"{prefix}.aux")
@@ -275,19 +271,19 @@ def _scenario_from_keys(keys: dict) -> ScenarioSpec:
         name = key[len("param."):]
         tokens = raw.split()
         if len(tokens) != 3:
-            raise UsageError(f"{key} expects 'lo hi value' or 'lo hi free'")
+            raise ValueError(f"{key} expects 'lo hi value' or 'lo hi free'")
         lo = _parse_float(tokens[0], key)
         hi = _parse_float(tokens[1], key)
         value = None if tokens[2] == "free" else _parse_float(tokens[2], key)
         try:
             params[name] = ParamSpec(lo, hi, value)
         except ValueError as err:
-            raise UsageError(f"{key}: {err}") from None
+            raise ValueError(f"{key}: {err}") from None
 
     try:
         n = int(keys["scenario.n_parties"])
     except ValueError:
-        raise UsageError("scenario.n_parties expects an integer") from None
+        raise ValueError("scenario.n_parties expects an integer") from None
     return ScenarioSpec(
         keys["scenario.name"], n, keys["scenario.criterion"],
         meas("photon_z"), meas("photon_x"),
@@ -361,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--state", choices=["w", "vacuum"], default="w",
                         help="source state for --inequality scenarios")
     p_bell.add_argument("--ideal", action="store_true",
-                        help="force perfect detectors in --inequality scenarios")
+                        help="perfect detectors in --inequality scenarios, the default "
+                             "(not with --eta-z or --eta-x)")
     p_bell.add_argument("--eta-z", type=float, default=None,
                         help="z-detector efficiency for --inequality scenarios (default 1)")
     p_bell.add_argument("--eta-x", type=float, default=None,
@@ -436,21 +433,21 @@ def _parse_args(argv: list) -> argparse.Namespace:
             with open(args.config, "r", encoding="utf-8") as handle:
                 options, pins, scenario_keys = parse_config(handle.read())
         except OSError as err:
-            raise UsageError(f"cannot read config file: {err}") from None
+            raise ValueError(f"cannot read config file: {err}") from None
         declared = options.pop("command", None)
         if declared is not None and declared != args.command:
-            raise UsageError(
+            raise ValueError(
                 f"config is for command {declared!r}, invoked as {args.command!r}")
         if ("bracket_lo" in options) != ("bracket_hi" in options):
-            raise UsageError("config needs both bracket_lo and bracket_hi")
+            raise ValueError("config needs both bracket_lo and bracket_hi")
         flags = [f"--{key}={raw}" for key, raw in options.items()
                  if key not in ("bracket_lo", "bracket_hi")]
         if "bracket_lo" in options:
             flags += ["--bracket", options["bracket_lo"], options["bracket_hi"]]
         try:
             args = parser.parse_args([argv[0], *flags, *pins, *argv[1:]])
-        except UsageError as err:
-            raise UsageError(f"config run keys: {err}") from None
+        except ValueError as err:
+            raise ValueError(f"config run keys: {err}") from None
     args.scenario_keys = scenario_keys
     _check_run_options(args)
     return args
@@ -460,27 +457,29 @@ def _check_run_options(args) -> None:
     """Reject run options out of range and flags that do not go together,
     whether given by flag or config, before any scenario is built."""
     if hasattr(args, "starts") and args.starts < 1:
-        raise UsageError("--starts must be at least 1")
+        raise ValueError("--starts must be at least 1")
     if hasattr(args, "grid") and args.grid < 2:
-        raise UsageError("--grid must be at least 2")
+        raise ValueError("--grid must be at least 2")
     if hasattr(args, "atol") and not (math.isfinite(args.atol) and args.atol > 0.0):
-        raise UsageError(f"--atol must be finite and greater than 0, got {args.atol!r}")
+        raise ValueError(f"--atol must be finite and greater than 0, got {args.atol!r}")
     if getattr(args, "dist_file", None) is not None:
         if args.preset or args.config or args.set or args.dump_spec or args.n is not None:
-            raise UsageError("--dist-file replaces the scenario flags")
+            raise ValueError("--dist-file replaces the scenario flags")
     elif hasattr(args, "preset"):  # a scenario command
         explicit = getattr(args, "inequality", None) is not None
         if hasattr(args, "inequality") and not explicit:
             if args.state == "vacuum":
-                raise UsageError("--state vacuum needs an explicit --inequality scenario")
+                raise ValueError("--state vacuum needs an explicit --inequality scenario")
             if args.ideal or args.eta_z is not None or args.eta_x is not None:
-                raise UsageError(
+                raise ValueError(
                     "--ideal, --eta-z and --eta-x need an explicit --inequality scenario")
+        if getattr(args, "ideal", False) and (args.eta_z is not None or args.eta_x is not None):
+            raise ValueError("--ideal does not combine with --eta-z or --eta-x")
         sources = (args.preset is not None) + bool(args.scenario_keys) + explicit
         if sources > 1:
-            raise UsageError("give one scenario: a preset, config scenario keys, or --inequality")
+            raise ValueError("give one scenario: a preset, config scenario keys, or --inequality")
         if not sources:
-            raise UsageError("no scenario given: pass --preset, --config, or "
+            raise ValueError("no scenario given: pass --preset, --config, or "
                              "(for bell) --inequality")
 
 
@@ -489,7 +488,7 @@ def _parse_set_flags(pairs) -> dict:
     for pair in pairs:
         name, sep, raw = pair.partition("=")
         if not sep or not name:
-            raise UsageError(f"--set expects NAME=VALUE, got {pair!r}")
+            raise ValueError(f"--set expects NAME=VALUE, got {pair!r}")
         sets[name.strip()] = _parse_float(raw.strip(), f"--set {name}")
     return sets
 
@@ -497,8 +496,8 @@ def _parse_set_flags(pairs) -> dict:
 def _explicit_bell_scenario(args) -> ScenarioSpec:
     """Three parties, or as many as the criterion allows; --n resizes later."""
     n = min(3, CRITERIA[args.inequality].max_parties or 3)
-    eta_z = 1.0 if args.ideal or args.eta_z is None else args.eta_z
-    eta_x = 1.0 if args.ideal or args.eta_x is None else args.eta_x
+    eta_z = 1.0 if args.eta_z is None else args.eta_z
+    eta_x = 1.0 if args.eta_x is None else args.eta_x
     return ScenarioSpec("custom", n, args.inequality,
                         MeasSpec("spd", eta_z), MeasSpec("sym", eta_x), params={})
 
@@ -528,7 +527,7 @@ def _run_target(args, spec, name, span, default, fallback=(0.0, 1.0)) -> tuple:
     own, own_span = default or (None, None)
     name = name or own
     if name in _parse_set_flags(args.set):
-        raise UsageError(f"cannot pin {name}: {args.command} varies it")
+        raise ValueError(f"cannot pin {name}: {args.command} varies it")
     declared = spec.params.get(name)
     if declared is not None and declared.is_free:
         fallback = (declared.lo, declared.hi)
@@ -551,7 +550,7 @@ def _json_text(args, spec=None, **fields) -> str:
 def _cmd_bell(args) -> str:
     spec, _ = _resolve_scenario(args)
     if CRITERIA[spec.criterion].lp:
-        raise UsageError("LP criteria are served by the content command")
+        raise ValueError("LP criteria are served by the content command")
     # With no free parameter, as with --inequality, the one evaluation is
     # scenario_result's, on the vacuum when --state swaps it in.
     params = (optimize_free_parameters(spec, n_starts=args.starts).params
@@ -574,7 +573,7 @@ def _cmd_threshold(args) -> str:
     param, bracket = _run_target(args, spec, args.param, args.bracket,
                                  preset and preset.threshold)
     if param is None:
-        raise UsageError("no parameter to bisect: pass --param")
+        raise ValueError("no parameter to bisect: pass --param")
     threshold = critical_efficiency(spec, param, bracket, atol=args.atol,
                                     n_starts=args.starts)
     at_threshold = optimize_free_parameters(fix_parameter(spec, param, threshold),
@@ -596,9 +595,9 @@ def _cmd_region(args) -> str:
     y_name, bracket = _run_target(args, spec, args.y_name, args.bracket,
                                   preset and preset.region_y)
     if x_name is None or y_name is None:
-        raise UsageError("region needs --x and --y (preset has no defaults)")
+        raise ValueError("region needs --x and --y (preset has no defaults)")
     if x_range is None:
-        raise UsageError("region needs --x-range for this parameter")
+        raise ValueError("region needs --x-range for this parameter")
     for x in x_range:  # before np.linspace, which turns an infinite end into NaNs
         fix_parameter(spec, x_name, x)
     curve = region_boundary(
@@ -614,7 +613,7 @@ def _cmd_content(args) -> str:
             with open(args.dist_file, "r", encoding="utf-8") as handle:
                 p = JointDistribution.from_text(handle.read())
         except OSError as err:
-            raise UsageError(f"cannot read distribution file: {err}") from None
+            raise ValueError(f"cannot read distribution file: {err}") from None
         if args.dump_dist:
             return p.to_text()
         r = nonlocal_content(p)
@@ -623,7 +622,7 @@ def _cmd_content(args) -> str:
                           nonlocal_content=r.nonlocal_content)
     spec, _ = _resolve_scenario(args)
     if not CRITERIA[spec.criterion].lp:
-        raise UsageError(f"content needs an LP criterion, not {spec.criterion!r}")
+        raise ValueError(f"content needs an LP criterion, not {spec.criterion!r}")
     # As in _cmd_bell: with no free parameter no search runs, and --dump-dist solves no LP.
     params = (optimize_free_parameters(spec, n_starts=args.starts).params
               if free_parameters(spec) else resolve_values(spec))
@@ -636,7 +635,7 @@ def _cmd_content(args) -> str:
 
 def _cmd_negativity(args) -> str:
     if not math.isfinite(args.theta):
-        raise UsageError(f"--theta must be finite, got {args.theta!r}")
+        raise ValueError(f"--theta must be finite, got {args.theta!r}")
     state = atom_photon_state(args.theta, args.eta_c, args.n - 1)
     return _json_text(args, n_parties=args.n, theta=args.theta, eta_c=args.eta_c,
                       cut=args.cut, negativity=negativity(state.rho, args.cut))
@@ -661,7 +660,7 @@ def dispatch(argv) -> int:
     except (BracketError, LPError) as err:
         print(f"wbell: numerical failure: {err}", file=sys.stderr)
         return 2
-    except (UsageError, KeyError, ValueError, TypeError, OSError, MemoryError) as err:
+    except (KeyError, ValueError, TypeError, OSError, MemoryError) as err:
         # str() of a KeyError quotes its message
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"wbell: error: {message}", file=sys.stderr)

@@ -34,21 +34,10 @@ class BlochAxis:
     polar: float
     azimuth: float = 0.0
 
-    def projectors(self) -> tuple:
-        """(down, up) projectors onto the +1 / -1 eigenstates, as arrays: a
-        perfect detector's elements."""
-        elements = _efficiency_elements(self.polar, self.azimuth, 1.0, 1.0)
-        return tuple(np.array(m) for m in elements)
-
 
 EQUATOR = math.pi / 2.0
 Z_AXIS = BlochAxis(0.0, 0.0)
 X_AXIS = BlochAxis(EQUATOR, 0.0)
-
-
-def equatorial_axis(phi: float) -> BlochAxis:
-    """Equatorial axis cos(phi) sigma_x + sin(phi) sigma_y."""
-    return BlochAxis(EQUATOR, phi)
 
 
 def _check_elements(label: str, *elements: np.ndarray) -> None:

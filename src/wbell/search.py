@@ -417,9 +417,10 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) 
     """The best value and vertex of a bounded Nelder-Mead run minimizing
     ``func`` over the box of (lo, hi) pairs, lo < hi: scipy 1.17's
     ``minimize(method="Nelder-Mead", bounds=...)`` step for step, capped at
-    ``maxfev`` evaluations (more than n), by default scipy's 200 n."""
+    ``maxfev`` evaluations (more than n), by default scipy's 200 n. With no
+    axis (n = 0) the run is its one evaluation."""
     n = len(x0)
-    nfev, maxfev = 0, maxfev or 200 * n  # scipy's iteration cap, also 200 n, never binds first
+    nfev, maxfev = 0, maxfev or 200 * max(n, 1)  # scipy's iteration cap (200 n) never binds first
 
     def f(x):
         nonlocal nfev
@@ -508,13 +509,10 @@ def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS)
     """Maximize the violation margin over all free parameters.
 
     Multi-start Nelder-Mead from an unscrambled Sobol sequence, so repeated
-    calls give bit-identical results. With no free parameters this is a
-    single evaluation.
+    calls give bit-identical results. With no free parameters the one start
+    is ``[]`` and its run a single evaluation.
     """
     names, starts = _start_points(spec, n_starts)
-    if not names:
-        values = resolve_values(spec)
-        return SearchResult(violation_margin(spec, values), values)
     best_margin = -np.inf
     best_x = starts[0]
     for x0 in starts:
@@ -652,6 +650,8 @@ def region_boundary(spec: ScenarioSpec, x_name: str, y_name: str,
     """
     if jobs < 1:
         raise ValueError("worker count must be at least 1")
+    if x_name == y_name:  # every row's bisection would overwrite its grid pin
+        raise ValueError(f"the grid and the bisection both vary {x_name!r}")
     # Every pin is checked before any row runs, the grid's ends first, so a
     # grid that leaves the declared range is named by its end.
     x_values = [float(x) for x in x_values]

@@ -15,7 +15,7 @@ from wbell.bell import (
     wwwzb_value,
 )
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
-from wbell.measure import BlochAxis, X_AXIS, Z_AXIS, efficiency_povm, equatorial_axis
+from wbell.measure import EQUATOR, BlochAxis, X_AXIS, Z_AXIS, efficiency_povm
 from wbell.states import damped_w_state, w_state
 
 from oracles import (
@@ -122,7 +122,7 @@ def ghz_distribution():
     v = np.zeros(8)
     v[0] = v[7] = 1.0 / math.sqrt(2.0)
     y = efficiency_povm(BlochAxis(math.pi / 2, math.pi / 2), 1.0, 1.0)
-    xbar = efficiency_povm(equatorial_axis(math.pi), 1.0, 1.0)
+    xbar = efficiency_povm(BlochAxis(EQUATOR, math.pi), 1.0, 1.0)
     table = brute_force_distribution(np.outer(v, v).astype(complex),
                                      [(y.elements, xbar.elements)] * 3)
     p = JointDistribution(3, 2, table)
@@ -145,6 +145,16 @@ def test_wwwzb_ghz_reaches_algebraic_max():
 def test_mermin3_needs_three_parties():
     with pytest.raises(ValueError):
         mermin3_value(full_correlators(ideal_distribution(w_state(2), 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cabello_value(JointDistribution(3, 3, np.full((2,) * 3 + (3,) * 3, 1.0 / 27.0))),
+     "the inequality is defined for two-outcome scenarios"),
+    (lambda: chsh_value(np.zeros((2, 2, 2))), "CHSH is a two-party functional"),
+], ids=["cabello-three-outcomes", "chsh-three-parties"])
+def test_a_functional_refuses_a_table_of_another_scenario(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_chsh_tsirelson_from_correlator_table():

@@ -118,10 +118,13 @@ class TestBell:
                 assert code == 1 and out == "", argv
                 assert err.startswith("wbell: error:") and "--inequality" in err, argv
                 assert len(err.splitlines()) == 1, argv
-        # With --inequality an unset efficiency means a perfect device.
+        # With --inequality an unset efficiency means a perfect device, as
+        # --ideal does; --ideal with an efficiency is refused, not ignored.
         assert run(["bell", "--inequality", "cabello", "--eta-z", "1", "--eta-x", "1"]) == \
             run(["bell", "--inequality", "cabello"]) == \
-            run(["bell", "--inequality", "cabello", "--ideal", "--eta-z", "0.3"])
+            run(["bell", "--inequality", "cabello", "--ideal"])
+        assert run(["bell", "--inequality", "cabello", "--ideal", "--eta-z", "0.3"]) == \
+            (1, "", "wbell: error: --ideal does not combine with --eta-z or --eta-x\n")
 
     def test_inequality_is_its_own_scenario_source(self, tmp_path):
         """--inequality builds the spd/sym scenario on W or vacuum; it never
@@ -647,6 +650,12 @@ _FIG3 = dump_scenario(PRESETS["fig3"].spec)
      "scenario.n_parties expects an integer"),
     (["region", "--preset", "fig1", "--grid", "1"], None, "--grid must be at least 2"),
     (["region", "--preset", "fig1", "--jobs", "0"], None, "worker count must be at least 1"),
+    (["region", "--preset", "fig1", "--x", "eta_z", "--y", "eta_z", "--grid", "2",
+      "--starts", "1"], None, "the grid and the bisection both vary 'eta_z'"),
+    (["bell", "--inequality", "cabello", "--n", "3", "--ideal", "--eta-z", "0.5"], None,
+     "--ideal does not combine with --eta-z or --eta-x"),
+    (["bell", "--inequality", "chsh", "--ideal", "--eta-x", "0.9"], None,
+     "--ideal does not combine with --eta-z or --eta-x"),
     (["threshold"], None, "no scenario given"),
     (["threshold", "--config", "{file}"], _FIG1, "no parameter to bisect"),
     (["region", "--config", "{file}"], _FIG1, "region needs --x and --y"),
@@ -675,7 +684,8 @@ _FIG3 = dump_scenario(PRESETS["fig3"].spec)
      "inconsistent string lengths"),
 ], ids=["set-flag-number", "config-pin-number", "config-bool", "config-no-equals",
         "config-missing-keys", "config-param-tokens", "config-param-bounds",
-        "config-party-count", "region-grid", "region-jobs", "no-scenario",
+        "config-party-count", "region-grid", "region-jobs", "region-one-axis",
+        "ideal-eta-z", "ideal-eta-x", "no-scenario",
         "threshold-no-param", "region-no-axes", "region-no-x-range", "content-closed-form",
         "threshold-param-pinned", "region-x-pinned", "region-y-pinned", "config-pin-run-target",
         "atom-one-party", "atom-three-outcomes", "dist-file-missing", "dist-missing-pair",

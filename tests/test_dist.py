@@ -125,6 +125,24 @@ def test_validate_rejects_non_finite_entries():
         JointDistribution.from_text("0 0 0.5\n0 1 0.5\n1 0 nan\n1 1 0.5\n")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: MeasurementAssignment(()), "assignment needs at least one party"),
+    (lambda: MeasurementAssignment(((efficiency_povm(Z_AXIS, 1.0, 1.0),),)),
+     "each party needs exactly two settings"),
+    (lambda: MeasurementAssignment(ideal_assignment(1).parties
+                                   + ((family_povm("lossy3_z", 0.9),) * 2,)),
+     "mixed outcome cardinalities in one assignment"),
+    (lambda: JointDistribution(2, 2, np.full((2, 2), 0.5)).validate(),
+     "table shape does not match scenario"),
+    (lambda: joint_distribution(w_state(3), ideal_assignment(2)),
+     "assignment has 2 parties, state has 3"),
+], ids=["assignment-no-party", "assignment-one-setting", "assignment-mixed-outcomes",
+        "validate-shape", "joint-party-count"])
+def test_an_inconsistent_scenario_is_refused_by_its_own_check(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_full_correlators_against_observable_trace():
     n = 3
     st = damped_w_state(n, 0.85)
@@ -166,6 +184,16 @@ def test_from_text_rejects_malformed_input():
         JointDistribution.from_text("")
     with pytest.raises(ValueError):
         JointDistribution.from_text("0 0 0.5\n0 1 0.5\n2 0 0.5\n2 1 0.5\n")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "\n" + text.replace("\n", "\n\n"),
+    lambda text: "# two parties, ideal devices\n" + text.replace("\n", "  # entry\n", 1),
+    lambda text: text + "   \n# end\n",
+], ids=["blank-lines", "comments", "trailing"])
+def test_from_text_skips_blank_lines_and_comments(edit):
+    text = joint_distribution(w_state(2), ideal_assignment(2)).to_text()
+    assert JointDistribution.from_text(edit(text)).to_text() == text
 
 
 def test_from_text_refuses_a_repeated_pair():

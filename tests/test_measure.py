@@ -17,13 +17,13 @@ from oracles import (
     outer_projectors,
 )
 from wbell.measure import (
+    EQUATOR,
     POVM,
     BlochAxis,
     X_AXIS,
     Z_AXIS,
     FAMILIES,
     efficiency_povm,
-    equatorial_axis,
     family_povm,
 )
 
@@ -49,7 +49,7 @@ def test_axis_projectors_are_orthogonal_resolution():
     rng = np.random.default_rng(23)
     for _ in range(N_RANDOM):
         axis = BlochAxis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        p_down, p_up = axis.projectors()
+        p_down, p_up = efficiency_povm(axis, 1.0, 1.0).elements
         np.testing.assert_allclose(p_down + p_up, np.eye(2), atol=OPERATOR_ATOL)
         np.testing.assert_allclose(p_down @ p_up, np.zeros((2, 2)), atol=OPERATOR_ATOL)
         np.testing.assert_allclose(p_down @ p_down, p_down, atol=OPERATOR_ATOL)
@@ -60,7 +60,7 @@ def random_axes(rng):
     equator at azimuth 0."""
     axes = [BlochAxis(rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 2 * math.pi))
             for _ in range(N_RANDOM)]
-    return axes + [Z_AXIS, X_AXIS, BlochAxis(math.pi, 0.0), equatorial_axis(1.3)]
+    return axes + [Z_AXIS, X_AXIS, BlochAxis(math.pi, 0.0), BlochAxis(EQUATOR, 1.3)]
 
 
 def test_closed_form_projectors_and_elements_equal_the_outer_product_oracle():
@@ -68,9 +68,9 @@ def test_closed_form_projectors_and_elements_equal_the_outer_product_oracle():
     to FAMILY_ATOL, and form valid POVMs."""
     rng = np.random.default_rng(31)
     for axis in random_axes(rng):
-        for got, ref in zip(axis.projectors(), outer_projectors(axis)):
+        for got, ref in zip(efficiency_povm(axis, 1.0, 1.0).elements, outer_projectors(axis)):
             np.testing.assert_allclose(got, ref, atol=FAMILY_ATOL, rtol=0.0, err_msg=str(axis))
-        assert_valid_povm(axis.projectors())
+        assert_valid_povm(efficiency_povm(axis, 1.0, 1.0).elements)
         eta_up, eta_down = rng.uniform(), rng.uniform()
         got = measure._efficiency_elements(axis.polar, axis.azimuth, eta_up, eta_down)
         for a, b in zip(got, outer_efficiency_elements(axis, eta_up, eta_down)):
@@ -100,7 +100,7 @@ def test_every_family_element_equals_the_outer_product_oracle(monkeypatch):
 
 def test_equatorial_axis_direction():
     # The observable p_down - p_up of the axis is n . sigma.
-    p_down, p_up = equatorial_axis(0.3).projectors()
+    p_down, p_up = efficiency_povm(BlochAxis(EQUATOR, 0.3), 1.0, 1.0).elements
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     np.testing.assert_allclose(p_down - p_up, math.cos(0.3) * sigma_x + math.sin(0.3) * sigma_y,
@@ -161,7 +161,7 @@ def test_homodyne_matches_symmetric_efficiency_model():
     for phi in (0.0, 1.1):
         for eta in (0.2, 0.77, 1.0):
             e = 0.5 * (1.0 + math.sqrt(2.0 * eta / math.pi))
-            expected = efficiency_povm(equatorial_axis(phi), e, e)
+            expected = efficiency_povm(BlochAxis(EQUATOR, phi), e, e)
             got = family_povm("homodyne", eta, phi)
             np.testing.assert_allclose(got.elements[1], expected.elements[1], atol=OPERATOR_ATOL)
 
@@ -225,7 +225,7 @@ def test_lossy_threeoutcome_structure():
     povm = family_povm("lossy3_x", 0.6)
     assert povm.n_outcomes == 3
     assert_valid_povm(povm.elements)
-    p_down, p_up = X_AXIS.projectors()
+    p_down, p_up = efficiency_povm(X_AXIS, 1.0, 1.0).elements
     m_plus, m_minus, m_noclick = povm.elements
     np.testing.assert_allclose(m_plus, 0.6 * p_down, atol=OPERATOR_ATOL)
     np.testing.assert_allclose(m_minus, 0.6 * p_up, atol=OPERATOR_ATOL)
@@ -240,7 +240,7 @@ def test_three_outcome_povm_validation():
 
 def test_symmetric_error_equals_amplitude_damped_projectors():
     """Measuring x after amplitude damping is the symmetric two-efficiency model."""
-    p_down, p_up = X_AXIS.projectors()
+    p_down, p_up = efficiency_povm(X_AXIS, 1.0, 1.0).elements
     for eta in (0.0, 0.3, 0.75, 1.0):
         e = 0.5 * (1.0 + math.sqrt(eta))
         povm = efficiency_povm(X_AXIS, e, e)
@@ -251,7 +251,7 @@ def test_symmetric_error_equals_amplitude_damped_projectors():
 
 def test_symmetric_error_equals_dephased_projectors():
     """The same device arises from phase damping that scales coherences by 2e-1."""
-    p_down, p_up = X_AXIS.projectors()
+    p_down, p_up = efficiency_povm(X_AXIS, 1.0, 1.0).elements
     for e in (0.5, 0.8, 1.0):
         scale = 2.0 * e - 1.0
         povm = efficiency_povm(X_AXIS, e, e)

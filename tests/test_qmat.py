@@ -48,6 +48,11 @@ def test_is_hermitian():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_a_non_square_array_is_not_hermitian(shape):
+    assert is_hermitian(np.zeros(shape)) is False
+
+
 def test_hermitian_eigenvalues_sorted_and_real():
     rng = np.random.default_rng(11)
     for _ in range(N_RANDOM):
@@ -86,6 +91,12 @@ def test_partial_transpose_of_product_is_product():
     b = random_density(rng, 4)
     expected = np.kron(a.T, b)
     np.testing.assert_allclose(partial_transpose(np.kron(a, b), 2, 4), expected, atol=ATOL)
+
+
+@pytest.mark.parametrize("shape, dims", [((4, 4), (2, 3)), ((6, 4), (2, 3)), ((6,), (2, 3))])
+def test_partial_transpose_refuses_a_mismatched_shape(shape, dims):
+    with pytest.raises(ValueError, match=r"^operator shape \(.*\) does not match 2x3$"):
+        partial_transpose(np.zeros(shape), *dims)
 
 
 def test_negativity_bell_pair_is_one():

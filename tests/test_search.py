@@ -24,13 +24,13 @@ from wbell.cli import PRESETS, dispatch
 import wbell.dist as dist
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import (
+    EQUATOR,
     POVM,
     X_AXIS,
     Z_AXIS,
     FAMILIES,
     BlochAxis,
     efficiency_povm,
-    equatorial_axis,
     family_povm,
 )
 from wbell.polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content
@@ -369,6 +369,19 @@ def test_fewer_than_one_worker_is_refused_before_any_pin_or_row(margin_calls, po
     assert margin_calls == [] and pools == []
 
 
+def test_a_grid_on_the_bisected_parameter_is_refused_before_any_pin_or_row(margin_calls, pools):
+    """Each row's bisection would overwrite its grid pin, so every row would
+    print the same threshold. The rule comes after the worker count and
+    before the pin checks: the grid value 0.2 lies outside eta_x's range."""
+    fig2 = PRESETS["fig2"].spec
+    for xs in ([0.6, 1.0], [0.2]):
+        with pytest.raises(ValueError, match="^the grid and the bisection both vary 'eta_x'$"):
+            region_boundary(fig2, "eta_x", "eta_x", xs, (0.5, 1.0), n_starts=2, jobs=2)
+    with pytest.raises(ValueError, match="^worker count must be at least 1$"):
+        region_boundary(fig2, "eta_x", "eta_x", [0.6, 1.0], (0.5, 1.0), n_starts=2, jobs=0)
+    assert margin_calls == [] and pools == []
+
+
 @pytest.mark.parametrize("n_starts", [0, -1])
 def test_fewer_than_one_start_is_refused_before_any_evaluation(margin_calls, n_starts):
     """No start would evaluate nothing: has_violation would say "not
@@ -400,7 +413,7 @@ class TestBuildPhotonPovm:
 
     def test_sym_uses_equatorial_axis(self):
         elements = photon_elements(MeasSpec("sym", "e", "phi"), {"e": 0.7, "phi": 0.4})
-        ref = efficiency_povm(equatorial_axis(0.4), 0.7, 0.7)
+        ref = efficiency_povm(BlochAxis(EQUATOR, 0.4), 0.7, 0.7)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
@@ -436,7 +449,7 @@ class TestBuildPhotonPovm:
     def test_lossy3_families(self):
         elements = photon_elements(MeasSpec("lossy3_z", 0.75), {})
         assert len(elements) == 3
-        down, _ = Z_AXIS.projectors()
+        down, _ = efficiency_povm(Z_AXIS, 1.0, 1.0).elements
         np.testing.assert_allclose(elements[0], 0.75 * down,
                                    atol=OPERATOR_ATOL)
 
@@ -458,7 +471,7 @@ def test_scenario_distribution_places_atom_first():
         atom_photon_state(-0.6, 0.9, 2),
         MeasurementAssignment((atom_pair,) + ((
             efficiency_povm(Z_AXIS, 0.8, 1.0),
-            efficiency_povm(equatorial_axis(0.1), 0.7, 0.7)),) * 2))
+            efficiency_povm(BlochAxis(EQUATOR, 0.1), 0.7, 0.7)),) * 2))
     np.testing.assert_allclose(got.table, ref.table, atol=OPERATOR_ATOL)
 
 
