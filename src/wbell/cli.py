@@ -326,7 +326,7 @@ def dump_scenario(spec: ScenarioSpec) -> str:
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="named scenario (see the module docstring)")
+                     help="named scenario")
     sub.add_argument("--n", type=int, default=None,
                      help="party count, atom included when present")
     sub.add_argument("--config", default=None, metavar="FILE",
@@ -475,6 +475,8 @@ def _check_run_options(args) -> None:
                     "--ideal, --eta-z and --eta-x need an explicit --inequality scenario")
         if getattr(args, "ideal", False) and (args.eta_z is not None or args.eta_x is not None):
             raise ValueError("--ideal does not combine with --eta-z or --eta-x")
+        if getattr(args, "dump_dist", False) and args.dump_spec:
+            raise ValueError("--dump-spec does not combine with --dump-dist")
         sources = (args.preset is not None) + bool(args.scenario_keys) + explicit
         if sources > 1:
             raise ValueError("give one scenario: a preset, config scenario keys, or --inequality")

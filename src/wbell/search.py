@@ -417,8 +417,8 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) 
     """The best value and vertex of a bounded Nelder-Mead run minimizing
     ``func`` over the box of (lo, hi) pairs, lo < hi: scipy 1.17's
     ``minimize(method="Nelder-Mead", bounds=...)`` step for step, capped at
-    ``maxfev`` evaluations (more than n), by default scipy's 200 n. With no
-    axis (n = 0) the run is its one evaluation."""
+    ``maxfev`` evaluations (more than n), by default (None or 0) scipy's
+    200 n. With no axis (n = 0) the run is its one evaluation."""
     n = len(x0)
     nfev, maxfev = 0, maxfev or 200 * max(n, 1)  # scipy's iteration cap (200 n) never binds first
 
@@ -553,7 +553,8 @@ def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
 
 def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
     """The witness of one simplex run from ``x0`` of at most
-    ``WARM_EVALS_PER_PARAM`` margins per free parameter, or None."""
+    ``WARM_EVALS_PER_PARAM`` margins per free parameter, or None. With none
+    free, the run is one margin and gives :func:`_find_witness`'s verdict."""
     try:
         _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
     except _Witness as witness:
@@ -570,15 +571,13 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     or "never"). The returned midpoint is within ``atol`` of the boundary, or
     as close as floats allow when ``atol`` is below their spacing there.
 
-    ``hi`` gets the full start set (:func:`_find_witness`) first. With a
-    witness there and a free parameter, ``lo`` gets one capped run from it
-    (:func:`_warm_witness`), else the full start set too; with a free
-    parameter, each step gets one capped run from the newest witness. A
-    witness is final, a miss only provisional. As the verdict is monotone in
-    ``param``, a full check with no witness at the last provisional point
-    vouches for all; a witness there resumes the bisection below it, on the
-    same midpoints. A ``lo`` that got a capped run gets its full check only
-    when this recovery pops down to it."""
+    ``hi`` gets the full start set (:func:`_find_witness`); with a witness
+    there ``lo`` gets one capped run from it (:func:`_warm_witness`), else
+    the full start set too. Each step makes a capped run from the newest
+    witness, whose miss is provisional while a parameter is free. Once the
+    bracket is narrow, the newest provisional miss gets the full start set:
+    no witness there vouches for every miss (the verdict is monotone in
+    ``param``), and a witness resumes the bisection, or at ``lo`` raises."""
     lo, hi = float(bracket[0]), float(bracket[1])
     # Both ends are pinned, and so checked, before either is evaluated.
     lo_spec, hi_spec = fix_parameter(spec, param, lo), fix_parameter(spec, param, hi)
@@ -587,46 +586,44 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
     if not (math.isfinite(atol) and atol > 0.0):
         raise ValueError("atol must be finite and positive")
 
-    whole = f"the whole bracket [{lo:g}, {hi:g}] of {param!r}"
-
     def whole_bracket(violated: bool) -> BracketError:
-        return BracketError(f"criterion is {'violated' if violated else 'satisfied'} "
-                            f"on {whole}", "always" if violated else "never")
+        return BracketError(f"criterion is {'violated' if violated else 'satisfied'} on the "
+                            f"whole bracket [{lo:g}, {hi:g}] of {param!r}",
+                            "always" if violated else "never")
 
     with reusing_faces(spec.lp_tol):  # every content of the bisection is a witness test
         hi_witness = _find_witness(hi_spec, n_starts)
-        exact = not free_parameters(lo_spec)
-        warm_lo = hi_witness is not None and not exact  # then lo's miss is provisional
-        lo_witness = (_warm_witness(lo_spec, hi_witness) if warm_lo
-                      else _find_witness(lo_spec, n_starts))
-        lo_viol = lo_witness is not None
-        if lo_viol == (hi_witness is not None):
-            raise whole_bracket(lo_viol)
-        witness = lo_witness if lo_viol else hi_witness
-        provisional = [hi if lo_viol else lo]  # an end, fully checked unless warm_lo
+        lo_witness = (_find_witness(lo_spec, n_starts) if hi_witness is None
+                      else _warm_witness(lo_spec, hi_witness))
+        if (lo_witness is None) == (hi_witness is None):
+            raise whole_bracket(lo_witness is not None)
+        exact = not free_parameters(lo_spec)  # then no miss is provisional
+        if lo_witness is not None:
+            viol, witness, other, checked, misses = lo, lo_witness, hi, hi, []
+        else:  # lo's capped run: a provisional miss unless exact
+            viol, witness, other = hi, hi_witness, lo
+            checked, misses = (lo, []) if exact else (None, [lo])
         while True:
-            while hi - lo > atol:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                mid_spec = fix_parameter(spec, param, mid)
-                found = (_find_witness(mid_spec, n_starts) if exact
-                         else _warm_witness(mid_spec, witness))
-                if found is None:
-                    provisional.append(mid)
+            mid = 0.5 * (viol + other)
+            if abs(other - viol) > atol and mid != viol and mid != other:
+                found = _warm_witness(fix_parameter(spec, param, mid), witness)
+                if found is not None:
+                    viol, witness = mid, found
                 else:
-                    witness = found
-                lo, hi = (mid, hi) if (found is not None) == lo_viol else (lo, mid)
-            if exact or (len(provisional) == 1 and not warm_lo):  # nothing left to vouch for
-                break
-            point = provisional.pop()
-            witness = _find_witness(fix_parameter(spec, param, point), n_starts)
-            if witness is None:
-                break
-            if not provisional:  # the recovery popped down to lo, violated too
-                raise whole_bracket(True)
-            lo, hi = (point, provisional[-1]) if lo_viol else (provisional[-1], point)
-        return 0.5 * (lo + hi)
+                    other = mid
+                    if not exact:
+                        misses.append(mid)
+            elif not misses:
+                return mid
+            else:  # the newest provisional miss is ``other``
+                point = misses.pop()
+                found = _find_witness(fix_parameter(spec, param, point), n_starts)
+                if found is None:  # it vouches for every older miss too
+                    misses.clear()
+                elif not misses and checked is None:  # popped down to lo, violated too
+                    raise whole_bracket(True)
+                else:
+                    viol, witness, other = point, found, misses[-1] if misses else checked
 
 
 def _boundary_point(task):

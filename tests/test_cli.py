@@ -656,6 +656,8 @@ _FIG3 = dump_scenario(PRESETS["fig3"].spec)
      "--ideal does not combine with --eta-z or --eta-x"),
     (["bell", "--inequality", "chsh", "--ideal", "--eta-x", "0.9"], None,
      "--ideal does not combine with --eta-z or --eta-x"),
+    (["content", "--preset", "fig5", "--dump-spec", "--dump-dist"], None,
+     "--dump-spec does not combine with --dump-dist"),
     (["threshold"], None, "no scenario given"),
     (["threshold", "--config", "{file}"], _FIG1, "no parameter to bisect"),
     (["region", "--config", "{file}"], _FIG1, "region needs --x and --y"),
@@ -685,7 +687,7 @@ _FIG3 = dump_scenario(PRESETS["fig3"].spec)
 ], ids=["set-flag-number", "config-pin-number", "config-bool", "config-no-equals",
         "config-missing-keys", "config-param-tokens", "config-param-bounds",
         "config-party-count", "region-grid", "region-jobs", "region-one-axis",
-        "ideal-eta-z", "ideal-eta-x", "no-scenario",
+        "ideal-eta-z", "ideal-eta-x", "dump-spec-and-dist", "no-scenario",
         "threshold-no-param", "region-no-axes", "region-no-x-range", "content-closed-form",
         "threshold-param-pinned", "region-x-pinned", "region-y-pinned", "config-pin-run-target",
         "atom-one-party", "atom-three-outcomes", "dist-file-missing", "dist-missing-pair",

@@ -857,13 +857,27 @@ def test_bisection_stops_where_no_float_lies_between_the_ends(monkeypatch):
     assert len(calls) == 2 + 13
 
 
+def chsh_theta_spec(**pins):
+    """chsh-homodyne with the atom's angles pinned: violated for theta
+    between about -1.353 and -0.218."""
+    return pinned_preset("chsh-homodyne", 2, a_polar_0=3.8, a_polar_1=2.5, **pins)
+
+
+CHSH_LO_VIOLATED = (-0.785, -0.001)  # a theta bracket whose violated end is lo
+
 # (spec, param, bracket, atol, starts): the damping scheme, whose pinned spec
-# has no free parameter, and the search-small thresholds.
+# has no free parameter, the search-small thresholds, and chsh-homodyne's
+# theta with phi_x pinned (no free parameter; violated at lo, then at hi)
+# and free.
 ORACLE_BISECTIONS = [
     (damping_spec(3), "eta", (0.5, 1.0), BISECTION_ATOL, search.DEFAULT_STARTS),
     (PRESETS["cabello-displacement"].build(3), "eta_spd", (0.0, 1.0), BISECTION_ATOL, 4),
 ] + [(pinned_preset(preset, 2, eta_c=eta_c), "eta_spd", (0.5, 1.0), 0.02, 2)
-     for eta_c in (0.65, 0.8) for preset in ("fig4-homodyne", "fig4-displacement")]
+     for eta_c in (0.65, 0.8) for preset in ("fig4-homodyne", "fig4-displacement")] + [
+    (chsh_theta_spec(phi_x=math.pi), "theta", CHSH_LO_VIOLATED, 1e-3, 2),
+    (chsh_theta_spec(phi_x=math.pi), "theta", (-1.5, -0.785), 1e-3, 2),
+    (chsh_theta_spec(), "theta", CHSH_LO_VIOLATED, 1e-3, 2),
+]
 
 
 @pytest.mark.parametrize("spec, param, bracket, atol, n_starts", ORACLE_BISECTIONS,
@@ -890,6 +904,28 @@ def test_final_checks_vouch_for_every_provisional_verdict(monkeypatch, spec, bra
     got = critical_efficiency(spec, "eta_spd", bracket, atol, n_starts)
     assert misses
     assert got == plain_bisection(spec, "eta_spd", bracket, atol, n_starts)
+
+
+def test_recoveries_below_a_violated_lo_keep_lo_violated(monkeypatch):
+    """With every capped run forced to miss, each step below hi is a
+    provisional miss, and each recovery that finds a witness makes its point
+    the violated end and the miss before it the other end."""
+    spec, bracket = chsh_theta_spec(), CHSH_LO_VIOLATED
+    assert has_violation(fix_parameter(spec, "theta", bracket[0]), 2)
+    monkeypatch.setattr(search, "_warm_witness", lambda spec, x0: None)
+    assert critical_efficiency(spec, "theta", bracket, 1e-3, 2) == plain_bisection(
+        spec, "theta", bracket, 1e-3, 2)
+
+
+@pytest.mark.parametrize("theta", [-0.5, -0.1])
+def test_a_capped_run_with_no_free_parameter_is_one_margin(margin_calls, theta):
+    """_simplex reads a cap of 0 (20 margins times no parameter) as its
+    default, so the run is its one evaluation and the verdict is the full
+    check's: a witness at theta = -0.5, none at -0.1."""
+    spec = chsh_theta_spec(phi_x=math.pi, theta=theta)
+    witness = search._warm_witness(spec, [])
+    assert len(margin_calls) == 1
+    assert witness == search._find_witness(spec, 2) == ([] if theta == -0.5 else None)
 
 
 @pytest.fixture
