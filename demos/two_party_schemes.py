@@ -9,31 +9,18 @@ values. With lossy devices the more interesting question is which one
 tolerates a worse photon counter, and the answer flips with the collection
 efficiency: the displaced counter wins when little light is collected, the
 homodyne readout wins when most of it is.
-
-The realistic-device section bisects four thresholds and takes around a
-minute; pass --ideal-only to skip it.
 """
-
-import argparse
 
 from wbell.cli import PRESETS
 from wbell.search import critical_efficiency, fix_parameter, optimize_free_parameters
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ideal-only", action="store_true",
-                        help="skip the slow lossy-device thresholds")
-    args = parser.parse_args()
-
     print("ideal devices, all angles and the pair amplitude optimized")
     for name in ("chsh-homodyne", "chsh-displacement"):
         res = optimize_free_parameters(PRESETS[name].build(2), n_starts=16)
         print(f"  {name:<20} CHSH {res.margin + 2.0:.4f}"
               f"  (theta {res.params['theta']:+.3f})")
-
-    if args.ideal_only:
-        return
 
     print()
     print("emitter readout 95% faithful, homodyne 98% efficient:")

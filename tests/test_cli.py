@@ -283,6 +283,26 @@ class TestThreshold:
                           "--param", "bogus"])
         assert code == 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP known defect 1: a one-start search starts at the box's "
+               "lower corner, finds no witness at hi and calls the whole "
+               "bracket satisfied")
+    def test_a_one_start_threshold_finds_its_violated_end(self):
+        code, _, err = run(["threshold", "--preset", "fig4-homodyne", "--set", "eta_c=0.65",
+                            "--starts", "1", "--atol", "0.001"])
+        assert code == 0, err
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP known defect 4: the search at the threshold stops at "
+               "margin 9.4e-9 with theta near -0.001; at theta -0.065 the "
+               "same threshold has margin 1.95e-5")
+    def test_the_margin_at_a_threshold_stands_above_rounding(self):
+        d = run_json(["threshold", "--preset", "fig4-homodyne", "--set", "eta_c=0.8",
+                      "--starts", "2", "--bracket", "0.5", "1.0", "--atol", "0.02"])
+        assert d["margin_at_threshold"] >= 1e-5
+
 
 class TestRegion:
     BASE = ["region", "--preset", "fig1", "--n", "3",
@@ -741,6 +761,19 @@ def test_readme_config_paragraph_names_every_run_key():
     assert sorted(set(re.findall(r"`([a-z_]+)`", sentence))) == sorted(cli._RUN_KEYS)
 
 
+def test_readme_library_tour_runs():
+    """The python block of the README's "Library tour", run in a fresh
+    namespace, prints a value and its verdict. Its imports name each
+    defining module, the only import path of a public name."""
+    section = README.read_text().split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+    value, violated = out.getvalue().split()
+    assert math.isfinite(float(value)) and violated == "True"
+
+
 def test_no_module_of_the_package_reads_the_environment():
     """Flags and config files are wbell's only inputs: no module names
     os.environ or getenv, by attribute, by name or by import."""
@@ -954,12 +987,6 @@ def capped_run(argv):
         [sys.executable, "-m", "wbell.cli", *argv], env=env,
         capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
-
-
-def test_every_exported_name_resolves():
-    assert len(set(wbell.__all__)) == len(wbell.__all__)
-    for name in wbell.__all__:
-        assert getattr(wbell, name, None) is not None, name
 
 
 def test_golden_outputs_are_byte_identical():
