@@ -4,9 +4,10 @@ Settings convention: setting 0 is the z-type measurement and setting 1 the
 x-type one. Outcome 0 carries correlator value +1. The full-correlator
 functionals read xi(s), an array of shape (2,)*N indexed by the settings bits.
 
-Each ``*_symmetric`` evaluator gives the same value from the transfers of a
-:class:`~wbell.dist.Symmetric` scenario, reading only the distinct entries or
-correlators with their multiplicities, in O(N) scalar work.
+Each ``*_symmetric`` evaluator gives the same value, as a float, from the
+transfers of a :class:`~wbell.dist.Symmetric` scenario, reading only the
+distinct entries or correlators with their multiplicities, in O(N) scalar
+work; ``wbell.search.CRITERIA`` holds its bounds.
 """
 
 from __future__ import annotations
@@ -115,26 +116,26 @@ def mermin3_value(xi: np.ndarray) -> BellResult:
     """
     if xi.ndim != 3:
         raise ValueError("this functional is specific to three parties")
-    return _mermin3(xi.reshape(-1).tolist())
+    return BellResult.make(_mermin3(xi.reshape(-1).tolist()), 2.0, 4.0)
 
 
 def chsh_value(xi: np.ndarray) -> BellResult:
     """Best CHSH combination over the eight sign/setting relabelings."""
     if xi.ndim != 2:
         raise ValueError("CHSH is a two-party functional")
-    return _chsh(xi.reshape(-1).tolist())
+    return BellResult.make(_chsh(xi.reshape(-1).tolist()), 2.0, 4.0)
 
 
 # The two functionals on a flat list of correlators, the settings bits
 # read as a binary number, party 0's the most significant.
 
-def _mermin3(xi: list) -> BellResult:
-    return BellResult.make(xi[1] + xi[2] + xi[4] - xi[7], 2.0, 4.0)
+def _mermin3(xi: list) -> float:
+    return xi[1] + xi[2] + xi[4] - xi[7]
 
 
-def _chsh(xi: list) -> BellResult:
+def _chsh(xi: list) -> float:
     total = sum(xi)
-    return BellResult.make(max([abs(total - 2.0 * x) for x in xi]), 2.0, 4.0)
+    return max([abs(total - 2.0 * x) for x in xi])
 
 
 def _observables(pair) -> list:
@@ -152,13 +153,13 @@ def _correlators_by_weight(sym: Symmetric) -> list:
     return [[sym.expectation(a, t) for t in others] for a in first]
 
 
-def mermin3_symmetric(sym: Symmetric) -> BellResult:
+def mermin3_symmetric(sym: Symmetric) -> float:
     # xi(s0 s1 s2) is xi[s0][s1 + s2].
     (a0, a1, a2), (b0, b1, b2) = _correlators_by_weight(sym)
     return _mermin3([a0, a1, a1, a2, b0, b1, b1, b2])
 
 
-def chsh_symmetric(sym: Symmetric) -> BellResult:
+def chsh_symmetric(sym: Symmetric) -> float:
     # xi(s0 s1) is xi[s0][s1].
     xi = _correlators_by_weight(sym)
     return _chsh(xi[0] + xi[1])
@@ -172,21 +173,30 @@ def _harmonics(pair) -> tuple:
             tuple((p - q) / 2.0 for p, q in zip(t0, t1)))
 
 
-def wwwzb_symmetric(sym: Symmetric) -> BellResult:
+def wwwzb_symmetric(sym: Symmetric) -> float:
     """``wwwzb_value`` from 2(n + 1) harmonics: xi_hat(r) is the expectation of
     the product of U(r_k) over the parties, so it depends only on party 0's
-    bit and on the weight w of the others' bits, which C(n, w) strings share."""
-    first_even, first_odd = _harmonics(sym.first)
+    bit and on the weight w of the others' bits, which C(n, w) strings share.
+    The loop writes out ``times`` and ``Symmetric.expectation``, operation for
+    operation."""
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = _harmonics(sym.first)
     even, odd = _harmonics(sym.other)
+    w0, w1, w2, w3 = sym.boundary
     n, value = sym.n, 0.0
     for w in range(n + 1):
-        others = times(power(even, n - w), power(odd, w))
-        value += math.comb(n, w) * (abs(sym.expectation(first_even, others))
-                                    + abs(sym.expectation(first_odd, others)))
-    return BellResult.make(value, 1.0, 2.0 ** (n / 2.0))
+        e, f, g, h = power(even, n - w)
+        if w:  # times by power(odd, w)
+            p, q, r, s = power(odd, w)
+            e, f, g, h = e * p, e * q + f * p, e * r + g * p, e * s + h * p + f * r + g * q
+        value += math.comb(n, w) * (
+            abs((a0 * e * w0 + (a0 * f + b0 * e) * w1 + (a0 * g + c0 * e) * w2
+                 + (a0 * h + d0 * e + b0 * g + c0 * f) * w3).real)
+            + abs((a1 * e * w0 + (a1 * f + b1 * e) * w1 + (a1 * g + c1 * e) * w2
+                   + (a1 * h + d1 * e + b1 * g + c1 * f) * w3).real))
+    return value
 
 
-def cabello_symmetric(sym: Symmetric) -> BellResult:
+def cabello_symmetric(sym: Symmetric) -> float:
     """``cabello_value`` from eight entries with their multiplicities: by
     whether party 0 is the one that fires or measures x, and how many of the
     n others do."""
@@ -199,5 +209,5 @@ def cabello_symmetric(sym: Symmetric) -> BellResult:
              - n * p(f_x1, times(x0, rest)) - n * p(f_x0, times(x1, rest))
              - n * (n - 1) * p(f_z0, times(x1, x0, power(z0, n - 2)))
              - p(f_x0, power(x0, n)) - p(f_x1, power(x1, n)))
-    return BellResult.make(value, 0.0, 1.0)
+    return value
 

@@ -209,13 +209,13 @@ def symmetric(state: ExcitationState, first, other) -> Symmetric:
     amplitude ``state.beta[-1]``, the elements ``other``; unchecked."""
     beta = state.beta
     return Symmetric(_transfers(first, beta.item(0)), _transfers(other, beta.item(-1)),
-                     len(beta) - 1, _boundary(state))
+                     len(beta) - 1, _boundary(state.alpha, state.w_psi, state.w_vac))
 
 
-def _boundary(state: ExcitationState) -> tuple:
-    """The vector that closes a product of transfers (see the note on ``ONE``)."""
-    a, w = state.alpha, state.w_psi
-    return w * abs(a) ** 2 + state.w_vac, w * a, w * a.conjugate(), w
+def _boundary(a, w: float, w_vac: float) -> tuple:
+    """The vector that closes a product of transfers (see the note on ``ONE``)
+    of the state of ``ExcitationState`` fields alpha, w_psi and w_vac."""
+    return w * abs(a) ** 2 + w_vac, w * a, w * a.conjugate(), w
 
 
 def table(state: ExcitationState, parties) -> JointDistribution:
@@ -231,7 +231,7 @@ def table(state: ExcitationState, parties) -> JointDistribution:
                       .reshape(shape))
     *rest, (a, b, c, d) = placed
     e, f, g, h = times(*rest) if rest else ONE
-    w0, w1, w2, w3 = _boundary(state)
+    w0, w1, w2, w3 = _boundary(state.alpha, state.w_psi, state.w_vac)
     entries = (e * (a * w0 + b * w1 + c * w2 + d * w3) + f * (a * w1 + c * w3)
                + g * (a * w2 + b * w3) + h * (a * w3))
     return JointDistribution(n, k, np.ascontiguousarray(entries.real))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -27,10 +29,10 @@ from .bell import (
     mermin3_symmetric,
     wwwzb_symmetric,
 )
-from .dist import JointDistribution, Symmetric, symmetric, table
+from .dist import JointDistribution, Symmetric, _boundary, _transfers, table
 from .measure import FAMILIES, _efficiency_elements
-from .polytope import LP_MAX_PARTIES, ContentResult, nonlocal_content, reusing_faces
-from .states import ExcitationState, atom_photon_state, w_state
+from .polytope import LP_MAX_PARTIES, nonlocal_content, reusing_faces
+from .states import ExcitationState, atom_photon_amplitudes, atom_photon_state, w_state
 
 DEFAULT_STARTS = 32
 SIMPLEX_XATOL = 1e-6
@@ -44,24 +46,28 @@ _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
 class Criterion(NamedTuple):
     """A criterion's outcome count and party range (``max_parties`` None: no
     cap), and ``evaluate``, which maps a :class:`~wbell.dist.Symmetric`
-    scenario to a BellResult, or a JointDistribution to a ContentResult when
-    ``lp`` is set."""
+    scenario to the value, violated above ``local_bound`` and at most
+    ``algebraic_max(n)`` with n parties besides party 0; or, when ``lp`` is
+    set, a JointDistribution to a ContentResult."""
 
     n_outcomes: int
     min_parties: int
     max_parties: Optional[int]
     evaluate: Callable
     lp: bool = False
+    local_bound: float = 0.0
+    algebraic_max: Optional[Callable] = None
 
 
 # Every rule about a criterion lives in this table. The LP evaluators look
 # up nonlocal_content in this module's globals when called, so that wrapping
 # it here wraps every evaluation.
 CRITERIA = {
-    "cabello": Criterion(2, 3, None, cabello_symmetric),
-    "wwwzb": Criterion(2, 1, WWWZB_MAX_PARTIES, wwwzb_symmetric),
-    "mermin3": Criterion(2, 3, 3, mermin3_symmetric),
-    "chsh": Criterion(2, 2, 2, chsh_symmetric),
+    "cabello": Criterion(2, 3, None, cabello_symmetric, False, 0.0, lambda n: 1.0),
+    "wwwzb": Criterion(2, 1, WWWZB_MAX_PARTIES, wwwzb_symmetric, False, 1.0,
+                       lambda n: 2.0 ** (n / 2.0)),
+    "mermin3": Criterion(2, 3, 3, mermin3_symmetric, False, 2.0, lambda n: 4.0),
+    "chsh": Criterion(2, 2, 2, chsh_symmetric, False, 2.0, lambda n: 4.0),
     "lp2": Criterion(2, 1, LP_MAX_PARTIES[2], lambda p: nonlocal_content(p), lp=True),
     "lp3": Criterion(3, 1, LP_MAX_PARTIES[3], lambda p: nonlocal_content(p), lp=True),
 }
@@ -200,6 +206,13 @@ class ScenarioSpec:
             if not (ms.aux is None or isinstance(ms.aux, str) or math.isfinite(ms.aux)):
                 raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
+    @cached_property
+    def _compiled(self) -> tuple:  # (margin, symmetric, parties) of _compile
+        return _compile(self)
+
+    def __getstate__(self) -> dict:  # closures do not pickle; a copy compiles anew
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -260,18 +273,27 @@ def resolve_values(spec: ScenarioSpec, free_values: Optional[dict] = None) -> di
             for name, pspec in spec.params.items()}
 
 
-def _lookup(ref, values: dict) -> float:
-    if ref is None:
-        return 0.0
-    if isinstance(ref, str):
-        return values[ref]
-    return float(ref)
-
-
 def photon_elements(ms: MeasSpec, values: dict) -> tuple:
     """The POVM elements of one photonic device, in outcome order."""
-    elements = FAMILIES[ms.family][1](_lookup(ms.eff, values), _lookup(ms.aux, values))
-    return elements[::-1] if ms.flip else elements
+    return _device(ms)(values)
+
+
+def _device(ms: MeasSpec, spec: Optional[ScenarioSpec] = None) -> Callable:
+    """:func:`photon_elements` as a map from the values, the family and any literal
+    read here; a device whose parameters ``spec`` pins is built here, once."""
+    build, flip = FAMILIES[ms.family][1], ms.flip
+    eff, aux = (itemgetter(ref) if isinstance(ref, str)
+                else (lambda values, x=0.0 if ref is None else float(ref): x)
+                for ref in (ms.eff, ms.aux))
+
+    def elements(values):
+        built = build(eff(values), aux(values))
+        return built[::-1] if flip else built
+
+    if spec is None or any(spec.params[ref].is_free for ref in ms.references()):
+        return elements
+    built = elements({ref: float(spec.params[ref].value) for ref in ms.references()})
+    return lambda values: built
 
 
 def atom_elements(values: dict) -> tuple:
@@ -289,11 +311,7 @@ def scenario_state(spec: ScenarioSpec, values: dict) -> ExcitationState:
 
 def _scenario_parties(spec: ScenarioSpec, values: dict) -> list:
     """Each party's (setting 0, setting 1) POVM elements, the atom first."""
-    photon = (photon_elements(spec.photon_z, values), photon_elements(spec.photon_x, values))
-    parties = [photon] * spec.n_parties
-    if spec.atom:
-        parties[0] = atom_elements(values)
-    return parties
+    return spec._compiled[2](values)
 
 
 def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
@@ -305,7 +323,55 @@ def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
     """Apply one named criterion to what it reads: a closed form to a
     Symmetric scenario, an LP criterion to a JointDistribution; ScenarioSpec
     checked the name."""
-    return CRITERIA[criterion].evaluate(data)
+    rule = CRITERIA[criterion]
+    if rule.lp:
+        return rule.evaluate(data)
+    return BellResult.make(rule.evaluate(data), rule.local_bound, rule.algebraic_max(data.n))
+
+
+def _compile(spec: ScenarioSpec) -> tuple:
+    """The spec's margin, its map from the values and the amplitudes (party 0's,
+    the others' and the boundary) to the Symmetric scenario, and its map from
+    the values to the parties' elements. Pinned devices are built once; a
+    closed-form margin builds no ExcitationState or BellResult."""
+    n, z, x = spec.n_parties - 1, _device(spec.photon_z, spec), _device(spec.photon_x, spec)
+
+    def parties(values) -> list:
+        photon = z(values), x(values)
+        return [atom_elements(values) if spec.atom else photon] + [photon] * n
+
+    def symmetric(values, amplitudes) -> Symmetric:  # dist.symmetric's
+        b0, b, boundary = amplitudes
+        other = _transfers((z(values), x(values)), b)  # party 0's too, without an atom
+        return Symmetric(_transfers(atom_elements(values), b0) if spec.atom else other,
+                         other, n, boundary)
+
+    rule = CRITERIA[spec.criterion]
+    fixed = None if spec.atom or rule.lp else _amplitudes(w_state(n + 1))
+
+    def margin(values):
+        if rule.lp:
+            return scenario_result(spec, values).nonlocal_content - spec.lp_tol
+        amplitudes = fixed
+        if spec.atom:  # atom_photon_state's, whose alpha is 0 and w_psi 1
+            c, b, w_vac = atom_photon_amplitudes(values["theta"], values["eta_c"], n)
+            amplitudes = c, b, _boundary(0.0, 1.0, w_vac)
+        value = rule.evaluate(symmetric(values, amplitudes))
+        return _finite(spec, value, values) - rule.local_bound
+
+    return margin, symmetric, parties
+
+
+def _amplitudes(state: ExcitationState) -> tuple:
+    beta = state.beta  # what dist.symmetric reads of the state
+    return beta.item(0), beta.item(-1), _boundary(state.alpha, state.w_psi, state.w_vac)
+
+
+def _finite(spec: ScenarioSpec, value: float, values: dict) -> float:
+    """The one guard of the unchecked path: a device that overflows gives NaN elements."""
+    if not math.isfinite(value):
+        raise ValueError(f"{spec.name}: {spec.criterion} value {value} is not finite at {values}")
+    return value
 
 
 def scenario_result(spec: ScenarioSpec, values: dict,
@@ -317,8 +383,8 @@ def scenario_result(spec: ScenarioSpec, values: dict,
     reads the table ``dist.table`` builds from the same transfers. ``state``
     replaces the scenario's source state, and must have the scenario's party
     count and one amplitude on its photonic parties. A device that overflows
-    gives NaN elements: an LP criterion rejects the table, and the finite
-    check below, the one guard of the unchecked path, rejects a closed form.
+    gives NaN elements, which an LP criterion rejects in the table and
+    :func:`_finite` in a closed form. A pinned device is built from the pin.
     """
     if state is None:
         state = scenario_state(spec, values)
@@ -329,21 +395,16 @@ def scenario_result(spec: ScenarioSpec, values: dict,
                              f"{spec.name} has {spec.n_parties}")
         if np.any(photonic != photonic[0]):
             raise ValueError("the photonic parties of the state have unequal amplitudes")
-    parties = _scenario_parties(spec, values)
-    lp = CRITERIA[spec.criterion].lp
-    r = criterion_result(spec.criterion, table(state, parties) if lp
-                         else symmetric(state, parties[0], parties[-1]))
-    if isinstance(r, BellResult) and not math.isfinite(r.value):
-        raise ValueError(f"{spec.name}: {spec.criterion} value {r.value} is not finite at {values}")
+    if CRITERIA[spec.criterion].lp:
+        return criterion_result(spec.criterion, table(state, _scenario_parties(spec, values)))
+    r = criterion_result(spec.criterion, spec._compiled[1](values, _amplitudes(state)))
+    _finite(spec, r.value, values)
     return r
 
 
 def violation_margin(spec: ScenarioSpec, values: dict) -> float:
     """Positive exactly when the criterion certifies nonlocality."""
-    r = scenario_result(spec, values)
-    if isinstance(r, ContentResult):
-        return r.nonlocal_content - spec.lp_tol
-    return r.value - r.local_bound
+    return spec._compiled[0](values)
 
 
 _SOBOL_BITS = 30

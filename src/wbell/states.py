@@ -82,8 +82,14 @@ def atom_photon_state(theta: float, eta_c: float, n_modes: int) -> ExcitationSta
         raise ValueError("need at least one photonic mode")
     if not 0.0 <= eta_c <= 1.0:
         raise ValueError(f"coupling efficiency {eta_c} outside [0, 1]")
-    c, s = math.cos(theta), math.sin(theta)
-    beta = np.empty(n_modes + 1)
+    c, b, w_vac = atom_photon_amplitudes(theta, eta_c, n_modes)
+    beta = np.full(n_modes + 1, b)
     beta[0] = c
-    beta[1:] = math.sqrt(eta_c) * s * (1.0 / math.sqrt(n_modes))
-    return ExcitationState(0.0, beta, w_vac=(1.0 - eta_c) * s * s)
+    return ExcitationState(0.0, beta, w_vac=w_vac)
+
+
+def atom_photon_amplitudes(theta: float, eta_c: float, n_modes: int) -> tuple:
+    """The atom's amplitude, each mode's and the vacuum weight of
+    ``atom_photon_state``, as floats; unchecked."""
+    c, s = math.cos(theta), math.sin(theta)
+    return c, math.sqrt(eta_c) * s * (1.0 / math.sqrt(n_modes)), (1.0 - eta_c) * s * s

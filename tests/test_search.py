@@ -2,25 +2,33 @@
 
 import ast
 import concurrent.futures
+import io
 import math
 import os
+import pickle
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wbell.bell as bell
 import wbell.search as search
 from wbell.bell import (
     VIOLATION_GUARD,
     BellResult,
+    cabello_symmetric,
     cabello_value,
+    chsh_symmetric,
     chsh_value,
     is_violation,
+    mermin3_symmetric,
     mermin3_value,
+    wwwzb_symmetric,
     wwwzb_value,
 )
-from wbell.cli import PRESETS, dispatch
+from wbell.cli import PRESETS, _scenario_from_keys, dispatch, parse_config
 import wbell.dist as dist
 from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
 from wbell.measure import (
@@ -1388,3 +1396,163 @@ def test_every_search_span_of_the_bench_tracer_resolves():
     assert spans
     for name, attr in spans:
         assert callable(getattr(search, attr, None)), name
+
+
+# A spec compiles its closed-form margin once (search._compile): its pinned
+# devices and, without an atom, its amplitudes are built then, and a margin
+# builds no ExcitationState and no BellResult. These tests pin that margin,
+# bit for bit, to the one composed from the public pieces, and pin what a
+# compiled spec keeps and for how long.
+
+SYMMETRIC_EVALUATORS = {"cabello": cabello_symmetric, "wwwzb": wwwzb_symmetric,
+                        "mermin3": mermin3_symmetric, "chsh": chsh_symmetric}
+
+
+def composed_margin(spec, values):
+    """The closed-form margin from public pieces: scenario_state, each
+    device's FAMILIES element function, dist.symmetric, the symmetric
+    evaluator and the local bound of the criterion's row."""
+    def read(ref):
+        return 0.0 if ref is None else values[ref] if isinstance(ref, str) else float(ref)
+
+    def device(ms):
+        elements = FAMILIES[ms.family][1](read(ms.eff), read(ms.aux))
+        return elements[::-1] if ms.flip else elements
+
+    photon = (device(spec.photon_z), device(spec.photon_x))
+    first = search.atom_elements(values) if spec.atom else photon
+    sym = dist.symmetric(search.scenario_state(spec, values), first, photon)
+    return SYMMETRIC_EVALUATORS[spec.criterion](sym) - CRITERIA[spec.criterion].local_bound
+
+
+def config_spec(criterion, n):
+    """A photonic scenario read from config text, both devices literal."""
+    text = (f"scenario.name = literal\nscenario.n_parties = {n}\n"
+            f"scenario.criterion = {criterion}\n"
+            "photon_z.family = spd\nphoton_z.eff = 0.83\n"
+            "photon_x.family = sym\nphoton_x.eff = 0.91\nphoton_x.aux = 0.4\n"
+            "photon_x.flip = true\n")
+    return _scenario_from_keys(parse_config(text)[2])
+
+
+def compiled_margin_cases():
+    """(label, spec) over every closed-form preset from its fewest parties
+    to 8 (fig3 also at 10), each also with a flipped x device and with its
+    threshold parameter pinned; and each closed-form criterion from config
+    text with literal devices, which then have no free parameter."""
+    for name, preset in PRESETS.items():
+        rule = CRITERIA[preset.spec.criterion]
+        if rule.lp:
+            continue
+        fewest = max(rule.min_parties, 2 if preset.spec.atom else 1)
+        sizes = list(range(fewest, min(rule.max_parties or 8, 8) + 1))
+        if name == "fig3":
+            sizes.append(10)
+        param, (lo, hi) = preset.threshold
+        for n in sizes:
+            spec = preset.build(n)
+            yield f"{name} N={n}", spec
+            yield f"{name} N={n} flipped", replace(
+                spec, photon_x=replace(spec.photon_x, flip=not spec.photon_x.flip))
+            yield f"{name} N={n} {param} pinned", fix_parameter(spec, param, 0.5 * (lo + hi))
+    for criterion, rule in CRITERIA.items():
+        if not rule.lp:
+            for n in sorted({rule.min_parties, min(rule.max_parties or 8, 8)}):
+                yield f"config {criterion} N={n}", config_spec(criterion, n)
+
+
+def test_compiled_margin_equals_the_public_composition_bit_for_bit():
+    rng = np.random.default_rng(27)
+    for label, spec in compiled_margin_cases():
+        for _ in range(500 if free_parameters(spec) else 1):
+            values = random_in_box_values(spec, rng)
+            got, want = violation_margin(spec, values), composed_margin(spec, values)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+                label, values, got, want)
+        # A reported result reads the same compiled pieces.
+        r = search.scenario_result(spec, values)
+        assert r.value - r.local_bound == violation_margin(spec, values), label
+
+
+def test_wwwzb_loop_equals_its_transfer_products_bit_for_bit():
+    """wwwzb_symmetric writes out times and Symmetric.expectation; its sum
+    equals the one those functions give, in the same order."""
+    rng = np.random.default_rng(28)
+    for label, spec in compiled_margin_cases():
+        if spec.criterion != "wwwzb":
+            continue
+        for _ in range(50 if free_parameters(spec) else 1):
+            values = random_in_box_values(spec, rng)
+            parties = search._scenario_parties(spec, values)
+            sym = dist.symmetric(search.scenario_state(spec, values), parties[0], parties[-1])
+            first_even, first_odd = bell._harmonics(sym.first)
+            even, odd = bell._harmonics(sym.other)
+            want = 0.0
+            for w in range(sym.n + 1):
+                others = dist.times(dist.power(even, sym.n - w), dist.power(odd, w))
+                want += math.comb(sym.n, w) * (abs(sym.expectation(first_even, others))
+                                               + abs(sym.expectation(first_odd, others)))
+            assert wwwzb_symmetric(sym) == want, (label, values)
+
+
+def test_an_overflowing_literal_device_is_still_one_line(tmp_path):
+    """A literal displacement of 1e200 is built once, when the spec
+    compiles; its NaN elements still end the run in the finite check."""
+    path = tmp_path / "overflow.cfg"
+    path.write_text("scenario.name = t\nscenario.n_parties = 3\nscenario.criterion = cabello\n"
+                    "photon_z.family = spd\nphoton_z.eff = 0.9\n"
+                    "photon_x.family = displaced\nphoton_x.eff = 0.9\nphoton_x.aux = 1e200\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(["bell", "--config", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "wbell: error: t: cabello value nan is not finite at {}\n")
+
+
+def test_a_pinned_device_is_built_once_per_spec(monkeypatch):
+    """A whole multi-start search on one spec builds its pinned counter once;
+    a free counter is built at every margin."""
+    built, margins = [], []
+    outcomes, spd = FAMILIES["spd"]
+    monkeypatch.setitem(FAMILIES, "spd", (outcomes, lambda eff, aux: built.append(eff)
+                                          or spd(eff, aux)))
+    margin = search.violation_margin
+    monkeypatch.setattr(search, "violation_margin",
+                        lambda spec, values: margins.append(values) or margin(spec, values))
+    free = PRESETS["fig4-homodyne"].build(2)
+    optimize_free_parameters(fix_parameter(free, "eta_spd", 0.9), n_starts=4)
+    assert built == [0.9] and len(margins) > 100
+    built.clear()
+    margins.clear()
+    optimize_free_parameters(free, n_starts=1)
+    assert len(built) == len(margins) > 10
+
+
+def test_a_new_spec_compiles_afresh():
+    """fix_parameter and dataclasses.replace give specs of their own, so a
+    pin compiled into one spec never leaks into the next."""
+    spec = PRESETS["cabello-homodyne"].build(3)
+    at_half = fix_parameter(spec, "eta_spd", 0.5)
+    half = violation_margin(at_half, resolve_values(at_half))
+    repinned = fix_parameter(at_half, "eta_spd", 0.8)
+    replaced = replace(at_half, params={"eta_spd": ParamSpec.fixed(0.8)})
+    fresh = fix_parameter(PRESETS["cabello-homodyne"].build(3), "eta_spd", 0.8)
+    want = violation_margin(fresh, resolve_values(fresh))
+    assert want != half
+    for other in (repinned, replaced):
+        assert violation_margin(other, resolve_values(other)) == want
+    assert violation_margin(at_half, resolve_values(at_half)) == half
+    larger = replace(at_half, n_parties=4)
+    assert violation_margin(larger, resolve_values(larger)) != half
+
+
+def test_a_compiled_spec_still_pickles():
+    """region --jobs sends pickled specs to its workers: a spec that has
+    evaluated margins pickles to an equal spec, which compiles its own."""
+    for name in ("fig3", "fig1", "fig5"):
+        spec = PRESETS[name].spec
+        values = random_in_box_values(spec, np.random.default_rng(5))
+        margin = violation_margin(spec, values)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy is not spec
+        assert violation_margin(copy, values) == margin
