@@ -628,8 +628,10 @@ def _cmd_content(args) -> str:
     # As in _cmd_bell: with no free parameter no search runs, and --dump-dist solves no LP.
     params = (optimize_free_parameters(spec, n_starts=args.starts).params
               if free_parameters(spec) else resolve_values(spec))
-    if args.dump_dist:
-        return scenario_distribution(spec, params).to_text()
+    if args.dump_dist:  # checked, as --dist-file and the LP check theirs
+        p = scenario_distribution(spec, params)
+        p.validate()
+        return p.to_text()
     r = scenario_result(spec, params)
     return _json_text(args, spec, local_weight=r.local_weight,
                       nonlocal_content=r.nonlocal_content, params=params)

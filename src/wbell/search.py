@@ -29,7 +29,7 @@ from .bell import (
     mermin3_symmetric,
     wwwzb_symmetric,
 )
-from .dist import JointDistribution, Symmetric, _boundary, _transfers, table
+from .dist import JointDistribution, Symmetric, _boundary, _transfers, symmetric, table
 from .measure import FAMILIES, _efficiency_elements
 from .polytope import LP_MAX_PARTIES, nonlocal_content, reusing_faces
 from .states import ExcitationState, atom_photon_amplitudes, atom_photon_state, w_state
@@ -207,7 +207,7 @@ class ScenarioSpec:
                 raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
     @cached_property
-    def _compiled(self) -> tuple:  # (margin, symmetric, parties) of _compile
+    def _compiled(self) -> tuple:  # (margin, parties) of _compile
         return _compile(self)
 
     def __getstate__(self) -> dict:  # closures do not pickle; a copy compiles anew
@@ -311,11 +311,11 @@ def scenario_state(spec: ScenarioSpec, values: dict) -> ExcitationState:
 
 def _scenario_parties(spec: ScenarioSpec, values: dict) -> list:
     """Each party's (setting 0, setting 1) POVM elements, the atom first."""
-    return spec._compiled[2](values)
+    return spec._compiled[1](values)
 
 
 def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
-    """The scenario's table, unchecked (ScenarioSpec checked its inputs)."""
+    """The scenario's table, unchecked: an overflowing device's NaNs pass the spec's checks."""
     return table(scenario_state(spec, values), _scenario_parties(spec, values))
 
 
@@ -330,47 +330,36 @@ def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
 
 
 def _compile(spec: ScenarioSpec) -> tuple:
-    """The spec's margin, its map from the values and the amplitudes (party 0's,
-    the others' and the boundary) to the Symmetric scenario, and its map from
-    the values to the parties' elements. Pinned devices are built once; a
-    closed-form margin builds no ExcitationState or BellResult."""
-    n, z, x = spec.n_parties - 1, _device(spec.photon_z, spec), _device(spec.photon_x, spec)
+    """The spec's closed-form margin and its map from the values to the parties'
+    elements. Both read the spec's fields here and refer no more to the spec,
+    which is freed with its last reference. Pinned devices are built once; a
+    margin builds no ExcitationState or BellResult."""
+    name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
+    z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
+    w_beta, w_boundary = 1.0 / math.sqrt(n + 1), _boundary(0.0, 1.0, 0.0)  # w_state's
 
     def parties(values) -> list:
         photon = z(values), x(values)
-        return [atom_elements(values) if spec.atom else photon] + [photon] * n
+        return [atom_elements(values) if atom else photon] + [photon] * n
 
-    def symmetric(values, amplitudes) -> Symmetric:  # dist.symmetric's
-        b0, b, boundary = amplitudes
-        other = _transfers((z(values), x(values)), b)  # party 0's too, without an atom
-        return Symmetric(_transfers(atom_elements(values), b0) if spec.atom else other,
-                         other, n, boundary)
-
-    rule = CRITERIA[spec.criterion]
-    fixed = None if spec.atom or rule.lp else _amplitudes(w_state(n + 1))
-
-    def margin(values):
-        if rule.lp:
-            return scenario_result(spec, values).nonlocal_content - spec.lp_tol
-        amplitudes = fixed
-        if spec.atom:  # atom_photon_state's, whose alpha is 0 and w_psi 1
+    def margin(values):  # on dist.symmetric's Symmetric of scenario_state's state
+        if atom:  # atom_photon_state's amplitudes, whose alpha is 0 and w_psi 1
             c, b, w_vac = atom_photon_amplitudes(values["theta"], values["eta_c"], n)
-            amplitudes = c, b, _boundary(0.0, 1.0, w_vac)
-        value = rule.evaluate(symmetric(values, amplitudes))
-        return _finite(spec, value, values) - rule.local_bound
+            other = _transfers((z(values), x(values)), b)
+            sym = Symmetric(_transfers(atom_elements(values), c), other, n,
+                            _boundary(0.0, 1.0, w_vac))
+        else:  # party 0's transfers are the others'
+            other = _transfers((z(values), x(values)), w_beta)
+            sym = Symmetric(other, other, n, w_boundary)
+        return _finite(name, criterion, rule.evaluate(sym), values) - rule.local_bound
 
-    return margin, symmetric, parties
+    return margin, parties
 
 
-def _amplitudes(state: ExcitationState) -> tuple:
-    beta = state.beta  # what dist.symmetric reads of the state
-    return beta.item(0), beta.item(-1), _boundary(state.alpha, state.w_psi, state.w_vac)
-
-
-def _finite(spec: ScenarioSpec, value: float, values: dict) -> float:
+def _finite(name: str, criterion: str, value: float, values: dict) -> float:
     """The one guard of the unchecked path: a device that overflows gives NaN elements."""
     if not math.isfinite(value):
-        raise ValueError(f"{spec.name}: {spec.criterion} value {value} is not finite at {values}")
+        raise ValueError(f"{name}: {criterion} value {value} is not finite at {values}")
     return value
 
 
@@ -395,15 +384,18 @@ def scenario_result(spec: ScenarioSpec, values: dict,
                              f"{spec.name} has {spec.n_parties}")
         if np.any(photonic != photonic[0]):
             raise ValueError("the photonic parties of the state have unequal amplitudes")
+    parties = _scenario_parties(spec, values)
     if CRITERIA[spec.criterion].lp:
-        return criterion_result(spec.criterion, table(state, _scenario_parties(spec, values)))
-    r = criterion_result(spec.criterion, spec._compiled[1](values, _amplitudes(state)))
-    _finite(spec, r.value, values)
+        return criterion_result(spec.criterion, table(state, parties))
+    r = criterion_result(spec.criterion, symmetric(state, parties[0], parties[-1]))
+    _finite(spec.name, spec.criterion, r.value, values)
     return r
 
 
 def violation_margin(spec: ScenarioSpec, values: dict) -> float:
     """Positive exactly when the criterion certifies nonlocality."""
+    if CRITERIA[spec.criterion].lp:
+        return scenario_result(spec, values).nonlocal_content - spec.lp_tol
     return spec._compiled[0](values)
 
 

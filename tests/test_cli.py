@@ -887,6 +887,18 @@ class TestFlagValidation:
                     assert err.startswith("wbell: error:") and "not finite" in err, case
                     assert len(err.splitlines()) == 1, case
 
+    def test_an_overflowing_device_dumps_no_table(self, tmp_path):
+        """content --dump-dist checks the table it prints, as content and
+        --dist-file do: NaN entries end the run in one line, not on stdout."""
+        path = tmp_path / "overflow.cfg"
+        path.write_text("scenario.name = t\nscenario.n_parties = 3\nscenario.criterion = lp2\n"
+                        "photon_z.family = spd\nphoton_z.eff = 0.9\n"
+                        "photon_x.family = displaced\nphoton_x.eff = 0.9\n"
+                        "photon_x.aux = 1e200\n")
+        for extra in ([], ["--dump-dist"]):
+            assert run(["content", "--config", str(path)] + extra) == (
+                1, "", "wbell: error: probabilities outside [0, 1]\n"), extra
+
     def test_out_of_range_grid_or_bracket_end_evaluates_nothing(self, monkeypatch):
         import wbell.search as search
 

@@ -2,10 +2,12 @@
 
 import ast
 import concurrent.futures
+import gc
 import io
 import math
 import os
 import pickle
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -1469,7 +1471,7 @@ def test_compiled_margin_equals_the_public_composition_bit_for_bit():
             got, want = violation_margin(spec, values), composed_margin(spec, values)
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
                 label, values, got, want)
-        # A reported result reads the same compiled pieces.
+        # A reported result, on dist.symmetric's Symmetric, has the same margin.
         r = search.scenario_result(spec, values)
         assert r.value - r.local_bound == violation_margin(spec, values), label
 
@@ -1556,3 +1558,26 @@ def test_a_compiled_spec_still_pickles():
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and copy is not spec
         assert violation_margin(copy, values) == margin
+
+
+def test_a_spec_is_freed_with_its_last_reference():
+    """What a spec compiles refers no more to the spec, so a spec that has
+    evaluated a margin (one per bisection step) dies at its last reference,
+    not at the next cyclic collection: an atom, a photonic and an LP spec."""
+    rng, alive = np.random.default_rng(29), []
+    gc.disable()
+    try:
+        for name, pinned in (("fig3", True), ("cabello-homodyne", False), ("fig5", True)):
+            preset = PRESETS[name]
+            spec = preset.build(preset.spec.n_parties)  # not the spec the preset holds
+            if pinned:
+                param, (lo, hi) = preset.threshold
+                spec = fix_parameter(spec, param, 0.5 * (lo + hi))
+            violation_margin(spec, random_in_box_values(spec, rng))
+            ref = weakref.ref(spec)
+            del spec
+            if ref() is not None:
+                alive.append(name)
+    finally:
+        gc.enable()
+    assert alive == []
