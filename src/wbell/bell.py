@@ -181,7 +181,7 @@ def wwwzb_symmetric(sym: Symmetric) -> float:
     operation."""
     (a0, b0, c0, d0), (a1, b1, c1, d1) = _harmonics(sym.first)
     even, odd = _harmonics(sym.other)
-    w0, w1, w2, w3 = sym.boundary
+    w0, w3 = sym.boundary
     n, value = sym.n, 0.0
     for w in range(n + 1):
         e, f, g, h = power(even, n - w)
@@ -189,10 +189,8 @@ def wwwzb_symmetric(sym: Symmetric) -> float:
             p, q, r, s = power(odd, w)
             e, f, g, h = e * p, e * q + f * p, e * r + g * p, e * s + h * p + f * r + g * q
         value += math.comb(n, w) * (
-            abs((a0 * e * w0 + (a0 * f + b0 * e) * w1 + (a0 * g + c0 * e) * w2
-                 + (a0 * h + d0 * e + b0 * g + c0 * f) * w3).real)
-            + abs((a1 * e * w0 + (a1 * f + b1 * e) * w1 + (a1 * g + c1 * e) * w2
-                   + (a1 * h + d1 * e + b1 * g + c1 * f) * w3).real))
+            abs((a0 * e * w0 + (a0 * h + d0 * e + b0 * g + c0 * f) * w3).real)
+            + abs((a1 * e * w0 + (a1 * h + d1 * e + b1 * g + c1 * f) * w3).real))
     return value
 
 

@@ -5,7 +5,7 @@ A scenario assigns each party a pair of POVMs (setting 0, setting 1; for the
 photonic presets setting 0 is the z-type and setting 1 the x-type device).
 In the single-excitation subspace Tr[rho (x)_k O_k] is a product of one
 commuting transfer per party, four scalars each (see ``times``), closed by
-the state's boundary vector. ``joint_distribution`` and ``table`` broadcast
+the state's two weights. ``joint_distribution`` and ``table`` broadcast
 that product into the full table P(o|s) = Tr[rho (x)_k M_{o_k|s_k}] of an
 :class:`ExcitationState`, indexed by the settings bits then the outcome
 digits. The closed-form criteria need no table: when every party but the
@@ -141,9 +141,9 @@ def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment
 # transfer matrices over four channels: 0 nothing placed, 1 the bra's
 # excitation placed (a factor beta_k^* O_k[1, 0]), 2 the ket's (a factor
 # beta_k O_k[0, 1]), 3 both. A party where neither is placed contributes
-# O_k[0, 0], and one that takes both |beta_k|^2 O_k[1, 1]; the boundary
-# vector closes each channel with the vacuum amplitudes it still lacks. Each
-# matrix is aI + bX + cY + dXY with X = E01 + E23 and Y = E02 + E13, so
+# O_k[0, 0], and one that takes both |beta_k|^2 O_k[1, 1]. psi has no vacuum
+# amplitude, so only channels 0 and 3 close: 0 with w_vac, 3 with w_psi.
+# Each matrix is aI + bX + cY + dXY with X = E01 + E23 and Y = E02 + E13, so
 # X^2 = Y^2 = 0 and XY = YX = E03: the matrices commute, a 4-tuple
 # (a, b, c, d) stands for one, and the row (1, 0, 0, 0) times it is the tuple.
 
@@ -176,8 +176,8 @@ class Symmetric(NamedTuple):
     """A single-excitation state under two-setting devices, every party but
     the first sharing one device pair and one amplitude: ``first[s][o]`` and
     ``other[s][o]`` are the transfers of the element of outcome o under
-    setting s, of party 0 and of each of the ``n`` others, and ``boundary``
-    closes a product of transfers."""
+    setting s, of party 0 and of each of the ``n`` others, and ``boundary``,
+    the state's (w_vac, w_psi), closes a product of transfers."""
 
     first: list
     other: list
@@ -189,9 +189,8 @@ class Symmetric(NamedTuple):
         ``first`` and the others' operators multiply to ``others``."""
         a, b, c, d = first
         e, f, g, h = others
-        w0, w1, w2, w3 = self.boundary
-        return (a * e * w0 + (a * f + b * e) * w1 + (a * g + c * e) * w2
-                + (a * h + d * e + b * g + c * f) * w3).real
+        w0, w3 = self.boundary
+        return (a * e * w0 + (a * h + d * e + b * g + c * f) * w3).real
 
 
 def _transfers(pair, beta) -> list:
@@ -209,13 +208,7 @@ def symmetric(state: ExcitationState, first, other) -> Symmetric:
     amplitude ``state.beta[-1]``, the elements ``other``; unchecked."""
     beta = state.beta
     return Symmetric(_transfers(first, beta.item(0)), _transfers(other, beta.item(-1)),
-                     len(beta) - 1, _boundary(state.alpha, state.w_psi, state.w_vac))
-
-
-def _boundary(a, w: float, w_vac: float) -> tuple:
-    """The vector that closes a product of transfers (see the note on ``ONE``)
-    of the state of ``ExcitationState`` fields alpha, w_psi and w_vac."""
-    return w * abs(a) ** 2 + w_vac, w * a, w * a.conjugate(), w
+                     len(beta) - 1, (state.w_vac, state.w_psi))
 
 
 def table(state: ExcitationState, parties) -> JointDistribution:
@@ -231,7 +224,6 @@ def table(state: ExcitationState, parties) -> JointDistribution:
                       .reshape(shape))
     *rest, (a, b, c, d) = placed
     e, f, g, h = times(*rest) if rest else ONE
-    w0, w1, w2, w3 = _boundary(state.alpha, state.w_psi, state.w_vac)
-    entries = (e * (a * w0 + b * w1 + c * w2 + d * w3) + f * (a * w1 + c * w3)
-               + g * (a * w2 + b * w3) + h * (a * w3))
+    w0, w3 = state.w_vac, state.w_psi
+    entries = e * (a * w0 + d * w3) + f * (c * w3) + g * (b * w3) + h * (a * w3)
     return JointDistribution(n, k, np.ascontiguousarray(entries.real))

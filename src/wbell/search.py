@@ -29,7 +29,7 @@ from .bell import (
     mermin3_symmetric,
     wwwzb_symmetric,
 )
-from .dist import JointDistribution, Symmetric, _boundary, _transfers, symmetric, table
+from .dist import JointDistribution, Symmetric, _transfers, symmetric, table
 from .measure import FAMILIES, _efficiency_elements
 from .polytope import LP_MAX_PARTIES, nonlocal_content, reusing_faces
 from .states import ExcitationState, atom_photon_amplitudes, atom_photon_state, w_state
@@ -336,21 +336,20 @@ def _compile(spec: ScenarioSpec) -> tuple:
     margin builds no ExcitationState or BellResult."""
     name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
     z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
-    w_beta, w_boundary = 1.0 / math.sqrt(n + 1), _boundary(0.0, 1.0, 0.0)  # w_state's
+    w_beta = 1.0 / math.sqrt(n + 1)  # w_state's
 
     def parties(values) -> list:
         photon = z(values), x(values)
         return [atom_elements(values) if atom else photon] + [photon] * n
 
     def margin(values):  # on dist.symmetric's Symmetric of scenario_state's state
-        if atom:  # atom_photon_state's amplitudes, whose alpha is 0 and w_psi 1
+        if atom:  # atom_photon_state's amplitudes and weights, w_psi 1
             c, b, w_vac = atom_photon_amplitudes(values["theta"], values["eta_c"], n)
             other = _transfers((z(values), x(values)), b)
-            sym = Symmetric(_transfers(atom_elements(values), c), other, n,
-                            _boundary(0.0, 1.0, w_vac))
+            sym = Symmetric(_transfers(atom_elements(values), c), other, n, (w_vac, 1.0))
         else:  # party 0's transfers are the others'
             other = _transfers((z(values), x(values)), w_beta)
-            sym = Symmetric(other, other, n, w_boundary)
+            sym = Symmetric(other, other, n, (0.0, 1.0))
         return _finite(name, criterion, rule.evaluate(sym), values) - rule.local_bound
 
     return margin, parties

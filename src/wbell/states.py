@@ -4,16 +4,16 @@ Party 0 may be an atom entangled with the photonic modes; all other parties
 are photonic modes in the {vacuum |0>, one photon |1>} subspace. Basis index
 convention: party 0 owns the most significant bit of the register index.
 
-Every state built here lies in the span of the vacuum and the N states
-|e_k> in which party k alone is excited, and :class:`ExcitationState`
-describes it on that span. Its ``rho`` is the dense 2^N x 2^N matrix, which
-only ``negativity`` reads.
+Every state built here mixes the vacuum with a pure state in the span of the
+N states |e_k> in which party k alone is excited: :class:`ExcitationState`
+holds its amplitudes and the two weights. Its ``rho`` is the dense 2^N x 2^N
+matrix, which only ``negativity`` reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,14 +21,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ExcitationState:
-    """w_psi |psi><psi| + w_vac |vac><vac|, psi = alpha |vac> + sum_k beta_k |e_k>.
+    """w_psi |psi><psi| + w_vac |vac><vac|, psi = sum_k beta_k |e_k>.
 
     ``beta`` holds one amplitude per party, party 0 first. ``rho`` expands
     the description into the dense density matrix, on first use.
     """
 
-    alpha: complex
     beta: np.ndarray
+    _: KW_ONLY
     w_vac: float = 0.0
     w_psi: float = 1.0
 
@@ -40,7 +40,6 @@ class ExcitationState:
     def rho(self) -> np.ndarray:
         n = self.n_parties
         psi = np.zeros(2 ** n, dtype=complex)
-        psi[0] = self.alpha
         for k, b in enumerate(self.beta):
             psi[1 << (n - 1 - k)] = b
         rho = np.outer(psi, psi.conj())
@@ -64,7 +63,7 @@ def damped_w_state(n_parties: int, eta: float) -> ExcitationState:
         raise ValueError(f"survival probability {eta} outside [0, 1]")
     if n_parties < 1:
         raise ValueError("need at least one party")
-    return ExcitationState(0.0, np.full(n_parties, 1.0 / math.sqrt(n_parties)),
+    return ExcitationState(np.full(n_parties, 1.0 / math.sqrt(n_parties)),
                            w_vac=1.0 - eta, w_psi=eta)
 
 
@@ -85,7 +84,7 @@ def atom_photon_state(theta: float, eta_c: float, n_modes: int) -> ExcitationSta
     c, b, w_vac = atom_photon_amplitudes(theta, eta_c, n_modes)
     beta = np.full(n_modes + 1, b)
     beta[0] = c
-    return ExcitationState(0.0, beta, w_vac=w_vac)
+    return ExcitationState(beta, w_vac=w_vac)
 
 
 def atom_photon_amplitudes(theta: float, eta_c: float, n_modes: int) -> tuple:

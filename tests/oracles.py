@@ -283,8 +283,8 @@ def excitation_correlators(state, parties) -> np.ndarray:
     placed, 1 the bra's excitation placed (a factor beta_k^* A_k[1, 0]), 2 the
     ket's (a factor beta_k A_k[0, 1]), 3 both. A party where neither is
     placed contributes A_k[0, 0], and one that takes both |beta_k|^2 A_k[1, 1].
-    The boundary vector closes each channel with the vacuum amplitudes it
-    still lacks.
+    psi has no vacuum amplitude, so the boundary vector closes channel 0 with
+    w_vac, channel 3 with w_psi and channels 1 and 2 with zero.
     """
     n = state.n_parties
     obs = np.array([[np.subtract(el[0], el[1]) for el in pair] for pair in parties])
@@ -305,8 +305,7 @@ def excitation_correlators(state, parties) -> np.ndarray:
         rows[m:2 * m] = rows[:m] @ transfer[k, 1]
         rows[:m] = rows[:m] @ transfer[k, 0]
         m *= 2
-    a, w = state.alpha, state.w_psi
-    boundary = np.array([w * abs(a) ** 2 + state.w_vac, w * a, w * np.conj(a), w])
+    boundary = np.array([state.w_vac, 0.0, 0.0, state.w_psi])
     return (rows @ boundary).real.reshape((2,) * n)
 
 

@@ -245,25 +245,29 @@ def random_elements(rng, n_outcomes):
     return tuple(ms) + (np.eye(2) - sum(ms),)
 
 
-def random_excitation_state(rng, n):
-    """Complex alpha != 0 and unequal complex beta, with a vacuum admixture."""
-    alpha = complex(rng.normal(), rng.normal())
+def vacuum_weight(rng, draw: int) -> float:
+    """w_vac of the ``draw``-th state: 0 (the pure state, as in the W state),
+    then 1 (w_psi 0, the vacuum), then uniform in (0, 1)."""
+    return (0.0, 1.0)[draw] if draw < 2 else float(rng.uniform(0.0, 1.0))
+
+
+def random_excitation_state(rng, n, draw: int):
+    """Unequal complex beta, with the vacuum weight of ``vacuum_weight``."""
     beta = rng.normal(size=n) + 1j * rng.normal(size=n)
-    norm = math.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(beta) ** 2)))
-    w_vac = float(rng.uniform(0.05, 0.95))
-    return ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
+    w_vac = vacuum_weight(rng, draw)
+    return ExcitationState(beta / np.linalg.norm(beta), w_vac=w_vac, w_psi=1.0 - w_vac)
 
 
 def test_table_equals_the_dense_oracle_and_the_brute_force():
-    """Random complex states and a different random POVM pair per party, at
-    two and three outcomes: the transfer-product table equals the dense
-    site-tensor contraction to TABLE_ATOL, and so does the Kronecker brute
-    force up to five parties."""
+    """Random complex states, the pure state and the vacuum among them, and a
+    different random POVM pair per party, at two and three outcomes: the
+    transfer-product table equals the dense site-tensor contraction to
+    TABLE_ATOL, and so does the Kronecker brute force up to five parties."""
     rng = np.random.default_rng(24)
     for n_outcomes, sizes in ((2, range(1, 7)), (3, range(1, 5))):
         for n in sizes:
-            for _ in range(2):
-                state = random_excitation_state(rng, n)
+            for draw in (n % 2, 2):  # the pure state or the vacuum, then a mixture
+                state = random_excitation_state(rng, n, draw)
                 parties = [(random_elements(rng, n_outcomes), random_elements(rng, n_outcomes))
                            for _ in range(n)]
                 got = table(state, parties)
@@ -277,17 +281,13 @@ def test_table_equals_the_dense_oracle_and_the_brute_force():
 
 
 def test_excitation_correlators_match_the_dense_contraction():
-    """Complex alpha and beta, a vacuum admixture, and unstructured devices:
-    the transfer-matrix contraction agrees with the (4,)^N site tensor, and
-    with the Kronecker brute force at small N."""
+    """Complex beta, the pure state, the vacuum and vacuum admixtures, and
+    unstructured devices: the transfer-matrix contraction agrees with the
+    (4,)^N site tensor, and with the Kronecker brute force at small N."""
     rng = np.random.default_rng(21)
     for n in range(1, 8):
-        for _ in range(4):
-            alpha = complex(rng.normal(), rng.normal())
-            beta = rng.normal(size=n) + 1j * rng.normal(size=n)
-            norm = math.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(beta) ** 2)))
-            w_vac = float(rng.uniform(0.0, 1.0))
-            state = ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
+        for draw in range(4):
+            state = random_excitation_state(rng, n, draw)
             parties = [(random_two_outcome_elements(rng), random_two_outcome_elements(rng))
                        for _ in range(n)]
             got = excitation_correlators(state, parties)
@@ -325,19 +325,17 @@ def test_transfer_products_and_powers_equal_the_matrices():
 
 
 def test_symmetric_entries_and_correlators_equal_the_general_contractions():
-    """Complex alpha and amplitudes, a vacuum admixture, and unstructured
-    devices, party 0 with its own amplitude and devices: every correlator
-    and table entry read from the Symmetric form, by party 0's setting and
-    outcome and by how many of the others hold each element, equals the
-    oracle's correlators and the dense table."""
+    """Complex amplitudes, the pure state, the vacuum or a vacuum admixture,
+    and unstructured devices, party 0 with its own amplitude and devices:
+    every correlator and table entry read from the Symmetric form, by party
+    0's setting and outcome and by how many of the others hold each element,
+    equals the oracle's correlators and the dense table."""
     rng = np.random.default_rng(23)
     for n in range(1, 7):
-        alpha = complex(rng.normal(), rng.normal())
         beta = np.array([complex(rng.normal(), rng.normal())] +
                         [complex(rng.normal(), rng.normal())] * (n - 1))
-        norm = math.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(beta) ** 2)))
-        w_vac = float(rng.uniform(0.0, 1.0))
-        state = ExcitationState(alpha / norm, beta / norm, w_vac, 1.0 - w_vac)
+        w_vac = vacuum_weight(rng, n % 3)
+        state = ExcitationState(beta / np.linalg.norm(beta), w_vac=w_vac, w_psi=1.0 - w_vac)
         first, other = ((random_two_outcome_elements(rng), random_two_outcome_elements(rng))
                         for _ in range(2))
         parties = [first] + [other] * (n - 1)

@@ -1338,7 +1338,7 @@ def test_unequal_photon_amplitudes_are_refused():
     refuses a state that has more; the dense table and the public
     functionals still evaluate it."""
     beta = np.array([0.6, 0.5, 0.3])
-    state = ExcitationState(0.0, beta / np.linalg.norm(beta))
+    state = ExcitationState(beta / np.linalg.norm(beta))
     spd, sym = efficiency_povm(Z_AXIS, 0.9, 1.0), efficiency_povm(X_AXIS, 0.8, 0.8)
     table = joint_distribution(state, MeasurementAssignment.uniform(spd, sym, 3))
     for criterion in ("cabello", "wwwzb", "mermin3"):
@@ -1355,7 +1355,7 @@ def test_unequal_photon_amplitudes_are_refused():
     atom = search.scenario_state(spec, values)
     assert search.scenario_result(spec, values, atom) == search.scenario_result(spec, values)
     with pytest.raises(ValueError, match="unequal amplitudes"):
-        search.scenario_result(spec, values, ExcitationState(0.0, np.array([0.6, 0.64, 0.48])))
+        search.scenario_result(spec, values, ExcitationState(np.array([0.6, 0.64, 0.48])))
 
 
 def test_a_correlator_margin_builds_no_dense_state(monkeypatch):

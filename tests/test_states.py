@@ -123,18 +123,21 @@ def test_dense_states_expand_the_excitation_description_bit_for_bit():
 
 def test_excitation_description_of_each_state():
     st = damped_w_state(4, 0.25)
-    assert (st.n_parties, st.alpha, st.w_vac, st.w_psi) == (4, 0.0, 0.75, 0.25)
+    assert (st.n_parties, st.w_vac, st.w_psi) == (4, 0.75, 0.25)
     np.testing.assert_array_equal(st.beta, np.full(4, 0.5))
     at = atom_photon_state(-0.6, 0.64, 3)
-    assert at.n_parties == 4 and at.alpha == 0.0 and at.w_psi == 1.0
+    assert at.n_parties == 4 and at.w_psi == 1.0
     assert at.w_vac == pytest.approx(0.36 * math.sin(0.6) ** 2, abs=ATOL)
     np.testing.assert_allclose(at.beta, [math.cos(0.6)] + [-0.8 * math.sin(0.6) / math.sqrt(3)] * 3,
                                atol=ATOL)
-    # A general description: trace w_psi (|alpha|^2 + |beta|^2) + w_vac.
-    general = ExcitationState(0.6j, np.array([0.0, 0.8]), w_vac=0.5, w_psi=0.5)
+    # A general description: trace w_psi |beta|^2 + w_vac.
+    general = ExcitationState(np.array([0.6j, 0.8]), w_vac=0.5, w_psi=0.5)
     validate_state(general)
     # Party 1, the last, owns the least significant bit.
-    assert general.rho[0, 1] == pytest.approx(0.5 * 0.6j * 0.8, abs=ATOL)
+    assert general.rho[2, 1] == pytest.approx(0.5 * 0.6j * 0.8, abs=ATOL)
+    # The weights are keyword-only, so a leading vacuum amplitude is refused.
+    with pytest.raises(TypeError, match="positional"):
+        ExcitationState(0.0, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
         w_state(0)
     with pytest.raises(ValueError):
