@@ -39,7 +39,7 @@ from .search import (
     scenario_distribution,
     scenario_result,
 )
-from .states import atom_photon_state, damped_w_state
+from .states import atom_photon_state
 
 DEFAULT_GRID = 21
 
@@ -477,6 +477,8 @@ def _check_run_options(args) -> None:
             raise ValueError("--ideal does not combine with --eta-z or --eta-x")
         if getattr(args, "dump_dist", False) and args.dump_spec:
             raise ValueError("--dump-spec does not combine with --dump-dist")
+        if getattr(args, "state", None) == "vacuum" and args.dump_spec:  # a spec holds no state
+            raise ValueError("--dump-spec does not combine with --state vacuum")
         sources = (args.preset is not None) + bool(args.scenario_keys) + explicit
         if sources > 1:
             raise ValueError("give one scenario: a preset, config scenario keys, or --inequality")
@@ -554,11 +556,10 @@ def _cmd_bell(args) -> str:
     if CRITERIA[spec.criterion].lp:
         raise ValueError("LP criteria are served by the content command")
     # With no free parameter, as with --inequality, the one evaluation is
-    # scenario_result's, on the vacuum when --state swaps it in.
+    # scenario_result's, on the vacuum when --state asks for it.
     params = (optimize_free_parameters(spec, n_starts=args.starts).params
               if free_parameters(spec) else resolve_values(spec))
-    state = damped_w_state(spec.n_parties, 0.0) if args.state == "vacuum" else None
-    result = scenario_result(spec, params, state)
+    result = scenario_result(spec, params, vacuum=args.state == "vacuum")
     return _json_text(
         args, spec,
         state="atom-photon" if spec.atom else args.state,

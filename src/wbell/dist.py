@@ -202,15 +202,6 @@ def _transfers(pair, beta) -> list:
             for elements in pair]
 
 
-def symmetric(state: ExcitationState, first, other) -> Symmetric:
-    """The :class:`Symmetric` form of ``state`` when party 0 measures the
-    (setting 0, setting 1) elements ``first`` and every other party, each of
-    amplitude ``state.beta[-1]``, the elements ``other``; unchecked."""
-    beta = state.beta
-    return Symmetric(_transfers(first, beta.item(0)), _transfers(other, beta.item(-1)),
-                     len(beta) - 1, (state.w_vac, state.w_psi))
-
-
 def table(state: ExcitationState, parties) -> JointDistribution:
     """The table of ``joint_distribution``, unchecked; ``parties[j][s]`` holds party
     j's POVM elements for setting s. Its transfers lie along axes j and N + j, so

@@ -29,7 +29,7 @@ from .bell import (
     mermin3_symmetric,
     wwwzb_symmetric,
 )
-from .dist import JointDistribution, Symmetric, _transfers, symmetric, table
+from .dist import JointDistribution, Symmetric, _transfers, table
 from .measure import FAMILIES, _efficiency_elements
 from .polytope import LP_MAX_PARTIES, nonlocal_content, reusing_faces
 from .states import ExcitationState, atom_photon_amplitudes, atom_photon_state, w_state
@@ -207,7 +207,7 @@ class ScenarioSpec:
                 raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
     @cached_property
-    def _compiled(self) -> tuple:  # (margin, parties) of _compile
+    def _compiled(self) -> tuple:  # (margin, symmetric, parties) of _compile
         return _compile(self)
 
     def __getstate__(self) -> dict:  # closures do not pickle; a copy compiles anew
@@ -273,14 +273,10 @@ def resolve_values(spec: ScenarioSpec, free_values: Optional[dict] = None) -> di
             for name, pspec in spec.params.items()}
 
 
-def photon_elements(ms: MeasSpec, values: dict) -> tuple:
-    """The POVM elements of one photonic device, in outcome order."""
-    return _device(ms)(values)
-
-
 def _device(ms: MeasSpec, spec: Optional[ScenarioSpec] = None) -> Callable:
-    """:func:`photon_elements` as a map from the values, the family and any literal
-    read here; a device whose parameters ``spec`` pins is built here, once."""
+    """The map from the values to one photonic device's POVM elements, in
+    outcome order, the family and any literal read here; a device whose
+    parameters ``spec`` pins is built here, once."""
     build, flip = FAMILIES[ms.family][1], ms.flip
     eff, aux = (itemgetter(ref) if isinstance(ref, str)
                 else (lambda values, x=0.0 if ref is None else float(ref): x)
@@ -309,14 +305,9 @@ def scenario_state(spec: ScenarioSpec, values: dict) -> ExcitationState:
     return w_state(spec.n_parties)
 
 
-def _scenario_parties(spec: ScenarioSpec, values: dict) -> list:
-    """Each party's (setting 0, setting 1) POVM elements, the atom first."""
-    return spec._compiled[1](values)
-
-
 def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
     """The scenario's table, unchecked: an overflowing device's NaNs pass the spec's checks."""
-    return table(scenario_state(spec, values), _scenario_parties(spec, values))
+    return table(scenario_state(spec, values), spec._compiled[2](values))
 
 
 def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
@@ -330,10 +321,11 @@ def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
 
 
 def _compile(spec: ScenarioSpec) -> tuple:
-    """The spec's closed-form margin and its map from the values to the parties'
-    elements. Both read the spec's fields here and refer no more to the spec,
-    which is freed with its last reference. Pinned devices are built once; a
-    margin builds no ExcitationState or BellResult."""
+    """The spec's closed-form margin, and its maps from the values to the
+    Symmetric scenario of scenario_state's state and to the parties'
+    elements. All three read the spec's fields here and refer no more to the
+    spec, which is freed with its last reference. Pinned devices are built
+    once; a margin builds no ExcitationState or BellResult."""
     name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
     z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
     w_beta = 1.0 / math.sqrt(n + 1)  # w_state's
@@ -342,17 +334,18 @@ def _compile(spec: ScenarioSpec) -> tuple:
         photon = z(values), x(values)
         return [atom_elements(values) if atom else photon] + [photon] * n
 
-    def margin(values):  # on dist.symmetric's Symmetric of scenario_state's state
+    def symmetric(values) -> Symmetric:
         if atom:  # atom_photon_state's amplitudes and weights, w_psi 1
             c, b, w_vac = atom_photon_amplitudes(values["theta"], values["eta_c"], n)
             other = _transfers((z(values), x(values)), b)
-            sym = Symmetric(_transfers(atom_elements(values), c), other, n, (w_vac, 1.0))
-        else:  # party 0's transfers are the others'
-            other = _transfers((z(values), x(values)), w_beta)
-            sym = Symmetric(other, other, n, (0.0, 1.0))
-        return _finite(name, criterion, rule.evaluate(sym), values) - rule.local_bound
+            return Symmetric(_transfers(atom_elements(values), c), other, n, (w_vac, 1.0))
+        other = _transfers((z(values), x(values)), w_beta)  # party 0's are the others'
+        return Symmetric(other, other, n, (0.0, 1.0))
 
-    return margin, parties
+    def margin(values):
+        return _finite(name, criterion, rule.evaluate(symmetric(values)), values) - rule.local_bound
+
+    return margin, symmetric, parties
 
 
 def _finite(name: str, criterion: str, value: float, values: dict) -> float:
@@ -362,31 +355,24 @@ def _finite(name: str, criterion: str, value: float, values: dict) -> float:
     return value
 
 
-def scenario_result(spec: ScenarioSpec, values: dict,
-                    state: Optional[ExcitationState] = None):
+def scenario_result(spec: ScenarioSpec, values: dict, vacuum: bool = False):
     """Evaluate the scenario's criterion: a BellResult or a ContentResult.
 
-    A closed form reads the transfers of the single-excitation state, whose
-    photonic parties share one device pair and one amplitude; an LP criterion
-    reads the table ``dist.table`` builds from the same transfers. ``state``
-    replaces the scenario's source state, and must have the scenario's party
-    count and one amplitude on its photonic parties. A device that overflows
-    gives NaN elements, which an LP criterion rejects in the table and
-    :func:`_finite` in a closed form. A pinned device is built from the pin.
+    A closed form reads the compiled Symmetric scenario, the one its margin
+    reads; with ``vacuum`` the same devices measure the vacuum instead, every
+    party in |0>. An LP criterion reads :func:`scenario_distribution`'s table
+    of the scenario's own state. A device that overflows gives NaN elements,
+    which an LP criterion rejects in the table and :func:`_finite` in a
+    closed form. A pinned device is built from the pin.
     """
-    if state is None:
-        state = scenario_state(spec, values)
-    else:
-        photonic = np.asarray(state.beta)[1 if spec.atom else 0:]
-        if state.n_parties != spec.n_parties:
-            raise ValueError(f"the state has {state.n_parties} parties, "
-                             f"{spec.name} has {spec.n_parties}")
-        if np.any(photonic != photonic[0]):
-            raise ValueError("the photonic parties of the state have unequal amplitudes")
-    parties = _scenario_parties(spec, values)
     if CRITERIA[spec.criterion].lp:
-        return criterion_result(spec.criterion, table(state, parties))
-    r = criterion_result(spec.criterion, symmetric(state, parties[0], parties[-1]))
+        if vacuum:
+            raise ValueError(f"{spec.criterion} reads the scenario's own state, not the vacuum")
+        return criterion_result(spec.criterion, scenario_distribution(spec, values))
+    sym = spec._compiled[1](values)
+    if vacuum:  # only the channel in which no party is excited reaches the state
+        sym = sym._replace(boundary=(1.0, 0.0))
+    r = criterion_result(spec.criterion, sym)
     _finite(spec.name, spec.criterion, r.value, values)
     return r
 

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.optimize import Bounds, linprog, minimize
 from scipy.stats import qmc
 
-from wbell.dist import JointDistribution
+from wbell.dist import JointDistribution, Symmetric, _transfers
 from wbell.search import fix_parameter, has_violation
 
 FOCK_CUTOFF = 40
@@ -307,6 +307,16 @@ def excitation_correlators(state, parties) -> np.ndarray:
         m *= 2
     boundary = np.array([state.w_vac, 0.0, 0.0, state.w_psi])
     return (rows @ boundary).real.reshape((2,) * n)
+
+
+def symmetric_form(state, first, other) -> Symmetric:
+    """The wbell.dist.Symmetric form of an ExcitationState, built from its
+    public fields and dist._transfers rather than by the compiled spec: party
+    0 measures the (setting 0, setting 1) elements ``first`` with amplitude
+    ``beta[0]``, and every other party ``other`` with amplitude ``beta[-1]``."""
+    beta = state.beta
+    return Symmetric(_transfers(first, beta.item(0)), _transfers(other, beta.item(-1)),
+                     len(beta) - 1, (state.w_vac, state.w_psi))
 
 
 def full_correlators(p) -> np.ndarray:

@@ -172,9 +172,9 @@ class TestBell:
 
         calls, evaluate = [], search.scenario_result
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return evaluate(*args)
+            return evaluate(*args, **kwargs)
 
         for module in (cli, search):
             monkeypatch.setattr(module, "scenario_result", counting)
@@ -600,11 +600,13 @@ class TestConfigFiles:
     (["threshold"], "preset = fig1\nn = x\n"),
     (["threshold"], "preset = fig1\ngrid = 3\n"),
     (["content", "--preset", "fig5", "--n", "3", "--lp-tol", "0.1"], None),
+    (["bell", "--inequality", "cabello", "--n", "4", "--state", "vacuum", "--dump-spec"], None),
 ], ids=["bad-int", "bad-choice", "missing-value", "unknown-flag", "no-command",
-        "bad-run-key-value", "run-key-without-flag", "lp-tol-flag"])
+        "bad-run-key-value", "run-key-without-flag", "lp-tol-flag", "dump-spec-vacuum"])
 def test_bad_run_options_give_one_line(tmp_path, argv, config):
-    """Argparse reads every run option, flag or config run key, and a bad one
-    exits 1 with one error line and no usage text."""
+    """Argparse reads every run option, flag or config run key, and a bad one,
+    or flags that do not go together, exit 1 with one error line and no usage
+    text."""
     if config is not None:
         path = tmp_path / "run.cfg"
         path.write_text(config)

@@ -12,6 +12,7 @@ from oracles import (
     dense_distribution,
     excitation_correlators,
     full_correlators,
+    symmetric_form,
 )
 from wbell.dist import (
     ONE,
@@ -19,7 +20,6 @@ from wbell.dist import (
     MeasurementAssignment,
     joint_distribution,
     power,
-    symmetric,
     table,
     times,
 )
@@ -339,7 +339,7 @@ def test_symmetric_entries_and_correlators_equal_the_general_contractions():
         first, other = ((random_two_outcome_elements(rng), random_two_outcome_elements(rng))
                         for _ in range(2))
         parties = [first] + [other] * (n - 1)
-        sym = symmetric(state, first, other)
+        sym = symmetric_form(state, first, other)
         assert sym.n == n - 1
         xi = excitation_correlators(state, parties)
         dense = dense_distribution(state, parties).table

@@ -57,7 +57,6 @@ from wbell.search import (
     free_parameters,
     has_violation,
     optimize_free_parameters,
-    photon_elements,
     region_boundary,
     resolve_values,
     scenario_distribution,
@@ -78,6 +77,7 @@ from oracles import (
     plain_bisection,
     scipy_simplex,
     scipy_sobol,
+    symmetric_form,
 )
 
 OPERATOR_ATOL = 1e-12
@@ -416,28 +416,28 @@ def test_resolve_values():
 
 class TestBuildPhotonPovm:
     def test_spd_is_one_sided_z(self):
-        elements = photon_elements(MeasSpec("spd", 0.8), {})
+        elements = search._device(MeasSpec("spd", 0.8))({})
         ref = efficiency_povm(Z_AXIS, 0.8, 1.0)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_sym_uses_equatorial_axis(self):
-        elements = photon_elements(MeasSpec("sym", "e", "phi"), {"e": 0.7, "phi": 0.4})
+        elements = search._device(MeasSpec("sym", "e", "phi"))({"e": 0.7, "phi": 0.4})
         ref = efficiency_povm(BlochAxis(EQUATOR, 0.4), 0.7, 0.7)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_ad_x_symmetric_error_rate(self):
         eta = 0.6
-        elements = photon_elements(MeasSpec("ad_x", eta, 0.0), {})
+        elements = search._device(MeasSpec("ad_x", eta, 0.0))({})
         e = 0.5 * (1.0 + math.sqrt(eta))
         ref = efficiency_povm(X_AXIS, e, e)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_flip_swaps_elements(self):
-        plain = photon_elements(MeasSpec("sym", 0.7, 0.0), {})
-        flipped = photon_elements(MeasSpec("sym", 0.7, 0.0, flip=True), {})
+        plain = search._device(MeasSpec("sym", 0.7, 0.0))({})
+        flipped = search._device(MeasSpec("sym", 0.7, 0.0, flip=True))({})
         np.testing.assert_allclose(plain[0], flipped[1],
                                    atol=OPERATOR_ATOL)
 
@@ -446,8 +446,7 @@ class TestBuildPhotonPovm:
         minus = eigenvector_up(X_AXIS)
         for alpha in (-1.7, -0.3, 0.4, 0.9, 2.0):
             for eta in (0.4, 0.85, 1.0):
-                r_down, r_up = photon_elements(
-                    MeasSpec("displaced_response", eta, alpha), {})
+                r_down, r_up = search._device(MeasSpec("displaced_response", eta, alpha))({})
                 exact_up = family_povm("displaced", eta, alpha).elements[1]
                 got_up = (minus.conj() @ r_up @ minus).real
                 got_down = (plus.conj() @ r_down @ plus).real
@@ -457,7 +456,7 @@ class TestBuildPhotonPovm:
                     1.0 - (plus.conj() @ exact_up @ plus).real, abs=OPERATOR_ATOL)
 
     def test_lossy3_families(self):
-        elements = photon_elements(MeasSpec("lossy3_z", 0.75), {})
+        elements = search._device(MeasSpec("lossy3_z", 0.75))({})
         assert len(elements) == 3
         down, _ = efficiency_povm(Z_AXIS, 1.0, 1.0).elements
         np.testing.assert_allclose(elements[0], 0.75 * down,
@@ -488,8 +487,8 @@ def test_scenario_distribution_places_atom_first():
 def test_criterion_result_dispatch():
     spec = cabello_spd_spec(eta_z=1.0)
     p = scenario_distribution(spec, {})
-    photon = search._scenario_parties(spec, {})[0]
-    sym = dist.symmetric(w_state(3), photon, photon)
+    photon = composed_parties(spec, {})[0]
+    sym = symmetric_form(w_state(3), photon, photon)
     for criterion in ("cabello", "wwwzb", "mermin3"):
         assert isinstance(criterion_result(criterion, sym), BellResult)
     assert isinstance(criterion_result("lp2", p), ContentResult)
@@ -1055,6 +1054,23 @@ def test_threshold_curve_csv_format():
 FAMILY_ATOL = 1e-15
 
 
+def composed_elements(ms, values):
+    """One device's elements from its measure.FAMILIES element function."""
+    def read(ref):
+        return 0.0 if ref is None else values[ref] if isinstance(ref, str) else float(ref)
+
+    elements = FAMILIES[ms.family][1](read(ms.eff), read(ms.aux))
+    return elements[::-1] if ms.flip else elements
+
+
+def composed_parties(spec, values):
+    """Each party's (setting 0, setting 1) elements, the atom first, composed
+    from measure.FAMILIES and search.atom_elements, not from the compiled spec."""
+    photon = (composed_elements(spec.photon_z, values), composed_elements(spec.photon_x, values))
+    first = search.atom_elements(values) if spec.atom else photon
+    return [first] + [photon] * (spec.n_parties - 1)
+
+
 def public_photon_povm(ms, values):
     """The checked public object behind one MeasSpec."""
     eff = values[ms.eff] if isinstance(ms.eff, str) else float(ms.eff)
@@ -1114,7 +1130,7 @@ def test_family_elements_equal_the_public_builders_bit_for_bit():
                 aux = float(rng.uniform(-5.0, 5.0) if family.startswith("displaced")
                             else rng.uniform(0.0, 2.0 * math.pi))
                 ms = MeasSpec(family, eff, aux, flip)
-                trusted = photon_elements(ms, {})
+                trusted = search._device(ms)({})
                 public = public_photon_povm(ms, {}).elements
                 closed = closed_form_elements(family, eff, aux)
                 if flip:
@@ -1183,7 +1199,7 @@ def test_scenario_tables_equal_the_dense_oracle_and_the_brute_force():
                 spec = fix_parameter(spec, "eta_c", float(rng.uniform(0.0, 1.0)))
             values = random_in_box_values(spec, rng)
             state = search.scenario_state(spec, values)
-            parties = search._scenario_parties(spec, values)
+            parties = composed_parties(spec, values)
             got = scenario_distribution(spec, values).table
             np.testing.assert_allclose(got, dense_distribution(state, parties).table,
                                        atol=1e-15, rtol=0.0, err_msg=f"{name} N={n}")
@@ -1257,11 +1273,11 @@ def checked_assignment(spec, values):
 
 
 def closed_form_cases(rng):
-    """(label, spec, values, state override) over every closed-form preset
-    from its fewest parties to 8, and fig3 at 10, with random in-box values,
-    a coupling below 1 and a flipped device in some draws; then explicit
-    spd/sym scenarios of every closed-form criterion on W, vacuum and damped
-    W states."""
+    """(label, spec, values, state) over every closed-form preset from its
+    fewest parties to 8, and fig3 at 10, with random in-box values, a
+    coupling below 1 and a flipped device in some draws, state None for the
+    scenario's own; then explicit spd/sym scenarios of every closed-form
+    criterion on W, vacuum and damped W states."""
     for name, preset in PRESETS.items():
         rule = CRITERIA[preset.spec.criterion]
         if rule.lp:
@@ -1299,7 +1315,7 @@ def test_correlators_equal_the_checked_dense_path():
         if not GENERAL_FORMS[spec.criterion][1]:
             continue
         source = search.scenario_state(spec, values) if state is None else state
-        got = excitation_correlators(source, search._scenario_parties(spec, values))
+        got = excitation_correlators(source, composed_parties(spec, values))
         assignment = checked_assignment(spec, values)
         elements = [[p.elements for p in pair] for pair in assignment.parties]
         for checked in (joint_distribution(source, assignment),
@@ -1313,49 +1329,63 @@ def test_correlators_equal_the_checked_dense_path():
 
 
 def test_symmetric_evaluators_equal_the_general_forms():
-    """Every closed-form value equals, within SYMMETRIC_ATOL, its public
-    functional on the oracle's dense table and, for a full-correlator
-    criterion, on the oracle's correlators."""
+    """Every closed-form value, of the criterion's symmetric evaluator on the
+    Symmetric form built here (and of scenario_result on the scenario's own
+    state), equals within SYMMETRIC_ATOL its public functional on the
+    oracle's dense table and, for a full-correlator criterion, on the
+    oracle's correlators."""
     rng = np.random.default_rng(16)
     for label, spec, values, state in closed_form_cases(rng):
         functional, correlators = GENERAL_FORMS[spec.criterion]
         source = search.scenario_state(spec, values) if state is None else state
-        parties = search._scenario_parties(spec, values)
+        parties = composed_parties(spec, values)
         table = dense_distribution(source, parties)
         if correlators:
             general = [full_correlators(table), excitation_correlators(source, parties)]
         else:
             general = [table]
-        got = search.scenario_result(spec, values, state)
-        for data in general:
-            want = functional(data)
-            assert abs(got.value - want.value) <= SYMMETRIC_ATOL, (label, got, want)
-            assert (got.local_bound, got.algebraic_max) == (want.local_bound, want.algebraic_max)
+        sym = symmetric_form(source, parties[0], parties[-1])
+        results = [criterion_result(spec.criterion, sym)]
+        if state is None:
+            results.append(search.scenario_result(spec, values))
+        for got in results:
+            for data in general:
+                want = functional(data)
+                assert abs(got.value - want.value) <= SYMMETRIC_ATOL, (label, got, want)
+                assert (got.local_bound, got.algebraic_max) == (want.local_bound,
+                                                                want.algebraic_max)
 
 
-def test_unequal_photon_amplitudes_are_refused():
-    """scenario_result reads one amplitude for every photonic party and
-    refuses a state that has more; the dense table and the public
-    functionals still evaluate it."""
+def test_the_vacuum_result_equals_the_general_forms_on_the_dense_vacuum():
+    """scenario_result(..., vacuum=True) of every closed-form case, atom
+    presets included, equals within SYMMETRIC_ATOL the public functional on
+    the oracle's dense table of the vacuum under the same devices; an LP
+    criterion reads the scenario's own state only."""
+    rng = np.random.default_rng(30)
+    for label, spec, values, _ in closed_form_cases(rng):
+        functional, correlators = GENERAL_FORMS[spec.criterion]
+        table = dense_distribution(damped_w_state(spec.n_parties, 0.0),
+                                   composed_parties(spec, values))
+        want = functional(full_correlators(table) if correlators else table)
+        got = search.scenario_result(spec, values, vacuum=True)
+        assert abs(got.value - want.value) <= SYMMETRIC_ATOL, (label, got, want)
+        assert (got.local_bound, got.algebraic_max) == (want.local_bound, want.algebraic_max)
+    for name in ("fig5", "garbarino3"):
+        spec = PRESETS[name].spec
+        with pytest.raises(ValueError, match="vacuum"):
+            search.scenario_result(spec, random_in_box_values(spec, rng), vacuum=True)
+
+
+def test_public_functionals_evaluate_unequal_photon_amplitudes():
+    """The dense table and the public functionals evaluate a state whose
+    photonic parties have unequal amplitudes, which no Symmetric form holds."""
     beta = np.array([0.6, 0.5, 0.3])
     state = ExcitationState(beta / np.linalg.norm(beta))
     spd, sym = efficiency_povm(Z_AXIS, 0.9, 1.0), efficiency_povm(X_AXIS, 0.8, 0.8)
     table = joint_distribution(state, MeasurementAssignment.uniform(spd, sym, 3))
     for criterion in ("cabello", "wwwzb", "mermin3"):
-        spec = ScenarioSpec("custom", 3, criterion, MeasSpec("spd", 0.9), MeasSpec("sym", 0.8))
-        with pytest.raises(ValueError, match="unequal amplitudes"):
-            search.scenario_result(spec, {}, state)
         functional, correlators = GENERAL_FORMS[criterion]
         assert math.isfinite(functional(full_correlators(table) if correlators else table).value)
-        with pytest.raises(ValueError, match="parties"):
-            search.scenario_result(spec, {}, w_state(4))
-    # With an atom, party 0's amplitude is its own.
-    spec = PRESETS["fig3"].build(3)
-    values = random_in_box_values(spec, rng=np.random.default_rng(17))
-    atom = search.scenario_state(spec, values)
-    assert search.scenario_result(spec, values, atom) == search.scenario_result(spec, values)
-    with pytest.raises(ValueError, match="unequal amplitudes"):
-        search.scenario_result(spec, values, ExcitationState(np.array([0.6, 0.64, 0.48])))
 
 
 def test_a_correlator_margin_builds_no_dense_state(monkeypatch):
@@ -1412,18 +1442,11 @@ SYMMETRIC_EVALUATORS = {"cabello": cabello_symmetric, "wwwzb": wwwzb_symmetric,
 
 def composed_margin(spec, values):
     """The closed-form margin from public pieces: scenario_state, each
-    device's FAMILIES element function, dist.symmetric, the symmetric
-    evaluator and the local bound of the criterion's row."""
-    def read(ref):
-        return 0.0 if ref is None else values[ref] if isinstance(ref, str) else float(ref)
-
-    def device(ms):
-        elements = FAMILIES[ms.family][1](read(ms.eff), read(ms.aux))
-        return elements[::-1] if ms.flip else elements
-
-    photon = (device(spec.photon_z), device(spec.photon_x))
-    first = search.atom_elements(values) if spec.atom else photon
-    sym = dist.symmetric(search.scenario_state(spec, values), first, photon)
+    device's FAMILIES element function, the Symmetric form built by
+    oracles.symmetric_form, the symmetric evaluator and the local bound of
+    the criterion's row."""
+    parties = composed_parties(spec, values)
+    sym = symmetric_form(search.scenario_state(spec, values), parties[0], parties[-1])
     return SYMMETRIC_EVALUATORS[spec.criterion](sym) - CRITERIA[spec.criterion].local_bound
 
 
@@ -1471,7 +1494,7 @@ def test_compiled_margin_equals_the_public_composition_bit_for_bit():
             got, want = violation_margin(spec, values), composed_margin(spec, values)
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
                 label, values, got, want)
-        # A reported result, on dist.symmetric's Symmetric, has the same margin.
+        # A reported result reads the margin's own Symmetric form.
         r = search.scenario_result(spec, values)
         assert r.value - r.local_bound == violation_margin(spec, values), label
 
@@ -1485,8 +1508,8 @@ def test_wwwzb_loop_equals_its_transfer_products_bit_for_bit():
             continue
         for _ in range(50 if free_parameters(spec) else 1):
             values = random_in_box_values(spec, rng)
-            parties = search._scenario_parties(spec, values)
-            sym = dist.symmetric(search.scenario_state(spec, values), parties[0], parties[-1])
+            parties = composed_parties(spec, values)
+            sym = symmetric_form(search.scenario_state(spec, values), parties[0], parties[-1])
             first_even, first_odd = bell._harmonics(sym.first)
             even, odd = bell._harmonics(sym.other)
             want = 0.0
