@@ -207,7 +207,7 @@ class ScenarioSpec:
                 raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
     @cached_property
-    def _compiled(self) -> tuple:  # (margin, symmetric, parties) of _compile
+    def _compiled(self) -> tuple:  # (margin, symmetric, parties, box, values) of _compile
         return _compile(self)
 
     def __getstate__(self) -> dict:  # closures do not pickle; a copy compiles anew
@@ -273,7 +273,7 @@ def resolve_values(spec: ScenarioSpec, free_values: Optional[dict] = None) -> di
             for name, pspec in spec.params.items()}
 
 
-def _device(ms: MeasSpec, spec: Optional[ScenarioSpec] = None) -> Callable:
+def _device(ms: MeasSpec, spec: ScenarioSpec) -> Callable:
     """The map from the values to one photonic device's POVM elements, in
     outcome order, the family and any literal read here; a device whose
     parameters ``spec`` pins is built here, once."""
@@ -286,7 +286,7 @@ def _device(ms: MeasSpec, spec: Optional[ScenarioSpec] = None) -> Callable:
         built = build(eff(values), aux(values))
         return built[::-1] if flip else built
 
-    if spec is None or any(spec.params[ref].is_free for ref in ms.references()):
+    if any(spec.params[ref].is_free for ref in ms.references()):
         return elements
     built = elements({ref: float(spec.params[ref].value) for ref in ms.references()})
     return lambda values: built
@@ -321,14 +321,24 @@ def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
 
 
 def _compile(spec: ScenarioSpec) -> tuple:
-    """The spec's closed-form margin, and its maps from the values to the
+    """The spec's closed-form margin; its maps from the values to the
     Symmetric scenario of scenario_state's state and to the parties'
-    elements. All three read the spec's fields here and refer no more to the
-    spec, which is freed with its last reference. Pinned devices are built
-    once; a margin builds no ExcitationState or BellResult."""
+    elements; the search box, the (lo, hi) floats of ``free_parameters(spec)``;
+    and the map from a point of the box to its values, a copy of one template
+    of resolve_values. All five read the spec's fields here and refer no more
+    to the spec, which is freed with its last reference. Pinned devices are
+    built once; a margin builds no ExcitationState or BellResult."""
     name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
     z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
     w_beta = 1.0 / math.sqrt(n + 1)  # w_state's
+    names = free_parameters(spec)
+    box = tuple((float(spec.params[p].lo), float(spec.params[p].hi)) for p in names)
+    template = resolve_values(spec, dict.fromkeys(names, 0.0))
+
+    def merge(point) -> dict:
+        out = dict(template)
+        out.update(zip(names, point))
+        return out
 
     def parties(values) -> list:
         photon = z(values), x(values)
@@ -345,7 +355,7 @@ def _compile(spec: ScenarioSpec) -> tuple:
     def margin(values):
         return _finite(name, criterion, rule.evaluate(symmetric(values)), values) - rule.local_bound
 
-    return margin, symmetric, parties
+    return margin, symmetric, parties, box, merge
 
 
 def _finite(name: str, criterion: str, value: float, values: dict) -> float:
@@ -416,16 +426,13 @@ def _sobol(d: int, n: int) -> list:
     return points[:n]
 
 
-def _start_points(spec: ScenarioSpec, n_starts: int) -> tuple:
-    """Deterministic low-discrepancy starts inside the free-parameter box."""
+def _start_points(spec: ScenarioSpec, n_starts: int) -> list:
+    """Deterministic low-discrepancy starts inside the compiled box; ``[[]]`` if it has no axis."""
     if n_starts < 1:  # with no start, a search evaluates nothing and finds nothing
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    names = free_parameters(spec)
-    if not names:
-        return names, [[]]
-    box = [(spec.params[n].lo, spec.params[n].hi) for n in names]
-    return names, [[lo + u * (hi - lo) for u, (lo, hi) in zip(p, box)]
-                   for p in _sobol(len(names), n_starts)]
+    box = spec._compiled[3]
+    return [[lo + u * (hi - lo) for u, (lo, hi) in zip(p, box)]
+            for p in _sobol(len(box), n_starts)] if box else [[]]
 
 
 class _Witness(Exception):
@@ -511,26 +518,12 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) 
     return fsim[0] if fsim[-1] == fsim[-1] else fsim[-1], sim[0]
 
 
-def _values_merger(spec: ScenarioSpec, names: tuple) -> Callable:
-    """The map from a list of free values in ``names`` order, the names of
-    ``free_parameters(spec)``, to the full value dict: a copy of one template."""
-    template = resolve_values(spec, dict.fromkeys(names, 0.0))
-
-    def values(x) -> dict:
-        out = dict(template)
-        out.update(zip(names, x))
-        return out
-
-    return values
-
-
-def _minimize_from(spec: ScenarioSpec, names: tuple, x0: list,
-                   stop_at_witness: bool = False, maxfev: Optional[int] = None) -> tuple:
-    """One bounded Nelder-Mead run from ``x0`` (``maxfev``: see :func:`_simplex`):
-    its best margin and point. With ``stop_at_witness`` it raises
-    :class:`_Witness` at the first margin above the guard instead."""
-    box = [(spec.params[n].lo, spec.params[n].hi) for n in names]
-    values = _values_merger(spec, names)
+def _minimize_from(spec: ScenarioSpec, x0: list, stop_at_witness: bool = False,
+                   maxfev: Optional[int] = None) -> tuple:
+    """One bounded Nelder-Mead run from ``x0`` in the compiled box (``maxfev``:
+    see :func:`_simplex`): its best margin and point. With ``stop_at_witness``
+    it raises :class:`_Witness` at the first margin above the guard instead."""
+    box, values = spec._compiled[3:]
 
     def negative_margin(x):
         m = violation_margin(spec, values(x))
@@ -550,15 +543,13 @@ def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS)
     calls give bit-identical results. With no free parameters the one start
     is ``[]`` and its run a single evaluation.
     """
-    names, starts = _start_points(spec, n_starts)
-    best_margin = -np.inf
-    best_x = starts[0]
+    starts = _start_points(spec, n_starts)
+    best_margin, best_x = -np.inf, starts[0]
     for x0 in starts:
-        margin, x = _minimize_from(spec, names, x0)
+        margin, x = _minimize_from(spec, x0)
         if margin > best_margin:
             best_margin, best_x = margin, x
-    return SearchResult(best_margin,
-                        resolve_values(spec, dict(zip(names, best_x))))
+    return SearchResult(best_margin, spec._compiled[4](best_x))
 
 
 def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
@@ -566,19 +557,18 @@ def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
     no free parameter), or None. The raw margins at the start points are
     scanned first, then simplex runs from the most promising starts stop at
     their first witness, so the common violated case returns quickly."""
-    names, starts = _start_points(spec, n_starts)
-    if not names:
-        return [] if is_violation(violation_margin(spec, resolve_values(spec))) else None
-    values = _values_merger(spec, names)
+    starts, (box, values) = _start_points(spec, n_starts), spec._compiled[3:]
     raw = []
     for x0 in starts:
         m = violation_margin(spec, values(x0))
         if is_violation(m):
             return x0
         raw.append(m)
+    if not box:  # the one start's margin was the verdict; a run would repeat it
+        return None
     try:
         for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
-            _minimize_from(spec, names, starts[idx], stop_at_witness=True)
+            _minimize_from(spec, starts[idx], stop_at_witness=True)
     except _Witness as witness:
         return witness.x
     return None
@@ -591,10 +581,10 @@ def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
 
 def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
     """The witness of one simplex run from ``x0`` of at most
-    ``WARM_EVALS_PER_PARAM`` margins per free parameter, or None. With none
-    free, the run is one margin and gives :func:`_find_witness`'s verdict."""
+    ``WARM_EVALS_PER_PARAM`` margins per axis of the compiled box, or None.
+    With no axis, the run is one margin and gives :func:`_find_witness`'s verdict."""
     try:
-        _minimize_from(spec, free_parameters(spec), x0, True, WARM_EVALS_PER_PARAM * len(x0))
+        _minimize_from(spec, x0, True, WARM_EVALS_PER_PARAM * len(spec._compiled[3]))
     except _Witness as witness:
         return witness.x
     return None
@@ -635,7 +625,7 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
                       else _warm_witness(lo_spec, hi_witness))
         if (lo_witness is None) == (hi_witness is None):
             raise whole_bracket(lo_witness is not None)
-        exact = not free_parameters(lo_spec)  # then no miss is provisional
+        exact = not lo_spec._compiled[3]  # no free parameter: no miss is provisional
         if lo_witness is not None:
             viol, witness, other, checked, misses = lo, lo_witness, hi, hi, []
         else:  # lo's capped run: a provisional miss unless exact

@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import gc
 import io
+import json
 import math
 import os
 import pickle
@@ -416,28 +417,28 @@ def test_resolve_values():
 
 class TestBuildPhotonPovm:
     def test_spd_is_one_sided_z(self):
-        elements = search._device(MeasSpec("spd", 0.8))({})
+        elements = composed_elements(MeasSpec("spd", 0.8), {})
         ref = efficiency_povm(Z_AXIS, 0.8, 1.0)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_sym_uses_equatorial_axis(self):
-        elements = search._device(MeasSpec("sym", "e", "phi"))({"e": 0.7, "phi": 0.4})
+        elements = composed_elements(MeasSpec("sym", "e", "phi"), {"e": 0.7, "phi": 0.4})
         ref = efficiency_povm(BlochAxis(EQUATOR, 0.4), 0.7, 0.7)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_ad_x_symmetric_error_rate(self):
         eta = 0.6
-        elements = search._device(MeasSpec("ad_x", eta, 0.0))({})
+        elements = composed_elements(MeasSpec("ad_x", eta, 0.0), {})
         e = 0.5 * (1.0 + math.sqrt(eta))
         ref = efficiency_povm(X_AXIS, e, e)
         for a, b in zip(elements, ref.elements):
             np.testing.assert_allclose(a, b, atol=OPERATOR_ATOL)
 
     def test_flip_swaps_elements(self):
-        plain = search._device(MeasSpec("sym", 0.7, 0.0))({})
-        flipped = search._device(MeasSpec("sym", 0.7, 0.0, flip=True))({})
+        plain = composed_elements(MeasSpec("sym", 0.7, 0.0), {})
+        flipped = composed_elements(MeasSpec("sym", 0.7, 0.0, flip=True), {})
         np.testing.assert_allclose(plain[0], flipped[1],
                                    atol=OPERATOR_ATOL)
 
@@ -446,7 +447,7 @@ class TestBuildPhotonPovm:
         minus = eigenvector_up(X_AXIS)
         for alpha in (-1.7, -0.3, 0.4, 0.9, 2.0):
             for eta in (0.4, 0.85, 1.0):
-                r_down, r_up = search._device(MeasSpec("displaced_response", eta, alpha))({})
+                r_down, r_up = composed_elements(MeasSpec("displaced_response", eta, alpha), {})
                 exact_up = family_povm("displaced", eta, alpha).elements[1]
                 got_up = (minus.conj() @ r_up @ minus).real
                 got_down = (plus.conj() @ r_down @ plus).real
@@ -456,7 +457,7 @@ class TestBuildPhotonPovm:
                     1.0 - (plus.conj() @ exact_up @ plus).real, abs=OPERATOR_ATOL)
 
     def test_lossy3_families(self):
-        elements = search._device(MeasSpec("lossy3_z", 0.75))({})
+        elements = composed_elements(MeasSpec("lossy3_z", 0.75), {})
         assert len(elements) == 3
         down, _ = efficiency_povm(Z_AXIS, 1.0, 1.0).elements
         np.testing.assert_allclose(elements[0], 0.75 * down,
@@ -630,26 +631,26 @@ def test_a_simplex_run_of_a_verdict_stops_at_its_first_witness(monkeypatch):
         return margin(spec, values)
 
     monkeypatch.setattr(search, "violation_margin", counting_margin)
-    names, starts = search._start_points(spec, n_starts)
+    names, starts = free_parameters(spec), search._start_points(spec, n_starts)
     raw = [margin(spec, resolve_values(spec, dict(zip(names, x0)))) for x0 in starts]
     assert not any(is_violation(m) for m in raw)
     assert has_violation(spec, n_starts)
     stopped = len(calls)
     calls.clear()
     for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
-        if is_violation(search._minimize_from(spec, names, starts[idx])[0]):
+        if is_violation(search._minimize_from(spec, starts[idx])[0]):
             break
     assert stopped < n_starts + len(calls)
 
 
-def negative_margin(spec, names):
-    """A search's objective on the free values in ``names`` order."""
-    values = search._values_merger(spec, names)
-    return lambda x: -violation_margin(spec, values(x))
+def negative_margin(spec):
+    """A search's objective on the free values in ``free_parameters(spec)`` order."""
+    names = free_parameters(spec)
+    return lambda x: -violation_margin(spec, resolve_values(spec, dict(zip(names, x))))
 
 
-def free_box(spec, names):
-    return [(spec.params[n].lo, spec.params[n].hi) for n in names]
+def free_box(spec):
+    return [(spec.params[n].lo, spec.params[n].hi) for n in free_parameters(spec)]
 
 
 def test_a_simplex_run_evaluates_each_margin_once(monkeypatch):
@@ -663,17 +664,17 @@ def test_a_simplex_run_evaluates_each_margin_once(monkeypatch):
         return margin(spec, values)
 
     for spec in (VERDICT_CASES[0], VERDICT_CASES[4], PRESETS["fig3"].build(3)):
-        names, starts = search._start_points(spec, 4)
-        box = free_box(spec, names)
+        names, starts = free_parameters(spec), search._start_points(spec, 4)
+        box = free_box(spec)
         nfevs = []
         for x0 in starts:
-            res = scipy_simplex(negative_margin(spec, names), x0, box,
+            res = scipy_simplex(negative_margin(spec), x0, box,
                                 search.SIMPLEX_XATOL, search.SIMPLEX_FATOL)
             nfevs.append(res.nfev)
             with monkeypatch.context() as m:
                 m.setattr(search, "violation_margin", counting_margin)
                 calls.clear()
-                best, x = search._minimize_from(spec, names, x0)
+                best, x = search._minimize_from(spec, x0)
             assert len(calls) == res.nfev, spec.name
             assert best == -res.fun and x == res.x.tolist()
             assert all(lo <= v <= hi for v, (lo, hi) in zip(x, box))
@@ -726,9 +727,9 @@ SIMPLEX_SPECS = VERDICT_CASES + [
 
 @pytest.mark.parametrize("spec", SIMPLEX_SPECS, ids=lambda s: f"{s.name}-{s.n_parties}")
 def test_the_simplex_takes_scipys_steps_on_the_margins(spec):
-    names, starts = search._start_points(spec, 4)
+    starts = search._start_points(spec, 4)
     for x0 in starts[:3]:
-        assert_simplex_is_scipys(negative_margin(spec, names), x0, free_box(spec, names))
+        assert_simplex_is_scipys(negative_margin(spec), x0, free_box(spec))
 
 
 def test_the_simplex_takes_scipys_steps_to_a_witness():
@@ -736,8 +737,8 @@ def test_the_simplex_takes_scipys_steps_to_a_witness():
     both simplexes raise it after the same points, from two of these four
     starts; the other two end without one."""
     spec = VERDICT_CASES[1]
-    names, starts = search._start_points(spec, 4)
-    objective = negative_margin(spec, names)
+    starts = search._start_points(spec, 4)
+    objective = negative_margin(spec)
 
     def witnessing(x):
         f = objective(x)
@@ -745,7 +746,7 @@ def test_the_simplex_takes_scipys_steps_to_a_witness():
             raise search._Witness
         return f
 
-    results = [assert_simplex_is_scipys(witnessing, x0, free_box(spec, names))
+    results = [assert_simplex_is_scipys(witnessing, x0, free_box(spec))
                for x0 in starts]
     assert [res is None for res in results] == [False, True, False, True]
 
@@ -799,7 +800,7 @@ def test_the_sobol_table_covers_the_most_free_parameters_a_spec_can_have():
         photon_x=MeasSpec("homodyne", "eta_x", "phase_x"),
         params={p: ParamSpec.free(0.0, 1.0) for p in
                 ("eta_z", "eta_x", "phase_z", "phase_x", *search._ATOM_PARAMS)})
-    names, starts = search._start_points(spec, 8)
+    names, starts = free_parameters(spec), search._start_points(spec, 8)
     assert len(names) == len(search._SOBOL_INIT) + 1 == 9
     assert starts == scipy_sobol(9, 8).tolist()
 
@@ -1118,8 +1119,8 @@ def closed_form_elements(family, eff, aux):
 
 
 def test_family_elements_equal_the_public_builders_bit_for_bit():
-    """For every family of measure.FAMILIES, the scenario path's elements
-    equal family_povm's bit for bit, and a closed form within FAMILY_ATOL."""
+    """For every family of measure.FAMILIES, its elements equal
+    family_povm's bit for bit, and a closed form within FAMILY_ATOL."""
     rng = np.random.default_rng(11)
     assert set(FAMILIES) == {"spd", "sym", "homodyne", "displaced", "displaced_response",
                              "ad_x", "lossy3_z", "lossy3_x"}
@@ -1130,7 +1131,7 @@ def test_family_elements_equal_the_public_builders_bit_for_bit():
                 aux = float(rng.uniform(-5.0, 5.0) if family.startswith("displaced")
                             else rng.uniform(0.0, 2.0 * math.pi))
                 ms = MeasSpec(family, eff, aux, flip)
-                trusted = search._device(ms)({})
+                trusted = composed_elements(ms, {})
                 public = public_photon_povm(ms, {}).elements
                 closed = closed_form_elements(family, eff, aux)
                 if flip:
@@ -1581,6 +1582,43 @@ def test_a_compiled_spec_still_pickles():
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and copy is not spec
         assert violation_margin(copy, values) == margin
+
+
+def value_bits(values):
+    return [(name, type(v).__name__, float(v).hex()) for name, v in values.items()]
+
+
+def test_the_compiled_box_is_the_declared_one_as_floats():
+    """A spec compiles its search box once. For every preset at its default
+    N, as built and with its first free parameter pinned, the box holds the
+    declared (lo, hi) of free_parameters(spec) as floats, and a point's values
+    are resolve_values' bit for bit, key order included. Integer bounds
+    therefore search as floats: optimize_free_parameters reports float
+    params, which print as they do with float bounds."""
+    rng = np.random.default_rng(31)
+    for name, preset in PRESETS.items():
+        first = free_parameters(preset.spec)[0]
+        declared = preset.spec.params[first]
+        for spec in (preset.spec, fix_parameter(preset.spec, first,
+                                                0.5 * (declared.lo + declared.hi))):
+            names = free_parameters(spec)
+            box, values = spec._compiled[3:]
+            assert box == tuple((spec.params[n].lo, spec.params[n].hi) for n in names), name
+            assert all(type(end) is float for pair in box for end in pair), name
+            points = [[lo for lo, _ in box], [hi for _, hi in box]]
+            points += [[float(rng.uniform(lo, hi)) for lo, hi in box] for _ in range(3)]
+            for x in points:
+                want = resolve_values(spec, dict(zip(names, x)))
+                assert value_bits(values(x)) == value_bits(want), (name, x)
+    printed = []
+    for lo, hi in ((0, 1), (0.0, 1.0)):
+        spec = ScenarioSpec("integer-bounds", 3, "cabello", MeasSpec("spd", "eta_z"),
+                            MeasSpec("sym", "eta_x"),
+                            params={"eta_z": ParamSpec(lo, hi), "eta_x": ParamSpec(lo, hi)})
+        params = optimize_free_parameters(spec, n_starts=4).params
+        assert all(type(v) is float for v in params.values()), params
+        printed.append(json.dumps(params))
+    assert printed[0] == printed[1] == '{"eta_z": 1.0, "eta_x": 0.0}'
 
 
 def test_a_spec_is_freed_with_its_last_reference():
