@@ -435,18 +435,8 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> list:
             for p in _sobol(len(box), n_starts)] if box else [[]]
 
 
-class _Witness(Exception):
-    """Raised by a simplex run of a verdict at its first margin above the
-    guard, at the point ``x`` of free values. ``_simplex`` never drops its
-    best vertex, so a run ends "violated" exactly when one of its
-    evaluations is a violation: stopping there leaves the verdict as it was."""
-
-    def __init__(self, x=None):
-        self.x = x
-
-
-class _Spent(Exception):
-    """A simplex run asked for more than its evaluation cap."""
+class _Stop(Exception):
+    """Ends a simplex run: at its cap, or with the (value, point) that ``stop`` accepted."""
 
 
 def _sorted_simplex(sim: list, fsim: list) -> tuple:
@@ -458,21 +448,29 @@ def _sorted_simplex(sim: list, fsim: list) -> tuple:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) -> tuple:
+def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None,
+             stop: Optional[Callable] = None) -> tuple:
     """The best value and vertex of a bounded Nelder-Mead run minimizing
     ``func`` over the box of (lo, hi) pairs, lo < hi: scipy 1.17's
     ``minimize(method="Nelder-Mead", bounds=...)`` step for step, capped at
     ``maxfev`` evaluations (more than n), by default (None or 0) scipy's
-    200 n. With no axis (n = 0) the run is its one evaluation."""
+    200 n. With no axis (n = 0) the run is its one evaluation. With ``stop``,
+    it ends at the first value that ``stop`` accepts, first vertices included,
+    and returns it and its point. A run never drops its best vertex, so for a
+    ``stop`` that accepts every value below one it accepts, a run would have
+    ended at an accepted value anyway: stopping only saves evaluations."""
     n = len(x0)
     nfev, maxfev = 0, maxfev or 200 * max(n, 1)  # scipy's iteration cap (200 n) never binds first
 
     def f(x):
         nonlocal nfev
         if nfev >= maxfev:
-            raise _Spent
+            raise _Stop
         nfev += 1
-        return func(x)
+        value = func(x)
+        if stop is not None and stop(value):
+            raise _Stop(value, x)
+        return value
 
     def clip(x):  # np.clip, signed zeros included
         return [(v if v < hi else hi) if v > lo else lo for v, (lo, hi) in zip(x, box)]
@@ -481,8 +479,8 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) 
     for k, c in enumerate(sim[0]):  # steps of 5%, or 0.00025 from 0, reflected into the box
         y = sim[0][:k] + [(1 + 0.05) * c if c != 0 else 0.00025] + sim[0][k + 1:]
         sim.append(clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]))
-    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, [f(x) for x in sim]))  # twice, as scipy does
-    try:
+    try:  # the first simplex, sorted twice as scipy does: the cap is above n, only a stop ends it
+        sim, fsim = _sorted_simplex(*_sorted_simplex(sim, [f(x) for x in sim]))
         while nfev < maxfev:
             # fsim is sorted, NaN last, so fsim[-1] - fsim[0] is its largest |fsim[0] - v|
             if fsim[-1] - fsim[0] <= SIMPLEX_FATOL and all(
@@ -512,7 +510,9 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None) 
                         sim[j] = clip([a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])])
                         fsim[j] = f(sim[j])
             sim, fsim = _sorted_simplex(sim, fsim)
-    except _Spent:
+    except _Stop as end:
+        if end.args:
+            return end.args
         sim, fsim = _sorted_simplex(sim, fsim)
     # scipy reports np.min(fsim): NaN if any value is, and NaN sorts last
     return fsim[0] if fsim[-1] == fsim[-1] else fsim[-1], sim[0]
@@ -522,17 +522,11 @@ def _minimize_from(spec: ScenarioSpec, x0: list, stop_at_witness: bool = False,
                    maxfev: Optional[int] = None) -> tuple:
     """One bounded Nelder-Mead run from ``x0`` in the compiled box (``maxfev``:
     see :func:`_simplex`): its best margin and point. With ``stop_at_witness``
-    it raises :class:`_Witness` at the first margin above the guard instead."""
+    it ends at its first margin above the guard (a witness) and returns it."""
     box, values = spec._compiled[3:]
-
-    def negative_margin(x):
-        m = violation_margin(spec, values(x))
-        if stop_at_witness and is_violation(m):
-            raise _Witness(x)
-        return -m
-
     # The best vertex lies in the box, and minus its value is its margin.
-    fun, x = _simplex(negative_margin, x0, box, maxfev)
+    fun, x = _simplex(lambda x: -violation_margin(spec, values(x)), x0, box, maxfev,
+                      (lambda f: is_violation(-f)) if stop_at_witness else None)
     return -fun, x
 
 
@@ -555,8 +549,8 @@ def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS)
 def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
     """A point of free values whose margin is above the guard (``[]`` with
     no free parameter), or None. The raw margins at the start points are
-    scanned first, then simplex runs from the most promising starts stop at
-    their first witness, so the common violated case returns quickly."""
+    scanned first, then simplex runs from the most promising starts, each
+    ending at its first witness, so the common violated case returns quickly."""
     starts, (box, values) = _start_points(spec, n_starts), spec._compiled[3:]
     raw = []
     for x0 in starts:
@@ -566,11 +560,10 @@ def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
         raw.append(m)
     if not box:  # the one start's margin was the verdict; a run would repeat it
         return None
-    try:
-        for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
-            _minimize_from(spec, starts[idx], stop_at_witness=True)
-    except _Witness as witness:
-        return witness.x
+    for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
+        margin, x = _minimize_from(spec, starts[idx], stop_at_witness=True)
+        if is_violation(margin):
+            return x
     return None
 
 
@@ -580,14 +573,11 @@ def has_violation(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> bool:
 
 
 def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
-    """The witness of one simplex run from ``x0`` of at most
+    """The witness that ends one simplex run from ``x0`` of at most
     ``WARM_EVALS_PER_PARAM`` margins per axis of the compiled box, or None.
     With no axis, the run is one margin and gives :func:`_find_witness`'s verdict."""
-    try:
-        _minimize_from(spec, x0, True, WARM_EVALS_PER_PARAM * len(spec._compiled[3]))
-    except _Witness as witness:
-        return witness.x
-    return None
+    margin, x = _minimize_from(spec, x0, True, WARM_EVALS_PER_PARAM * len(spec._compiled[3]))
+    return x if is_violation(margin) else None
 
 
 def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,

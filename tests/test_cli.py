@@ -438,6 +438,15 @@ class TestContent:
         assert run(["content", "--dist-file", str(path)]) == \
             (1, "", f"wbell: error: {message}: {line!r}\n")
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP known defect 2: the LP search maximizes rounding noise "
+               "in the flat local region and reports content 5.1e-14 at eta_z 0, "
+               "though the point (0.9, 0.5) has content 0.0375")
+    def test_a_two_start_content_search_finds_a_nonlocal_point(self):
+        d = run_json(["content", "--preset", "garbarino3", "--n", "3", "--starts", "2"])
+        assert d["nonlocal_content"] > 1e-3
+
     def test_matches_library_call(self):
         d = run_json(self.IDEAL)
         spec = PRESETS["fig5"].build(3)

@@ -690,28 +690,37 @@ def bits(points):
     return [[float(v).hex() for v in p] for p in points]
 
 
-def assert_simplex_is_scipys(func, x0, box):
+class ScipyStopped(Exception):
+    """Aborts a scipy run at the first value its test's ``stop`` accepts."""
+
+
+def assert_simplex_is_scipys(func, x0, box, stop=None):
     """The simplex evaluates scipy's points bit for bit and in scipy's order,
-    and returns scipy's fun and x, or raises the same _Witness after the same
-    points. Returns scipy's result, or None after a witness."""
-    runs = []
-    for minimize in (lambda f: search._simplex(f, list(x0), box),
-                     lambda f: scipy_simplex(f, x0, box, search.SIMPLEX_XATOL,
-                                             search.SIMPLEX_FATOL)):
-        seen = []
+    and returns scipy's fun and x. With ``stop``, scipy's run is aborted at
+    the first value that ``stop`` accepts, and the simplex returns that value
+    and its point. Returns scipy's result, or None after a stop."""
+    ours, theirs = [], []
 
-        def recorded(x):
-            seen.append(list(x))
-            return func(list(x))
+    def recorded(seen, x):
+        seen.append((list(x), func(list(x))))
+        return seen[-1][1]
 
-        try:
-            runs.append((seen, minimize(recorded)))
-        except search._Witness:
-            runs.append((seen, None))
-    (ours, result), (theirs, res) = runs
-    assert bits(ours) == bits(theirs)
-    assert (result is None) == (res is None)
-    if res is not None:
+    def aborted(x):
+        value = recorded(theirs, x)
+        if stop is not None and stop(value):
+            raise ScipyStopped
+        return value
+
+    result = search._simplex(lambda x: recorded(ours, x), list(x0), box, stop=stop)
+    try:
+        res = scipy_simplex(aborted, x0, box, search.SIMPLEX_XATOL, search.SIMPLEX_FATOL)
+    except ScipyStopped:
+        res = None
+    assert bits(x for x, _ in ours) == bits(x for x, _ in theirs)
+    if res is None:
+        last_x, last_value = theirs[-1]
+        assert bits([[result[0]], result[1]]) == bits([[last_value], last_x])
+    else:
         assert len(theirs) == res.nfev
         assert bits([[result[0]], result[1]]) == bits([[res.fun], res.x])
     return res
@@ -733,22 +742,59 @@ def test_the_simplex_takes_scipys_steps_on_the_margins(spec):
 
 
 def test_the_simplex_takes_scipys_steps_to_a_witness():
-    """has_violation's objective raises _Witness at its first violation:
-    both simplexes raise it after the same points, from two of these four
-    starts; the other two end without one."""
+    """A verdict's run stops at its first violation: the simplex with that
+    ``stop`` and scipy's run, aborted there, evaluate the same points and
+    stop from two of these four starts; the other two end without one."""
     spec = VERDICT_CASES[1]
-    starts = search._start_points(spec, 4)
-    objective = negative_margin(spec)
-
-    def witnessing(x):
-        f = objective(x)
-        if is_violation(-f):
-            raise search._Witness
-        return f
-
-    results = [assert_simplex_is_scipys(witnessing, x0, free_box(spec))
-               for x0 in starts]
+    results = [assert_simplex_is_scipys(negative_margin(spec), x0, free_box(spec),
+                                        stop=lambda f: is_violation(-f))
+               for x0 in search._start_points(spec, 4)]
     assert [res is None for res in results] == [False, True, False, True]
+
+
+def test_a_stop_among_the_first_vertices_ends_the_run_there(monkeypatch):
+    """A stop that accepts the third of the n + 1 first vertices ends the run
+    after three evaluations and returns that vertex, in the simplex and
+    through a verdict's run. A verdict's run returns a margin above the
+    guard exactly when one of its margins is a witness, and then returns the
+    first witness, its last evaluation."""
+    seen = []
+
+    def objective(x):
+        seen.append(x)
+        return -x[1]
+
+    assert search._simplex(objective, [0.5] * 3, [(0.0, 1.0)] * 3,
+                           stop=lambda f: f < -0.51) == (-0.525, [0.5, 0.525, 0.5])
+    assert len(seen) == 3
+
+    calls, margin = [], search.violation_margin
+
+    def recorded_margin(spec, values):
+        calls.append((values, margin(spec, values)))
+        return calls[-1][1]
+
+    def toy_margin(spec, values):
+        calls.append((values, 2.0 * VIOLATION_GUARD if values["a_polar_1"] > 1.0 else -1.0))
+        return calls[-1][1]
+
+    monkeypatch.setattr(search, "violation_margin", toy_margin)
+    assert search._minimize_from(VERDICT_CASES[0], [1.0, 1.0, 1.0, -1.0], True) == (
+        2.0 * VIOLATION_GUARD, [1.0, 1.05, 1.0, -1.0])
+    assert len(calls) == 3
+    monkeypatch.setattr(search, "violation_margin", recorded_margin)
+    stops = []
+    for spec in VERDICT_CASES:
+        for x0 in search._start_points(spec, 4):
+            calls.clear()
+            best, x = search._minimize_from(spec, x0, stop_at_witness=True)
+            witnesses = [is_violation(m) for _, m in calls]
+            stops.append(is_violation(best))
+            assert stops[-1] == any(witnesses), spec.name
+            if stops[-1]:
+                assert witnesses.index(True) == len(calls) - 1
+                assert (spec._compiled[4](x), best) == calls[-1]
+    assert any(stops) and not all(stops)
 
 
 def rosenbrock(x):
