@@ -23,6 +23,7 @@ import numpy as np
 from .bell import (
     WWWZB_MAX_PARTIES,
     BellResult,
+    _observables,
     cabello_symmetric,
     chsh_symmetric,
     is_violation,
@@ -41,6 +42,7 @@ WARM_EVALS_PER_PARAM = 20  # the cap of a bisection step's one simplex run
 BISECTION_ATOL = 1e-4
 
 _ATOM_PARAMS = ("theta", "eta_c", "eta_atom", "a_polar_0", "a_polar_1")
+_ANGLES = _ATOM_PARAMS[3:]
 
 
 class Criterion(NamedTuple):
@@ -207,7 +209,7 @@ class ScenarioSpec:
                 raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
     @cached_property
-    def _compiled(self) -> tuple:  # (margin, symmetric, parties, box, values) of _compile
+    def _compiled(self) -> tuple:  # (margin, symmetric, parties, box, values, objective)
         return _compile(self)
 
     def __getstate__(self) -> dict:  # closures do not pickle; a copy compiles anew
@@ -324,21 +326,55 @@ def _compile(spec: ScenarioSpec) -> tuple:
     """The spec's closed-form margin; its maps from the values to the
     Symmetric scenario of scenario_state's state and to the parties'
     elements; the search box, the (lo, hi) floats of ``free_parameters(spec)``;
-    and the map from a point of the box to its values, a copy of one template
-    of resolve_values. All five read the spec's fields here and refer no more
-    to the spec, which is freed with its last reference. Pinned devices are
-    built once; a margin builds no ExcitationState or BellResult."""
+    the map from a point of the box to its values, a copy of one template
+    of resolve_values; and a search objective, or None. A CHSH atom's two
+    angles, each over a full turn, leave the box: the value map fills them in
+    and the objective is the margin there. All six refer no more to the spec,
+    which is freed with its last reference. Pinned devices are built once; a
+    margin builds no ExcitationState or BellResult."""
     name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
     z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
     w_beta = 1.0 / math.sqrt(n + 1)  # w_state's
     names = free_parameters(spec)
-    box = tuple((float(spec.params[p].lo), float(spec.params[p].hi)) for p in names)
+    turns = [(float(spec.params[a].lo), float(spec.params[a].hi)) for a in _ANGLES] if atom else []
+    reduced = criterion == "chsh" and atom and all(hi - lo >= 2.0 * math.pi for lo, hi in turns)
+    axes = tuple(p for p in names if not (reduced and p in _ANGLES))
+    box = tuple((float(spec.params[p].lo), float(spec.params[p].hi)) for p in axes)
     template = resolve_values(spec, dict.fromkeys(names, 0.0))
+
+    def best_angles(values) -> float:
+        """The CHSH value at the atom's best angles, written into ``values``.
+        The atom's observable is (1 - eta)I + eta(cos a Z + sin a X), so the
+        correlator at photon setting t is p_t + q_t cos a + r_t sin a. Of
+        _chsh's choices, negating (0, 0) or (0, 1) gives atom setting 0 -D or
+        D and setting 1 S, the difference and sum of the two (p, q, r); the
+        other two mirror them. A choice's best is |P| + hypot(Q0, R0) +
+        hypot(Q1, R1), each angle at atan2(sign(P) R, sign(P) Q)."""
+        c, b, w_vac = atom_photon_amplitudes(values["theta"], values["eta_c"], n)
+        sym, eta, cc = Symmetric(None, None, n, (w_vac, 1.0)), values["eta_atom"], c * c
+        ops = ((1.0 - eta, (1.0, 0.0, 0.0, cc)), (eta, (1.0, 0.0, 0.0, -cc)),
+               (eta, (0.0, c, c, 0.0)))
+        (p0, q0, r0), (p1, q1, r1) = [[k * sym.expectation(op, t) for k, op in ops]
+                                      for t in _observables(_transfers((z(values), x(values)), b))]
+        s, d = (p0 + p1, q0 + q1, r0 + r1), (p0 - p1, q0 - q1, r0 - r1)
+        minus, plus = s[0] - d[0], s[0] + d[0]
+        top, tau = (minus, -1.0) if abs(minus) >= abs(plus) else (plus, 1.0)
+        sign = -1.0 if top < 0.0 else 1.0
+        for angle, (lo, hi), k, (_, q, r) in zip(_ANGLES, turns, (sign * tau, sign), (d, s)):
+            values[angle] = min(hi, lo + (math.atan2(k * r, k * q) - lo) % (2.0 * math.pi))
+        return abs(top) + math.hypot(s[1], s[2]) + math.hypot(d[1], d[2])
 
     def merge(point) -> dict:
         out = dict(template)
-        out.update(zip(names, point))
+        out.update(zip(axes, point))
+        if reduced:
+            best_angles(out)
         return out
+
+    def objective(point) -> float:
+        values = dict(template)
+        values.update(zip(axes, point))
+        return _finite(name, criterion, best_angles(values), values) - rule.local_bound
 
     def parties(values) -> list:
         photon = z(values), x(values)
@@ -355,7 +391,7 @@ def _compile(spec: ScenarioSpec) -> tuple:
     def margin(values):
         return _finite(name, criterion, rule.evaluate(symmetric(values)), values) - rule.local_bound
 
-    return margin, symmetric, parties, box, merge
+    return margin, symmetric, parties, box, merge, objective if reduced else None
 
 
 def _finite(name: str, criterion: str, value: float, values: dict) -> float:
@@ -518,14 +554,21 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None,
     return fsim[0] if fsim[-1] == fsim[-1] else fsim[-1], sim[0]
 
 
+def _objective(spec: ScenarioSpec) -> Callable:
+    """A search's map from a point of the compiled box to its margin: the
+    compiled objective, or else violation_margin at the point's values."""
+    values, objective = spec._compiled[4:]
+    return objective or (lambda x: violation_margin(spec, values(x)))
+
+
 def _minimize_from(spec: ScenarioSpec, x0: list, stop_at_witness: bool = False,
                    maxfev: Optional[int] = None) -> tuple:
     """One bounded Nelder-Mead run from ``x0`` in the compiled box (``maxfev``:
     see :func:`_simplex`): its best margin and point. With ``stop_at_witness``
     it ends at its first margin above the guard (a witness) and returns it."""
-    box, values = spec._compiled[3:]
+    margin = _objective(spec)
     # The best vertex lies in the box, and minus its value is its margin.
-    fun, x = _simplex(lambda x: -violation_margin(spec, values(x)), x0, box, maxfev,
+    fun, x = _simplex(lambda x: -margin(x), x0, spec._compiled[3], maxfev,
                       (lambda f: is_violation(-f)) if stop_at_witness else None)
     return -fun, x
 
@@ -551,14 +594,14 @@ def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
     no free parameter), or None. The raw margins at the start points are
     scanned first, then simplex runs from the most promising starts, each
     ending at its first witness, so the common violated case returns quickly."""
-    starts, (box, values) = _start_points(spec, n_starts), spec._compiled[3:]
+    starts, objective = _start_points(spec, n_starts), _objective(spec)
     raw = []
     for x0 in starts:
-        m = violation_margin(spec, values(x0))
+        m = objective(x0)
         if is_violation(m):
             return x0
         raw.append(m)
-    if not box:  # the one start's margin was the verdict; a run would repeat it
+    if not spec._compiled[3]:  # the one start's margin was the verdict; a run would repeat it
         return None
     for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
         margin, x = _minimize_from(spec, starts[idx], stop_at_witness=True)

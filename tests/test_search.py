@@ -619,20 +619,32 @@ def test_a_verdict_that_stops_at_its_first_witness_matches_the_full_runs(n_start
     assert verdicts == [False, True] * 4
 
 
+def counting_objective(monkeypatch, calls):
+    """Record the (point, margin) of every margin a search evaluates, through
+    the objective it asks ``search._objective`` for: the compiled objective
+    of a CHSH atom spec, violation_margin at the point's values otherwise."""
+    objective = search._objective
+
+    def counted(spec):
+        margin = objective(spec)
+
+        def recorded(x):
+            calls.append((list(x), margin(x)))
+            return calls[-1][1]
+        return recorded
+
+    monkeypatch.setattr(search, "_objective", counted)
+
+
 def test_a_simplex_run_of_a_verdict_stops_at_its_first_witness(monkeypatch):
     """No raw start of this violated point is a violation, so the verdict
     comes from a simplex run, and it takes fewer margins than the raw scan
     plus the same runs carried to their ends."""
-    spec, n_starts = VERDICT_CASES[1], 2
-    calls, margin = [], search.violation_margin
-
-    def counting_margin(spec, values):
-        calls.append(values)
-        return margin(spec, values)
-
-    monkeypatch.setattr(search, "violation_margin", counting_margin)
-    names, starts = free_parameters(spec), search._start_points(spec, n_starts)
-    raw = [margin(spec, resolve_values(spec, dict(zip(names, x0)))) for x0 in starts]
+    spec, n_starts, calls = VERDICT_CASES[1], 2, []
+    margin = search._objective(spec)
+    counting_objective(monkeypatch, calls)
+    starts = search._start_points(spec, n_starts)
+    raw = [margin(x0) for x0 in starts]
     assert not any(is_violation(m) for m in raw)
     assert has_violation(spec, n_starts)
     stopped = len(calls)
@@ -644,44 +656,37 @@ def test_a_simplex_run_of_a_verdict_stops_at_its_first_witness(monkeypatch):
 
 
 def negative_margin(spec):
-    """A search's objective on the free values in ``free_parameters(spec)`` order."""
-    names = free_parameters(spec)
-    return lambda x: -violation_margin(spec, resolve_values(spec, dict(zip(names, x))))
+    """A search's objective on the points of the compiled box."""
+    margin = search._objective(spec)
+    return lambda x: -margin(x)
 
 
 def free_box(spec):
-    return [(spec.params[n].lo, spec.params[n].hi) for n in free_parameters(spec)]
+    return list(spec._compiled[3])
 
 
 def test_a_simplex_run_evaluates_each_margin_once(monkeypatch):
     """A run's margin calls equal scipy's nfev on the same run: it returns its
     best vertex, which lies in the box, with minus scipy's fun as its margin,
     and evaluates no margin again."""
-    calls, margin = [], search.violation_margin
-
-    def counting_margin(spec, values):
-        calls.append(values)
-        return margin(spec, values)
-
+    calls = []
     for spec in (VERDICT_CASES[0], VERDICT_CASES[4], PRESETS["fig3"].build(3)):
-        names, starts = free_parameters(spec), search._start_points(spec, 4)
-        box = free_box(spec)
+        starts, box, objective = search._start_points(spec, 4), free_box(spec), negative_margin(spec)
         nfevs = []
         for x0 in starts:
-            res = scipy_simplex(negative_margin(spec), x0, box,
-                                search.SIMPLEX_XATOL, search.SIMPLEX_FATOL)
+            res = scipy_simplex(objective, x0, box, search.SIMPLEX_XATOL, search.SIMPLEX_FATOL)
             nfevs.append(res.nfev)
             with monkeypatch.context() as m:
-                m.setattr(search, "violation_margin", counting_margin)
+                counting_objective(m, calls)
                 calls.clear()
                 best, x = search._minimize_from(spec, x0)
             assert len(calls) == res.nfev, spec.name
             assert best == -res.fun and x == res.x.tolist()
             assert all(lo <= v <= hi for v, (lo, hi) in zip(x, box))
-            assert best == margin(spec, resolve_values(spec, dict(zip(names, x))))
+            assert best == -objective(x)
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(search, "violation_margin", counting_margin)
+            counting_objective(m, calls)
             optimize_free_parameters(spec, n_starts=4)
         assert len(calls) == sum(nfevs)
 
@@ -744,12 +749,13 @@ def test_the_simplex_takes_scipys_steps_on_the_margins(spec):
 def test_the_simplex_takes_scipys_steps_to_a_witness():
     """A verdict's run stops at its first violation: the simplex with that
     ``stop`` and scipy's run, aborted there, evaluate the same points and
-    stop from two of these four starts; the other two end without one."""
+    stop from three of these four starts over (phi_x, theta); the first ends
+    without one."""
     spec = VERDICT_CASES[1]
     results = [assert_simplex_is_scipys(negative_margin(spec), x0, free_box(spec),
                                         stop=lambda f: is_violation(-f))
                for x0 in search._start_points(spec, 4)]
-    assert [res is None for res in results] == [False, True, False, True]
+    assert [res is None for res in results] == [False, True, True, True]
 
 
 def test_a_stop_among_the_first_vertices_ends_the_run_there(monkeypatch):
@@ -768,21 +774,18 @@ def test_a_stop_among_the_first_vertices_ends_the_run_there(monkeypatch):
                            stop=lambda f: f < -0.51) == (-0.525, [0.5, 0.525, 0.5])
     assert len(seen) == 3
 
-    calls, margin = [], search.violation_margin
-
-    def recorded_margin(spec, values):
-        calls.append((values, margin(spec, values)))
-        return calls[-1][1]
+    calls = []
 
     def toy_margin(spec, values):
         calls.append((values, 2.0 * VIOLATION_GUARD if values["a_polar_1"] > 1.0 else -1.0))
         return calls[-1][1]
 
-    monkeypatch.setattr(search, "violation_margin", toy_margin)
-    assert search._minimize_from(VERDICT_CASES[0], [1.0, 1.0, 1.0, -1.0], True) == (
-        2.0 * VIOLATION_GUARD, [1.0, 1.05, 1.0, -1.0])
+    with monkeypatch.context() as m:
+        m.setattr(search, "violation_margin", toy_margin)
+        assert search._minimize_from(VERDICT_CASES[6], [1.0, 1.0, 1.0, -1.0], True) == (
+            2.0 * VIOLATION_GUARD, [1.0, 1.05, 1.0, -1.0])
     assert len(calls) == 3
-    monkeypatch.setattr(search, "violation_margin", recorded_margin)
+    counting_objective(monkeypatch, calls)
     stops = []
     for spec in VERDICT_CASES:
         for x0 in search._start_points(spec, 4):
@@ -793,7 +796,7 @@ def test_a_stop_among_the_first_vertices_ends_the_run_there(monkeypatch):
             assert stops[-1] == any(witnesses), spec.name
             if stops[-1]:
                 assert witnesses.index(True) == len(calls) - 1
-                assert (spec._compiled[4](x), best) == calls[-1]
+                assert (x, best) == calls[-1]
     assert any(stops) and not all(stops)
 
 
@@ -839,15 +842,16 @@ def test_start_points_are_scipys_sobol_points(d):
 
 
 def test_the_sobol_table_covers_the_most_free_parameters_a_spec_can_have():
-    """Four device references and the five atom parameters, all free."""
+    """Four device references and the five atom parameters, all free and all
+    searched: wwwzb, unlike CHSH, has no closed form for the atom's angles."""
     spec = ScenarioSpec(
-        name="most-free", n_parties=2, criterion="chsh", atom=True,
+        name="most-free", n_parties=2, criterion="wwwzb", atom=True,
         photon_z=MeasSpec("homodyne", "eta_z", "phase_z"),
         photon_x=MeasSpec("homodyne", "eta_x", "phase_x"),
         params={p: ParamSpec.free(0.0, 1.0) for p in
                 ("eta_z", "eta_x", "phase_z", "phase_x", *search._ATOM_PARAMS)})
     names, starts = free_parameters(spec), search._start_points(spec, 8)
-    assert len(names) == len(search._SOBOL_INIT) + 1 == 9
+    assert len(names) == len(search._SOBOL_INIT) + 1 == len(spec._compiled[3]) == 9
     assert starts == scipy_sobol(9, 8).tolist()
 
 
@@ -1588,16 +1592,15 @@ def test_a_pinned_device_is_built_once_per_spec(monkeypatch):
     outcomes, spd = FAMILIES["spd"]
     monkeypatch.setitem(FAMILIES, "spd", (outcomes, lambda eff, aux: built.append(eff)
                                           or spd(eff, aux)))
-    margin = search.violation_margin
-    monkeypatch.setattr(search, "violation_margin",
-                        lambda spec, values: margins.append(values) or margin(spec, values))
+    counting_objective(monkeypatch, margins)
     free = PRESETS["fig4-homodyne"].build(2)
     optimize_free_parameters(fix_parameter(free, "eta_spd", 0.9), n_starts=4)
     assert built == [0.9] and len(margins) > 100
     built.clear()
     margins.clear()
     optimize_free_parameters(free, n_starts=1)
-    assert len(built) == len(margins) > 10
+    # and once more where the result's values take the atom's best angles
+    assert len(built) == len(margins) + 1 > 10
 
 
 def test_a_new_spec_compiles_afresh():
@@ -1634,28 +1637,44 @@ def value_bits(values):
     return [(name, type(v).__name__, float(v).hex()) for name, v in values.items()]
 
 
+ANGLES = ("a_polar_0", "a_polar_1")
+CHSH_ATOM_PRESETS = ("fig4-homodyne", "fig4-displacement", "chsh-homodyne", "chsh-displacement")
+
+
 def test_the_compiled_box_is_the_declared_one_as_floats():
     """A spec compiles its search box once. For every preset at its default
     N, as built and with its first free parameter pinned, the box holds the
-    declared (lo, hi) of free_parameters(spec) as floats, and a point's values
+    declared (lo, hi) of free_parameters(spec) as floats, but for the atom's
+    two angles of the four CHSH atom presets as built, and a point's values
     are resolve_values' bit for bit, key order included. Integer bounds
     therefore search as floats: optimize_free_parameters reports float
     params, which print as they do with float bounds."""
-    rng = np.random.default_rng(31)
+    rng, reduced_presets = np.random.default_rng(31), set()
     for name, preset in PRESETS.items():
         first = free_parameters(preset.spec)[0]
         declared = preset.spec.params[first]
         for spec in (preset.spec, fix_parameter(preset.spec, first,
                                                 0.5 * (declared.lo + declared.hi))):
             names = free_parameters(spec)
-            box, values = spec._compiled[3:]
-            assert box == tuple((spec.params[n].lo, spec.params[n].hi) for n in names), name
+            box, values, objective = spec._compiled[3:]
+            # A CHSH atom whose angles both range over a full turn searches
+            # without them, and its value map fills them in.
+            reduced = spec.criterion == "chsh" and spec.atom and all(
+                spec.params[a].hi - spec.params[a].lo >= 2.0 * math.pi for a in ANGLES)
+            assert (objective is not None) == reduced, name
+            if reduced and spec is preset.spec:
+                reduced_presets.add(name)
+            axes = [n for n in names if not (reduced and n in ANGLES)]
+            assert box == tuple((spec.params[n].lo, spec.params[n].hi) for n in axes), name
             assert all(type(end) is float for pair in box for end in pair), name
             points = [[lo for lo, _ in box], [hi for _, hi in box]]
             points += [[float(rng.uniform(lo, hi)) for lo, hi in box] for _ in range(3)]
             for x in points:
-                want = resolve_values(spec, dict(zip(names, x)))
-                assert value_bits(values(x)) == value_bits(want), (name, x)
+                got = values(x)
+                filled = {a: got[a] for a in ANGLES} if reduced else {}
+                want = resolve_values(spec, {**dict(zip(axes, x)), **filled})
+                assert value_bits(got) == value_bits(want), (name, x)
+    assert reduced_presets == set(CHSH_ATOM_PRESETS)
     printed = []
     for lo, hi in ((0, 1), (0.0, 1.0)):
         spec = ScenarioSpec("integer-bounds", 3, "cabello", MeasSpec("spd", "eta_z"),
@@ -1665,6 +1684,100 @@ def test_the_compiled_box_is_the_declared_one_as_floats():
         assert all(type(v) is float for v in params.values()), params
         printed.append(json.dumps(params))
     assert printed[0] == printed[1] == '{"eta_z": 1.0, "eta_x": 0.0}'
+
+
+# A CHSH atom whose angles range over full turns searches without them
+# (search._compile): its objective is the closed-form best over the two
+# angles, which the value map fills in.
+
+ANGLE_GRID = np.linspace(0.0, 2.0 * math.pi, 24).tolist()
+
+
+def chsh_atom_points(rng, per_spec):
+    """(label, spec, point) over the four CHSH atom presets as built, with a
+    coupling below 1 and with the atom's efficiency drawn too."""
+    for name in CHSH_ATOM_PRESETS:
+        spec = PRESETS[name].build(2)
+        coupled = fix_parameter(spec, "eta_c", float(rng.uniform(0.0, 1.0)))
+        lossy = fix_parameter(coupled, "eta_atom", float(rng.uniform(0.5, 1.0)))
+        for label, variant in ((name, spec), (f"{name} coupled", coupled),
+                               (f"{name} lossy", lossy)):
+            for _ in range(per_spec):
+                yield label, variant, [float(rng.uniform(lo, hi))
+                                       for lo, hi in variant._compiled[3]]
+
+
+def test_the_closed_form_angles_are_the_best_the_margin_reaches():
+    """At random points, the filled angles lie in their declared [0, 2 pi].
+    The objective equals violation_margin at them within 1e-15 on the
+    presets as built (2e-15 with a pinned coupling or atom efficiency: two
+    roundings of one value, 5 ulps apart at worst so far) and the dense
+    oracle's CHSH value there within 1e-12, and no point of a 24 x 24 grid
+    of the two angles beats it by more than 1e-12."""
+    for label, spec, x in chsh_atom_points(np.random.default_rng(33), 10):
+        margin, values = spec._compiled[5](x), spec._compiled[4](x)
+        tol = 1e-15 if label in CHSH_ATOM_PRESETS else 2e-15
+        assert abs(margin - violation_margin(spec, values)) <= tol, (label, x)
+        assert all(0.0 <= values[a] <= 2.0 * math.pi for a in ANGLES), (label, values)
+        state = search.scenario_state(spec, values)
+        dense = dense_distribution(state, composed_parties(spec, values))
+        assert abs(margin - (chsh_value(full_correlators(dense)).value - 2.0)) <= 1e-12, label
+        grid = max(violation_margin(spec, {**values, "a_polar_0": a0, "a_polar_1": a1})
+                   for a0 in ANGLE_GRID for a1 in ANGLE_GRID)
+        assert grid <= margin + 1e-12, (label, x, grid, margin)
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert dispatch(argv) == 0
+    return out.getvalue()
+
+
+def test_angles_short_of_a_full_turn_stay_search_axes(tmp_path):
+    """The closed form maximizes over whole turns, so an angle declared on a
+    shorter range keeps its axis, from a config file and from a library
+    spec; a full turn anywhere is filled in. Every reported angle lies in
+    its declared range."""
+    text = cli_stdout(["bell", "--preset", "chsh-displacement", "--dump-spec"])
+    assert "param.a_polar_0 = 0.0 6.283185307179586 free\n" in text
+    path = tmp_path / "short.cfg"
+    path.write_text(text.replace("param.a_polar_0 = 0.0 6.283185307179586 free",
+                                 "param.a_polar_0 = 0 1 free"))
+    spec = _scenario_from_keys(parse_config(path.read_text())[2])
+    assert spec._compiled[3] == ((0.0, 1.0), (0.0, 2.0 * math.pi), (0.01, 2.0),
+                                 (-math.pi / 2.0, -1e-3))
+    assert spec._compiled[5] is None
+    params = json.loads(cli_stdout(["bell", "--config", str(path), "--starts", "2"]))["params"]
+    assert 0.0 <= params["a_polar_0"] <= 1.0
+    assert 0.0 <= params["a_polar_1"] <= 2.0 * math.pi
+    full = PRESETS["fig4-homodyne"].build(2)
+    for ranges, axes in (([(0.0, 6.28), (0.0, 2.0 * math.pi)], 5),
+                         ([(0.0, math.pi), (-1.0, 1.0)], 5),
+                         ([(-math.pi, math.pi), (1.0, 1.0 + 2.0 * math.pi)], 3),
+                         ([(-4.0, 3.0), (2.0, 9.0)], 3),
+                         ([(3.0, 3.0 + 2.0 * math.pi), (-7.0, -7.0 + 2.0 * math.pi)], 3)):
+        params = dict(full.params, **{a: ParamSpec.free(lo, hi)
+                                      for a, (lo, hi) in zip(ANGLES, ranges)})
+        spec = replace(full, params=params)
+        assert len(spec._compiled[3]) == axes, ranges
+        found = optimize_free_parameters(spec, n_starts=2).params
+        for a, (lo, hi) in zip(ANGLES, ranges):
+            assert lo <= found[a] <= hi, (ranges, found)
+
+
+def test_the_converged_runs_of_a_chsh_atom_search_agree_on_the_angles():
+    """bell --preset chsh-displacement --starts 4 used to end its runs at
+    mirror optima of one margin, a_polar_0 3.85 in one run and 5.57 in
+    another. Every run that reaches the best margin now fills in the same
+    two angles."""
+    spec = PRESETS["chsh-displacement"].build(2)
+    runs = [search._minimize_from(spec, x0) for x0 in search._start_points(spec, 4)]
+    best = max(m for m, _ in runs)
+    angles = [[spec._compiled[4](x)[a] for a in ANGLES] for m, x in runs if m >= best - 1e-9]
+    assert len(angles) >= 2
+    for pair in angles:
+        assert all(abs(a - b) <= 1e-6 for a, b in zip(pair, angles[0])), angles
 
 
 def test_a_spec_is_freed_with_its_last_reference():
