@@ -14,7 +14,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -46,13 +47,14 @@ DEFAULT_GRID = 21
 TWO_PI = 2.0 * math.pi
 THETA_LO = -math.pi / 2.0
 THETA_HI = -1e-3
+_HELP_FORMATTER = partial(argparse.HelpFormatter, width=78)  # 80-column help whatever COLUMNS says
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag, in any subcommand, as one ValueError line; -1e-3 is a number."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, formatter_class=_HELP_FORMATTER, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
@@ -560,15 +562,8 @@ def _cmd_bell(args) -> str:
     params = (optimize_free_parameters(spec, n_starts=args.starts).params
               if free_parameters(spec) else resolve_values(spec))
     result = scenario_result(spec, params, vacuum=args.state == "vacuum")
-    return _json_text(
-        args, spec,
-        state="atom-photon" if spec.atom else args.state,
-        value=result.value,
-        local_bound=result.local_bound,
-        algebraic_max=result.algebraic_max,
-        violated=result.violated,
-        margin=result.value - result.local_bound,
-        params=params)
+    return _json_text(args, spec, state="atom-photon" if spec.atom else args.state,
+                      margin=result.value - result.local_bound, params=params, **asdict(result))
 
 
 def _cmd_threshold(args) -> str:

@@ -169,8 +169,8 @@ class ScenarioSpec:
             allowed = (f"{fewest} or more" if most is None else
                        f"{fewest}" if fewest == most else f"{fewest} to {most}")
             raise ValueError(f"{self.criterion} takes {allowed} parties, got {n}")
-        # A NaN lp_tol makes every margin NaN, which never beats -inf in the
-        # optimizer; a negative one calls every local point violated.
+        # A NaN lp_tol makes every margin NaN, which no search can rank; a
+        # negative one calls every local point violated.
         if not (math.isfinite(self.lp_tol) and self.lp_tol >= 0.0):
             raise ValueError(f"lp_tol must be finite and non-negative, got {self.lp_tol!r}")
         k = self.photon_z.n_outcomes
@@ -209,7 +209,7 @@ class ScenarioSpec:
                 raise ValueError(f"{role}.aux must be finite, got {ms.aux!r}")
 
     @cached_property
-    def _compiled(self) -> tuple:  # (margin, symmetric, parties, box, values, objective)
+    def _compiled(self) -> _Compiled:
         return _compile(self)
 
     def __getstate__(self) -> dict:  # closures do not pickle; a copy compiles anew
@@ -309,7 +309,7 @@ def scenario_state(spec: ScenarioSpec, values: dict) -> ExcitationState:
 
 def scenario_distribution(spec: ScenarioSpec, values: dict) -> JointDistribution:
     """The scenario's table, unchecked: an overflowing device's NaNs pass the spec's checks."""
-    return table(scenario_state(spec, values), spec._compiled[2](values))
+    return table(scenario_state(spec, values), spec._compiled.parties(values))
 
 
 def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
@@ -322,16 +322,20 @@ def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
     return BellResult.make(rule.evaluate(data), rule.local_bound, rule.algebraic_max(data.n))
 
 
-def _compile(spec: ScenarioSpec) -> tuple:
-    """The spec's closed-form margin; its maps from the values to the
-    Symmetric scenario of scenario_state's state and to the parties'
-    elements; the search box, the (lo, hi) floats of ``free_parameters(spec)``;
-    the map from a point of the box to its values, a copy of one template
-    of resolve_values; and a search objective, or None. A CHSH atom's two
-    angles, each over a full turn, leave the box: the value map fills them in
-    and the objective is the margin there. All six refer no more to the spec,
-    which is freed with its last reference. Pinned devices are built once; a
-    margin builds no ExcitationState or BellResult."""
+_Compiled = NamedTuple("_Compiled", [("margin", Callable), ("symmetric", Callable),
+    ("parties", Callable), ("box", tuple), ("values", Callable), ("objective", Optional[Callable])])
+
+
+def _compile(spec: ScenarioSpec) -> _Compiled:
+    """The spec's closed-form ``margin``; its maps from the values to the
+    ``symmetric`` scenario of scenario_state's state and to the ``parties``'
+    elements; the search ``box``, the (lo, hi) floats of ``free_parameters(spec)``;
+    ``values``, the map from a point of the box to its values, a copy of one
+    template of resolve_values; and a search ``objective``, or None. A CHSH atom's
+    two angles, each over a full turn, leave the box: ``values`` fills them in and
+    the objective is the margin there. No field refers to the spec, which is freed
+    with its last reference. Pinned devices are built once; a margin builds no
+    ExcitationState or BellResult."""
     name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
     z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
     w_beta = 1.0 / math.sqrt(n + 1)  # w_state's
@@ -391,7 +395,7 @@ def _compile(spec: ScenarioSpec) -> tuple:
     def margin(values):
         return _finite(name, criterion, rule.evaluate(symmetric(values)), values) - rule.local_bound
 
-    return margin, symmetric, parties, box, merge, objective if reduced else None
+    return _Compiled(margin, symmetric, parties, box, merge, objective if reduced else None)
 
 
 def _finite(name: str, criterion: str, value: float, values: dict) -> float:
@@ -415,7 +419,7 @@ def scenario_result(spec: ScenarioSpec, values: dict, vacuum: bool = False):
         if vacuum:
             raise ValueError(f"{spec.criterion} reads the scenario's own state, not the vacuum")
         return criterion_result(spec.criterion, scenario_distribution(spec, values))
-    sym = spec._compiled[1](values)
+    sym = spec._compiled.symmetric(values)
     if vacuum:  # only the channel in which no party is excited reaches the state
         sym = sym._replace(boundary=(1.0, 0.0))
     r = criterion_result(spec.criterion, sym)
@@ -427,7 +431,7 @@ def violation_margin(spec: ScenarioSpec, values: dict) -> float:
     """Positive exactly when the criterion certifies nonlocality."""
     if CRITERIA[spec.criterion].lp:
         return scenario_result(spec, values).nonlocal_content - spec.lp_tol
-    return spec._compiled[0](values)
+    return spec._compiled.margin(values)
 
 
 _SOBOL_BITS = 30
@@ -466,7 +470,7 @@ def _start_points(spec: ScenarioSpec, n_starts: int) -> list:
     """Deterministic low-discrepancy starts inside the compiled box; ``[[]]`` if it has no axis."""
     if n_starts < 1:  # with no start, a search evaluates nothing and finds nothing
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    box = spec._compiled[3]
+    box = spec._compiled.box
     return [[lo + u * (hi - lo) for u, (lo, hi) in zip(p, box)]
             for p in _sobol(len(box), n_starts)] if box else [[]]
 
@@ -557,8 +561,8 @@ def _simplex(func: Callable, x0: list, box: list, maxfev: Optional[int] = None,
 def _objective(spec: ScenarioSpec) -> Callable:
     """A search's map from a point of the compiled box to its margin: the
     compiled objective, or else violation_margin at the point's values."""
-    values, objective = spec._compiled[4:]
-    return objective or (lambda x: violation_margin(spec, values(x)))
+    compiled = spec._compiled
+    return compiled.objective or (lambda x: violation_margin(spec, compiled.values(x)))
 
 
 def _minimize_from(spec: ScenarioSpec, x0: list, stop_at_witness: bool = False,
@@ -568,7 +572,7 @@ def _minimize_from(spec: ScenarioSpec, x0: list, stop_at_witness: bool = False,
     it ends at its first margin above the guard (a witness) and returns it."""
     margin = _objective(spec)
     # The best vertex lies in the box, and minus its value is its margin.
-    fun, x = _simplex(lambda x: -margin(x), x0, spec._compiled[3], maxfev,
+    fun, x = _simplex(lambda x: -margin(x), x0, spec._compiled.box, maxfev,
                       (lambda f: is_violation(-f)) if stop_at_witness else None)
     return -fun, x
 
@@ -576,17 +580,13 @@ def _minimize_from(spec: ScenarioSpec, x0: list, stop_at_witness: bool = False,
 def optimize_free_parameters(spec: ScenarioSpec, n_starts: int = DEFAULT_STARTS) -> SearchResult:
     """Maximize the violation margin over all free parameters.
 
-    Multi-start Nelder-Mead from an unscrambled Sobol sequence, so repeated
-    calls give bit-identical results. With no free parameters the one start
-    is ``[]`` and its run a single evaluation.
+    Multi-start Nelder-Mead from an unscrambled Sobol sequence, the first best
+    run winning ties, so repeated calls give bit-identical results. With no
+    free parameters the one start is ``[]`` and its run a single evaluation.
     """
-    starts = _start_points(spec, n_starts)
-    best_margin, best_x = -np.inf, starts[0]
-    for x0 in starts:
-        margin, x = _minimize_from(spec, x0)
-        if margin > best_margin:
-            best_margin, best_x = margin, x
-    return SearchResult(best_margin, spec._compiled[4](best_x))
+    margin, x = max((_minimize_from(spec, x0) for x0 in _start_points(spec, n_starts)),
+                    key=itemgetter(0))
+    return SearchResult(margin, spec._compiled.values(x))
 
 
 def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
@@ -601,7 +601,7 @@ def _find_witness(spec: ScenarioSpec, n_starts: int) -> Optional[list]:
         if is_violation(m):
             return x0
         raw.append(m)
-    if not spec._compiled[3]:  # the one start's margin was the verdict; a run would repeat it
+    if not spec._compiled.box:  # the one start's margin was the verdict; a run would repeat it
         return None
     for idx in np.argsort(np.array(raw), kind="stable")[::-1]:
         margin, x = _minimize_from(spec, starts[idx], stop_at_witness=True)
@@ -619,7 +619,7 @@ def _warm_witness(spec: ScenarioSpec, x0: list) -> Optional[list]:
     """The witness that ends one simplex run from ``x0`` of at most
     ``WARM_EVALS_PER_PARAM`` margins per axis of the compiled box, or None.
     With no axis, the run is one margin and gives :func:`_find_witness`'s verdict."""
-    margin, x = _minimize_from(spec, x0, True, WARM_EVALS_PER_PARAM * len(spec._compiled[3]))
+    margin, x = _minimize_from(spec, x0, True, WARM_EVALS_PER_PARAM * len(spec._compiled.box))
     return x if is_violation(margin) else None
 
 
@@ -658,7 +658,7 @@ def critical_efficiency(spec: ScenarioSpec, param: str, bracket: tuple,
                       else _warm_witness(lo_spec, hi_witness))
         if (lo_witness is None) == (hi_witness is None):
             raise whole_bracket(lo_witness is not None)
-        exact = not lo_spec._compiled[3]  # no free parameter: no miss is provisional
+        exact = not lo_spec._compiled.box  # no free parameter: no miss is provisional
         if lo_witness is not None:
             viol, witness, other, checked, misses = lo, lo_witness, hi, hi, []
         else:  # lo's capped run: a provisional miss unless exact

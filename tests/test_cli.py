@@ -750,6 +750,18 @@ def test_dump_and_help_print_and_exit_zero(tmp_path):
     assert run(["content", "--dist-file", str(path), "--dump-dist"]) == (0, table, "")
 
 
+@pytest.mark.parametrize("command", [[], ["bell"], ["threshold"], ["region"], ["content"],
+                                     ["negativity"]], ids=lambda c: "-".join(["wbell", *c]))
+def test_help_is_the_same_at_any_terminal_width(command, capsys, monkeypatch):
+    """argparse would wrap help to COLUMNS; wbell reads no environment variable."""
+    outputs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert dispatch(command + ["--help"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("usage: wbell")
+
+
 def test_readme_command_line_section_names_every_flag():
     """The README's "Command line" section names every flag of every
     subcommand, --help aside, and no flag the parser lacks. The parser reads

@@ -570,6 +570,16 @@ def test_optimizer_is_bitwise_deterministic():
     assert first.params == second.params
 
 
+def test_the_optimizer_reports_the_first_of_the_runs_that_tie(monkeypatch):
+    spec = VERDICT_CASES[6]  # fig3 N=3: four free axes
+    starts = search._start_points(spec, 4)
+    assert len({tuple(x) for x in starts}) == 4
+    monkeypatch.setattr(search, "_minimize_from", lambda spec, x0: (0.25, x0))
+    res = optimize_free_parameters(spec, n_starts=4)
+    assert res.margin == 0.25
+    assert res.params == spec._compiled.values(starts[0]) != spec._compiled.values(starts[1])
+
+
 def test_has_violation_matches_margin_sign():
     assert has_violation(fix_parameter(damping_spec(), "eta", 0.8))
     assert not has_violation(fix_parameter(damping_spec(), "eta", 0.7))
@@ -662,7 +672,7 @@ def negative_margin(spec):
 
 
 def free_box(spec):
-    return list(spec._compiled[3])
+    return list(spec._compiled.box)
 
 
 def test_a_simplex_run_evaluates_each_margin_once(monkeypatch):
@@ -851,7 +861,7 @@ def test_the_sobol_table_covers_the_most_free_parameters_a_spec_can_have():
         params={p: ParamSpec.free(0.0, 1.0) for p in
                 ("eta_z", "eta_x", "phase_z", "phase_x", *search._ATOM_PARAMS)})
     names, starts = free_parameters(spec), search._start_points(spec, 8)
-    assert len(names) == len(search._SOBOL_INIT) + 1 == len(spec._compiled[3]) == 9
+    assert len(names) == len(search._SOBOL_INIT) + 1 == len(spec._compiled.box) == 9
     assert starts == scipy_sobol(9, 8).tolist()
 
 
@@ -1656,7 +1666,8 @@ def test_the_compiled_box_is_the_declared_one_as_floats():
         for spec in (preset.spec, fix_parameter(preset.spec, first,
                                                 0.5 * (declared.lo + declared.hi))):
             names = free_parameters(spec)
-            box, values, objective = spec._compiled[3:]
+            compiled = spec._compiled
+            box, values, objective = compiled.box, compiled.values, compiled.objective
             # A CHSH atom whose angles both range over a full turn searches
             # without them, and its value map fills them in.
             reduced = spec.criterion == "chsh" and spec.atom and all(
@@ -1704,7 +1715,7 @@ def chsh_atom_points(rng, per_spec):
                                (f"{name} lossy", lossy)):
             for _ in range(per_spec):
                 yield label, variant, [float(rng.uniform(lo, hi))
-                                       for lo, hi in variant._compiled[3]]
+                                       for lo, hi in variant._compiled.box]
 
 
 def test_the_closed_form_angles_are_the_best_the_margin_reaches():
@@ -1715,7 +1726,7 @@ def test_the_closed_form_angles_are_the_best_the_margin_reaches():
     oracle's CHSH value there within 1e-12, and no point of a 24 x 24 grid
     of the two angles beats it by more than 1e-12."""
     for label, spec, x in chsh_atom_points(np.random.default_rng(33), 10):
-        margin, values = spec._compiled[5](x), spec._compiled[4](x)
+        margin, values = spec._compiled.objective(x), spec._compiled.values(x)
         tol = 1e-15 if label in CHSH_ATOM_PRESETS else 2e-15
         assert abs(margin - violation_margin(spec, values)) <= tol, (label, x)
         assert all(0.0 <= values[a] <= 2.0 * math.pi for a in ANGLES), (label, values)
@@ -1745,9 +1756,9 @@ def test_angles_short_of_a_full_turn_stay_search_axes(tmp_path):
     path.write_text(text.replace("param.a_polar_0 = 0.0 6.283185307179586 free",
                                  "param.a_polar_0 = 0 1 free"))
     spec = _scenario_from_keys(parse_config(path.read_text())[2])
-    assert spec._compiled[3] == ((0.0, 1.0), (0.0, 2.0 * math.pi), (0.01, 2.0),
-                                 (-math.pi / 2.0, -1e-3))
-    assert spec._compiled[5] is None
+    assert spec._compiled.box == ((0.0, 1.0), (0.0, 2.0 * math.pi), (0.01, 2.0),
+                                  (-math.pi / 2.0, -1e-3))
+    assert spec._compiled.objective is None
     params = json.loads(cli_stdout(["bell", "--config", str(path), "--starts", "2"]))["params"]
     assert 0.0 <= params["a_polar_0"] <= 1.0
     assert 0.0 <= params["a_polar_1"] <= 2.0 * math.pi
@@ -1760,7 +1771,7 @@ def test_angles_short_of_a_full_turn_stay_search_axes(tmp_path):
         params = dict(full.params, **{a: ParamSpec.free(lo, hi)
                                       for a, (lo, hi) in zip(ANGLES, ranges)})
         spec = replace(full, params=params)
-        assert len(spec._compiled[3]) == axes, ranges
+        assert len(spec._compiled.box) == axes, ranges
         found = optimize_free_parameters(spec, n_starts=2).params
         for a, (lo, hi) in zip(ANGLES, ranges):
             assert lo <= found[a] <= hi, (ranges, found)
@@ -1774,7 +1785,7 @@ def test_the_converged_runs_of_a_chsh_atom_search_agree_on_the_angles():
     spec = PRESETS["chsh-displacement"].build(2)
     runs = [search._minimize_from(spec, x0) for x0 in search._start_points(spec, 4)]
     best = max(m for m, _ in runs)
-    angles = [[spec._compiled[4](x)[a] for a in ANGLES] for m, x in runs if m >= best - 1e-9]
+    angles = [[spec._compiled.values(x)[a] for a in ANGLES] for m, x in runs if m >= best - 1e-9]
     assert len(angles) >= 2
     for pair in angles:
         assert all(abs(a - b) <= 1e-6 for a, b in zip(pair, angles[0])), angles
