@@ -169,8 +169,8 @@ def _harmonics(pair) -> tuple:
     """U(0) = (T_0 + T_1)/2 and U(1) = (T_0 - T_1)/2 of a party's observable
     transfers T_s."""
     t0, t1 = _observables(pair)
-    return (tuple((p + q) / 2.0 for p, q in zip(t0, t1)),
-            tuple((p - q) / 2.0 for p, q in zip(t0, t1)))
+    return (tuple((p + q) / 2 for p, q in zip(t0, t1)),
+            tuple((p - q) / 2 for p, q in zip(t0, t1)))
 
 
 def wwwzb_symmetric(sym: Symmetric) -> float:
@@ -182,7 +182,7 @@ def wwwzb_symmetric(sym: Symmetric) -> float:
     (a0, b0, c0, d0), (a1, b1, c1, d1) = _harmonics(sym.first)
     even, odd = _harmonics(sym.other)
     w0, w3 = sym.boundary
-    n, value = sym.n, 0.0
+    n, value = sym.n, 0
     for w in range(n + 1):
         e, f, g, h = power(even, n - w)
         if w:  # times by power(odd, w)

@@ -87,36 +87,36 @@ def _photonic_zx(name: str, n: int, criterion: str) -> ScenarioSpec:
                 "eta_x": ParamSpec.free(0.5, 1.0)})
 
 
-def _atom_params(eta_atom: float, eta_c: float) -> dict:
-    return {
-        "eta_spd": ParamSpec.free(0.0, 1.0),
-        "theta": ParamSpec.free(THETA_LO, THETA_HI),
-        "eta_c": ParamSpec.fixed(eta_c),
-        "eta_atom": ParamSpec.fixed(eta_atom),
-        "a_polar_0": ParamSpec.free(0.0, TWO_PI),
-        "a_polar_1": ParamSpec.free(0.0, TWO_PI),
-    }
+# The paper's two schemes count photons at setting 0 and, at setting 1,
+# measure a quadrature or count photons after a displacement. A device is
+# its MeasSpec with the parameters it adds.
+def _homodyne(eta_hom: float) -> tuple:
+    return MeasSpec("homodyne", "eta_hom", "phi_x"), {"eta_hom": ParamSpec.fixed(eta_hom),
+                                                       "phi_x": ParamSpec.free(0.0, TWO_PI)}
 
 
-def _atom_homodyne(name: str, n: int, criterion: str, eta_atom: float,
-                   eta_hom: float) -> ScenarioSpec:
-    params = _atom_params(eta_atom, 1.0)
-    params["eta_hom"] = ParamSpec.fixed(eta_hom)
-    params["phi_x"] = ParamSpec.free(0.0, TWO_PI)
+_DISPLACED = (MeasSpec("displaced_response", "eta_spd", "alpha"),
+              {"alpha": ParamSpec.free(0.01, 2.0)})
+_IDEAL_HOMODYNE = MeasSpec("homodyne", 1.0, 0.0), {}
+
+
+def _counted(name: str, n: int, criterion: str, device: tuple, atom: bool = False,
+             **params) -> ScenarioSpec:
+    """A photon counter of efficiency ``eta_spd`` at setting 0 and ``device``
+    at setting 1; ``params`` come between the counter's and the device's, the
+    order resolve_values and the error texts list them in."""
+    photon_x, device_params = device
     return ScenarioSpec(
-        name, n, criterion,
-        MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", "eta_hom", "phi_x"),
-        atom=True, params=params)
+        name, n, criterion, MeasSpec("spd", "eta_spd"), photon_x, atom=atom,
+        params={"eta_spd": ParamSpec.free(0.0, 1.0), **params, **device_params})
 
 
-def _atom_displacement(name: str, n: int, criterion: str,
-                       eta_atom: float) -> ScenarioSpec:
-    params = _atom_params(eta_atom, 1.0)
-    params["alpha"] = ParamSpec.free(0.01, 2.0)
-    return ScenarioSpec(
-        name, n, criterion,
-        MeasSpec("spd", "eta_spd"), MeasSpec("displaced_response", "eta_spd", "alpha"),
-        atom=True, params=params)
+def _atom(name: str, criterion: str, device: tuple, eta_atom: float) -> ScenarioSpec:
+    """A counted-photon scheme with one photon and a perfectly coupled atom."""
+    return _counted(name, 2, criterion, device, atom=True,
+                    theta=ParamSpec.free(THETA_LO, THETA_HI), eta_c=ParamSpec.fixed(1.0),
+                    eta_atom=ParamSpec.fixed(eta_atom), a_polar_0=ParamSpec.free(0.0, TWO_PI),
+                    a_polar_1=ParamSpec.free(0.0, TWO_PI))
 
 
 # The run defaults of every atom preset: threshold and region bisect the
@@ -133,12 +133,11 @@ PRESETS = {
                    ("eta_z", (0.5, 1.0)), ("eta_x", (0.5, 1.0))),
     "fig2": Preset(_photonic_zx("fig2", 3, "wwwzb"), ("eta_z", (0.1, 1.0)),
                    ("eta_z", (0.5, 1.0)), ("eta_x", (0.5, 1.0))),
-    "fig3": Preset(_atom_homodyne("fig3", 2, "wwwzb", eta_atom=1.0, eta_hom=1.0),
-                   *_ATOM_RUNS),
+    "fig3": Preset(_atom("fig3", "wwwzb", _homodyne(1.0), eta_atom=1.0), *_ATOM_RUNS),
     "fig4-homodyne": Preset(
-        _atom_homodyne("fig4-homodyne", 2, "chsh", eta_atom=0.95, eta_hom=0.98), *_ATOM_RUNS),
+        _atom("fig4-homodyne", "chsh", _homodyne(0.98), eta_atom=0.95), *_ATOM_RUNS),
     "fig4-displacement": Preset(
-        _atom_displacement("fig4-displacement", 2, "chsh", eta_atom=0.95), *_ATOM_RUNS),
+        _atom("fig4-displacement", "chsh", _DISPLACED, eta_atom=0.95), *_ATOM_RUNS),
     "fig5": Preset(_photonic_zx("fig5", 3, "lp2"), ("eta_z", (0.0, 1.0)),
                    ("eta_x", (0.5, 1.0)), ("eta_z", (0.0, 1.0))),
     "garbarino3": Preset(
@@ -149,19 +148,9 @@ PRESETS = {
                     "eta_x": ParamSpec.free(0.0, 1.0)}),
         ("eta_x", (0.0, 1.0)), ("eta_z", (0.5, 1.0)), ("eta_x", (0.0, 1.0))),
     "cabello-homodyne": Preset(
-        ScenarioSpec(
-            "cabello-homodyne", 3, "cabello",
-            MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
-            params={"eta_spd": ParamSpec.free(0.0, 1.0)}),
-        ("eta_spd", (0.0, 1.0))),
+        _counted("cabello-homodyne", 3, "cabello", _IDEAL_HOMODYNE), ("eta_spd", (0.0, 1.0))),
     "cabello-displacement": Preset(
-        ScenarioSpec(
-            "cabello-displacement", 3, "cabello",
-            MeasSpec("spd", "eta_spd"),
-            MeasSpec("displaced_response", "eta_spd", "alpha"),
-            params={"eta_spd": ParamSpec.free(0.0, 1.0),
-                    "alpha": ParamSpec.free(0.01, 2.0)}),
-        ("eta_spd", (0.0, 1.0))),
+        _counted("cabello-displacement", 3, "cabello", _DISPLACED), ("eta_spd", (0.0, 1.0))),
     "cabello-ad": Preset(
         ScenarioSpec(
             "cabello-ad", 3, "cabello",
@@ -169,19 +158,13 @@ PRESETS = {
             params={"eta": ParamSpec.free(0.0, 1.0)}),
         ("eta", (0.0, 1.0))),
     "wwwzb-homodyne": Preset(
-        ScenarioSpec(
-            "wwwzb-homodyne", 4, "wwwzb",
-            MeasSpec("spd", "eta_spd"), MeasSpec("homodyne", 1.0, 0.0),
-            params={"eta_spd": ParamSpec.free(0.0, 1.0)}),
-        ("eta_spd", (0.1, 1.0))),
+        _counted("wwwzb-homodyne", 4, "wwwzb", _IDEAL_HOMODYNE), ("eta_spd", (0.1, 1.0))),
     "chsh-homodyne": Preset(
-        fix_parameter(_atom_homodyne("chsh-homodyne", 2, "chsh",
-                                     eta_atom=1.0, eta_hom=1.0), "eta_spd", 1.0),
-        *_ATOM_RUNS),
+        fix_parameter(_atom("chsh-homodyne", "chsh", _homodyne(1.0), eta_atom=1.0),
+                      "eta_spd", 1.0), *_ATOM_RUNS),
     "chsh-displacement": Preset(
-        fix_parameter(_atom_displacement("chsh-displacement", 2, "chsh",
-                                         eta_atom=1.0), "eta_spd", 1.0),
-        *_ATOM_RUNS),
+        fix_parameter(_atom("chsh-displacement", "chsh", _DISPLACED, eta_atom=1.0),
+                      "eta_spd", 1.0), *_ATOM_RUNS),
 }
 
 

@@ -147,7 +147,7 @@ def joint_distribution(state: ExcitationState, assignment: MeasurementAssignment
 # X^2 = Y^2 = 0 and XY = YX = E03: the matrices commute, a 4-tuple
 # (a, b, c, d) stands for one, and the row (1, 0, 0, 0) times it is the tuple.
 
-ONE = (1.0, 0.0, 0.0, 0.0)
+ONE = (1, 0, 0, 0)  # ints: Fraction transfers stay exact, float ones keep their bits
 
 
 def times(*factors) -> tuple:

@@ -322,19 +322,19 @@ def criterion_result(criterion: str, data: Union[Symmetric, JointDistribution]):
     return BellResult.make(rule.evaluate(data), rule.local_bound, rule.algebraic_max(data.n))
 
 
-_Compiled = NamedTuple("_Compiled", [("margin", Callable), ("symmetric", Callable),
-    ("parties", Callable), ("box", tuple), ("values", Callable), ("objective", Optional[Callable])])
+_Compiled = NamedTuple("_Compiled", [("symmetric", Callable), ("parties", Callable),
+    ("box", tuple), ("values", Callable), ("objective", Optional[Callable])])
 
 
 def _compile(spec: ScenarioSpec) -> _Compiled:
-    """The spec's closed-form ``margin``; its maps from the values to the
-    ``symmetric`` scenario of scenario_state's state and to the ``parties``'
-    elements; the search ``box``, the (lo, hi) floats of ``free_parameters(spec)``;
-    ``values``, the map from a point of the box to its values, a copy of one
-    template of resolve_values; and a search ``objective``, or None. A CHSH atom's
-    two angles, each over a full turn, leave the box: ``values`` fills them in and
-    the objective is the margin there. No field refers to the spec, which is freed
-    with its last reference. Pinned devices are built once; a margin builds no
+    """The spec's maps from the values to the ``symmetric`` scenario of
+    scenario_state's state and to the ``parties``' elements; the search ``box``,
+    the (lo, hi) floats of ``free_parameters(spec)``; ``values``, the map from a
+    point of the box to its values, a copy of one template of resolve_values;
+    and a search ``objective``, or None. A CHSH atom's two angles, each over a
+    full turn, leave the box: ``values`` fills them in and the objective is the
+    margin there. No field refers to the spec, which is freed with its last
+    reference. Pinned devices are built once; a margin builds no
     ExcitationState or BellResult."""
     name, criterion, atom, n = spec.name, spec.criterion, spec.atom, spec.n_parties - 1
     z, x, rule = _device(spec.photon_z, spec), _device(spec.photon_x, spec), CRITERIA[criterion]
@@ -392,10 +392,7 @@ def _compile(spec: ScenarioSpec) -> _Compiled:
         other = _transfers((z(values), x(values)), w_beta)  # party 0's are the others'
         return Symmetric(other, other, n, (0.0, 1.0))
 
-    def margin(values):
-        return _finite(name, criterion, rule.evaluate(symmetric(values)), values) - rule.local_bound
-
-    return _Compiled(margin, symmetric, parties, box, merge, objective if reduced else None)
+    return _Compiled(symmetric, parties, box, merge, objective if reduced else None)
 
 
 def _finite(name: str, criterion: str, value: float, values: dict) -> float:
@@ -429,9 +426,11 @@ def scenario_result(spec: ScenarioSpec, values: dict, vacuum: bool = False):
 
 def violation_margin(spec: ScenarioSpec, values: dict) -> float:
     """Positive exactly when the criterion certifies nonlocality."""
-    if CRITERIA[spec.criterion].lp:
+    rule = CRITERIA[spec.criterion]
+    if rule.lp:
         return scenario_result(spec, values).nonlocal_content - spec.lp_tol
-    return spec._compiled.margin(values)
+    value = rule.evaluate(spec._compiled.symmetric(values))
+    return _finite(spec.name, spec.criterion, value, values) - rule.local_bound
 
 
 _SOBOL_BITS = 30

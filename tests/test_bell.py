@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from wbell.bell import (
     cabello_value,
     chsh_value,
     mermin3_value,
+    wwwzb_symmetric,
     wwwzb_value,
 )
-from wbell.dist import JointDistribution, MeasurementAssignment, joint_distribution
-from wbell.measure import EQUATOR, BlochAxis, X_AXIS, Z_AXIS, efficiency_povm
+from wbell.cli import PRESETS
+from wbell.dist import (
+    JointDistribution, MeasurementAssignment, Symmetric, _transfers, joint_distribution)
+from wbell.measure import EQUATOR, FAMILIES, BlochAxis, X_AXIS, Z_AXIS, efficiency_povm
+from wbell.search import fix_parameter, resolve_values, violation_margin
 from wbell.states import damped_w_state, w_state
 
 from oracles import (
@@ -183,6 +188,28 @@ def test_chsh_quantum_route_on_w2():
     p = joint_distribution(w_state(2), MeasurementAssignment((atom, (b0, b1))))
     got = chsh_value(full_correlators(p))
     assert got.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 10, 100, 1030])
+def test_wwwzb_closed_form_stays_exact_on_fractions(n):
+    """fig2's closed form on the exact values of its float inputs, the
+    devices' elements and the W state's amplitude 1/sqrt(N), returns a
+    Fraction within 1e-12 of the float margin, up to the most parties wwwzb
+    takes. At azimuth 0 every element is real."""
+    eta_z, eta_x = 0.6, 0.95
+    spec = fix_parameter(fix_parameter(PRESETS["fig2"].build(n), "eta_z", eta_z), "eta_x", eta_x)
+
+    def exact(entry):
+        assert complex(entry).imag == 0.0
+        return Fraction(complex(entry).real)
+
+    pair = [[[[exact(m) for m in row] for row in element]
+             for element in FAMILIES[family][1](eta, 0.0)]
+            for family, eta in (("spd", eta_z), ("sym", eta_x))]
+    other = _transfers(pair, Fraction(1.0 / math.sqrt(n)))
+    margin = wwwzb_symmetric(Symmetric(other, other, n - 1, (Fraction(0), Fraction(1)))) - 1
+    assert isinstance(margin, Fraction)
+    assert abs(margin - Fraction(violation_margin(spec, resolve_values(spec)))) <= 1e-12
 
 
 def test_violation_guard():
